@@ -13,6 +13,7 @@ from .collocation import collocate, save_collocated
 from .eigensolver import solve_gevp
 from .eigenspace import (
     check_isolation,
+    exterior_gap,
     isolation_parameter,
     _as_cluster,
 )
@@ -63,13 +64,7 @@ def _cmd_check(args) -> int:
     decay = verify_decay(family)
     k = min(cluster.hi + 1, family.dim)
     vals = solve_gevp(family.B0, family.mass, k=k).values
-    lo_gap = math.inf
-    if cluster.lo >= 2:
-        lo_gap = vals[cluster.lo - 1] - vals[cluster.lo - 2]
-    hi_gap = math.inf
-    if cluster.hi + 1 <= family.dim:
-        hi_gap = vals[cluster.hi] - vals[cluster.hi - 1]
-    delta0 = min(lo_gap, hi_gap) / vals[cluster.hi - 1]
+    delta0 = exterior_gap(vals, cluster) / vals[cluster.hi - 1]
     certified = None
     certified_reason = None
     if math.isinf(delta0):

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import m_orthonormalize, solve_gevp
+from .eigensolver import ReducedFamily, m_orthonormalize, solve_gevp
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
     EigenspaceBasis,
     _as_cluster,
     canonical_basis,
+    exterior_gap,
 )
 from .errors import (
     ClusterCoverageError,
@@ -28,10 +29,10 @@ from .errors import (
     ConfigError,
     DegenerateBasisError,
     FamilyValidationError,
+    SolverError,
 )
 from .families import (
     AffineOperatorFamily,
-    assemble_at,
     family_from_dict,
     family_hash,
     family_to_dict,
@@ -87,12 +88,13 @@ class CollocatedEigenbasis:
         return self.cluster.S
 
 
-def _solve_point(family, cluster, y, ref_vectors, target, sigma_threshold):
-    decomp = solve_gevp(assemble_at(family, y), family.mass, k=cluster.hi + 1)
+def _solve_point(family, reduced, cluster, y, ref_vectors, target, sigma_threshold):
+    try:
+        decomp = reduced.lift(solve_gevp(reduced.at(y), None, k=cluster.hi + 1))
+    except SolverError as exc:
+        raise SolverError(f"{exc} at point {tuple(y)}") from exc
     vals = decomp.values
-    ext_gap = vals[cluster.hi] - vals[cluster.hi - 1]
-    if cluster.lo >= 2:
-        ext_gap = min(ext_gap, vals[cluster.lo - 1] - vals[cluster.lo - 2])
+    ext_gap = exterior_gap(vals, cluster)
     mx = float(vals[cluster.hi - 1])
     if ext_gap <= 0.0:
         raise ClusterCrossingError(
@@ -125,10 +127,11 @@ def collocate(
 ) -> CollocatedEigenbasis:
     """Solve at every grid point of A and assemble the interpolant's data.
 
-    The reference vectors are fixed by a solve at the origin first; each grid
-    point then gets an independent solve, so point solves may run on up to
-    ``n_threads`` workers.  Results are keyed by grid point, which makes the
-    outcome independent of completion order.
+    The reference vectors are fixed by a dense solve at the origin first.  The
+    family is then reduced once to standard form (``ReducedFamily``), and each
+    grid point gets an independent solve of its reduced matrix, so point
+    solves may run on up to ``n_threads`` workers.  Results are keyed by grid
+    point, which makes the outcome independent of completion order.
 
     Raises
     ------
@@ -137,6 +140,8 @@ def collocate(
         reference one (canonical target only); carries the offending point.
     ClusterCrossingError
         If a cluster eigenvalue coincides with the exterior spectrum at a point.
+    SolverError
+        If the eigensolve fails at some point; the message names the point.
     """
     cluster = _as_cluster(J)
     if target not in TARGETS:
@@ -155,9 +160,13 @@ def collocate(
     ref_values = np.array([decomp0.values[j - 1] for j in cluster.J])
     points = grid_points(A)
     terms = tuple(combination_terms(A))
+    # held for this call only; a family may be large and long-lived
+    reduced = ReducedFamily(family)
 
     def work(pt):
-        return _solve_point(family, cluster, pt, ref_vectors, target, sigma_threshold)
+        return _solve_point(
+            family, reduced, cluster, pt, ref_vectors, target, sigma_threshold
+        )
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

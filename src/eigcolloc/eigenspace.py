@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import SpectralDecomposition, solve_gevp
+from .eigensolver import ReducedFamily, SpectralDecomposition, solve_gevp
 from .errors import (
     ClusterCoverageError,
     DecayViolationError,
@@ -20,7 +20,7 @@ from .errors import (
     FamilyValidationError,
     IsolationPreconditionError,
 )
-from .families import AffineOperatorFamily, assemble_at
+from .families import AffineOperatorFamily
 
 GRAM_SIGMA_THRESHOLD = 1e-8
 
@@ -56,6 +56,24 @@ class ClusterSelection:
 
 def _as_cluster(J) -> ClusterSelection:
     return J if isinstance(J, ClusterSelection) else ClusterSelection(tuple(J))
+
+
+def exterior_gap(values, J) -> float:
+    """Distance from the cluster to the nearest eigenvalue outside it.
+
+    ``values`` are the ascending eigenvalues 1..k with k >= max(J).  The gap is
+    min(lower-neighbour gap, upper-neighbour gap).  A neighbour that does not
+    exist (the cluster starts at eigenvalue 1) or is not among the k values
+    given counts as +inf.
+    """
+    cluster = _as_cluster(J)
+    lo_gap = math.inf
+    if cluster.lo >= 2:
+        lo_gap = values[cluster.lo - 1] - values[cluster.lo - 2]
+    hi_gap = math.inf
+    if cluster.hi < len(values):
+        hi_gap = values[cluster.hi] - values[cluster.hi - 1]
+    return min(lo_gap, hi_gap)
 
 
 def weyl_envelope(values_at_origin, kappa_sum: float):
@@ -147,19 +165,14 @@ def check_isolation(
         raise ClusterCoverageError(
             f"cluster index {cluster.hi} exceeds dimension {n}"
         )
+    reduced = ReducedFamily(family)
     rng = np.random.default_rng(seed)
     samples = []
     worst = math.inf
     for _ in range(int(n_samples)):
         y = rng.uniform(-1.0, 1.0, size=family.n_terms)
-        vals = solve_gevp(assemble_at(family, y), family.mass, k=k).values
-        lo_gap = math.inf
-        if cluster.lo >= 2:
-            lo_gap = vals[cluster.lo - 1] - vals[cluster.lo - 2]
-        hi_gap = math.inf
-        if cluster.hi + 1 <= n:
-            hi_gap = vals[cluster.hi] - vals[cluster.hi - 1]
-        gap = min(lo_gap, hi_gap)
+        vals = solve_gevp(reduced.at(y), None, k=k).values
+        gap = exterior_gap(vals, cluster)
         mx = float(vals[cluster.hi - 1])
         worst = min(worst, gap / mx)
         samples.append((tuple(y), gap, mx))

@@ -143,15 +143,20 @@ def assemble_at(family: AffineOperatorFamily, y) -> np.ndarray:
     are treated as zero.  Longer than the family raises
     :class:`ParameterDimensionError`.
     """
+    return affine_sum(family.B0, family.B_terms, y)
+
+
+def affine_sum(B0: np.ndarray, B_terms, y) -> np.ndarray:
+    """B0 + sum_m y_m B_m with zero terms skipped; ``assemble_at`` on bare arrays."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.ndim != 1:
         raise ParameterDimensionError("parameter point must be one-dimensional")
-    if len(y) > family.n_terms:
+    if len(y) > len(B_terms):
         raise ParameterDimensionError(
-            f"parameter point has {len(y)} components, family has {family.n_terms} terms"
+            f"parameter point has {len(y)} components, family has {len(B_terms)} terms"
         )
-    out = family.B0.copy()
-    for ym, B in zip(y, family.B_terms):
+    out = B0.copy()
+    for ym, B in zip(y, B_terms):
         if ym != 0.0:
             out += ym * B
     return out

@@ -7,9 +7,11 @@ numbers), so error columns are comparable between rows.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .collocation import CollocatedEigenbasis, collocate, evaluate
-from .eigensolver import solve_gevp
+from .eigensolver import ReducedFamily, solve_gevp
 from .eigenspace import _as_cluster, canonical_basis
 from .errors import (
     ConfigError,
@@ -28,7 +30,6 @@ from .errors import (
 from .families import (
     AffineOperatorFamily,
     DecaySequence,
-    assemble_at,
     designed_crossing_family,
     load_family,
     model_diffusion_1d,
@@ -244,7 +245,8 @@ def estimate_error(
 ) -> ErrorEstimate:
     """Root-mean-square interpolation error over seeded uniform samples.
 
-    Each sample gets a direct eigensolve; the reference is the projected basis
+    Each sample gets a direct eigensolve of the family reduced once to
+    standard form (``ReducedFamily``); the reference is the projected basis
     built from the same origin vectors as the interpolant, so both sides target
     the identical object.  Metric 'vector-l2' sums squared energy norms of the
     columnwise differences; 'subspace-angle' uses the largest principal angle
@@ -256,15 +258,15 @@ def estimate_error(
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     family = cb.family
+    reduced = ReducedFamily(family)
     rng = np.random.default_rng(seed)
-    LT = np.linalg.cholesky(family.mass).T
     total = 0.0
     used = 0
     failures = 0
     for _ in range(int(n_mc)):
         y = rng.uniform(-1.0, 1.0, size=family.n_terms)
         try:
-            decomp = solve_gevp(assemble_at(family, y), family.mass, k=cb.cluster.hi)
+            decomp = reduced.lift(solve_gevp(reduced.at(y), None, k=cb.cluster.hi))
             truth = canonical_basis(decomp, cb.ref_vectors, cb.cluster, family.mass)
         except (SolverError, DegenerateBasisError):
             failures += 1
@@ -274,7 +276,7 @@ def estimate_error(
             diff = approx - truth.vectors
             total += float(np.sum(diff * (family.B0 @ diff)))
         else:
-            angle = _largest_angle(approx, truth.vectors, LT, cb.cluster.S)
+            angle = _largest_angle(approx, truth.vectors, reduced.LT, cb.cluster.S)
             total += angle * angle
         used += 1
     if failures > 0.1 * n_mc:
@@ -339,17 +341,14 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
+@contextlib.contextmanager
 def _stage(name: str, budget_index: int | None = None):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, Exception) and not isinstance(exc, StageError):
-                raise StageError(name, budget_index, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, budget_index, str(exc)) from exc
 
 
 def run_convergence_study(
@@ -415,8 +414,6 @@ def run_convergence_study(
     )
     csv_path = summary_path = None
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, csv_name)
         _write_csv(
@@ -520,8 +517,6 @@ def run_crossing_demo(
     )
     csv_path = summary_path = None
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, csv_name)
         _write_csv(

@@ -25,11 +25,15 @@ from eigcolloc import (
     multi_index_set,
     orthonormalize_at,
     principal_angles,
+    SolverError,
+    grid_points,
     save_collocated,
     solve_gevp,
     synthetic_family,
 )
+from eigcolloc import collocation
 from eigcolloc.collocation import PointSolution, collocated_to_dict, collocated_from_dict
+from eigcolloc.eigensolver import ReducedFamily
 from eigcolloc.sparse_grid import ORIGIN
 
 
@@ -122,6 +126,22 @@ class TestCollocate:
         assert err.value.point is not None
         assert err.value.sigma_min < 1.0
 
+    def test_solver_error_reports_point(self, monkeypatch):
+        fam = model_diffusion_1d(15, 0.3, 2.0, 1)
+        A = line_set(2)
+        real = collocation.solve_gevp
+
+        def fails_off_origin(K, M, k=None):
+            # the dense reference solve passes; the reduced point solves fail
+            if M is None:
+                raise SolverError("synthetic failure")
+            return real(K, M, k=k)
+
+        monkeypatch.setattr(collocation, "solve_gevp", fails_off_origin)
+        with pytest.raises(SolverError, match="synthetic failure at point") as err:
+            collocate(fam, [1], A)
+        assert str(grid_points(A)[0]) in str(err.value)
+
     def test_unknown_target_rejected(self):
         fam = constant_family()
         with pytest.raises(ConfigError):
@@ -209,8 +229,11 @@ class TestRawTarget:
     def test_stores_sorted_eigenvectors(self):
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
         cb = collocate(fam, [1, 2], line_set(2), target="raw")
+        # the solve collocate makes; tests/test_eigensolver.py holds it to
+        # the dense solve of the assembled pencil
+        reduced = ReducedFamily(fam)
         for pt, sol in cb.point_data.items():
-            decomp = solve_gevp(assemble_at(fam, pt), fam.mass, k=3)
+            decomp = reduced.lift(solve_gevp(reduced.at(pt), None, k=3))
             assert np.array_equal(sol.basis.vectors, decomp.vectors[:, :2])
 
     def test_raw_equals_canonical_far_from_crossings(self):

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigcolloc import (
+    DecaySequence,
+    ParameterDimensionError,
     RankDeficiencyError,
     SolverError,
+    assemble_at,
     m_orthonormalize,
+    principal_angles,
     solve_gevp,
+    synthetic_family,
 )
+from eigcolloc.eigensolver import ReducedFamily
 
 
 def random_pencil(n, seed):
@@ -73,6 +80,87 @@ class TestSolveGevp:
     def test_shape_mismatch(self):
         with pytest.raises(SolverError):
             solve_gevp(np.eye(3), np.eye(2))
+
+    def test_standard_problem_without_mass(self):
+        K, _ = random_pencil(8, 9)
+        d = solve_gevp(K, None, k=3)
+        assert d.values == pytest.approx(np.linalg.eigvalsh(K)[:3], abs=1e-12)
+        assert np.allclose(d.vectors.T @ d.vectors, np.eye(3), atol=1e-12)
+        assert np.array_equal(d.vectors, solve_gevp(K, k=3).vectors)
+
+    def test_nonsquare_standard_problem_rejected(self):
+        with pytest.raises(SolverError):
+            solve_gevp(np.ones((3, 2)), None)
+
+
+def spd_family(n, n_terms, seed):
+    """Family whose pencil eigenvalues at every y lie within 0.15 of 1 + d_i,
+    with the d_i at least 0.5 apart, so that every eigenvalue stays simple."""
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, n))
+    mass = C @ C.T / n + np.eye(n)
+    L = np.linalg.cholesky(mass)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = 1.0 + np.cumsum(rng.uniform(0.5, 1.5, n))
+
+    def pull_back(A):
+        # pencil (L A L', L L') has the spectrum of A
+        B = L @ A @ L.T
+        return 0.5 * (B + B.T)
+
+    terms = []
+    for _ in range(n_terms):
+        R = rng.standard_normal((n, n))
+        E = R + R.T
+        terms.append(pull_back(0.05 * E / np.linalg.norm(E, 2)))
+    return synthetic_family(
+        pull_back((Q * d) @ Q.T), terms, mass, DecaySequence((0.05,) * n_terms)
+    )
+
+
+@st.composite
+def family_point_cluster(draw):
+    n = draw(st.integers(4, 30))
+    n_terms = draw(st.integers(1, 3))
+    fam = spd_family(n, n_terms, draw(st.integers(0, 2**32 - 1)))
+    y = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_terms, max_size=n_terms))
+    lo = draw(st.integers(1, n - 1))
+    hi = draw(st.integers(lo, min(lo + 2, n - 1)))
+    return fam, np.array(y), list(range(lo, hi + 1))
+
+
+class TestReducedFamily:
+    # the dense solve of the assembled pencil is the oracle; tolerances are
+    # fixed in advance: eigenvalues 1e-10 relative, cluster span 1e-8 rad,
+    # M-orthonormality 1e-10, and equal signs for the (simple) eigenvectors
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(family_point_cluster())
+    def test_matches_dense_solve(self, case):
+        fam, y, J = case
+        k = J[-1] + 1
+        dense = solve_gevp(assemble_at(fam, y), fam.mass, k=k)
+        reduced = ReducedFamily(fam)
+        fast = reduced.lift(solve_gevp(reduced.at(y), None, k=k))
+        assert np.all(
+            np.abs(fast.values - dense.values) <= 1e-10 * np.abs(dense.values)
+        )
+        cols = [j - 1 for j in J]
+        angles = principal_angles(fast.vectors[:, cols], dense.vectors[:, cols], fam.mass)
+        assert angles.max() <= 1e-8
+        U = fast.vectors
+        assert np.abs(U.T @ fam.mass @ U - np.eye(k)).max() <= 1e-10
+        assert np.all(np.einsum("ij,ij->j", U, fam.mass @ dense.vectors) > 0)
+
+    def test_short_point_pads_with_zeros(self):
+        fam = spd_family(6, 3, 1)
+        reduced = ReducedFamily(fam)
+        assert np.array_equal(reduced.at([0.5]), reduced.at([0.5, 0.0, 0.0]))
+        assert np.array_equal(reduced.at([]), reduced.terms[0])
+
+    def test_long_point_rejected(self):
+        reduced = ReducedFamily(spd_family(5, 2, 2))
+        with pytest.raises(ParameterDimensionError):
+            reduced.at([0.1, 0.2, 0.3])
 
 
 class TestMOrthonormalize:

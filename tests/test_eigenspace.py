@@ -24,6 +24,7 @@ from eigcolloc import (
     weyl_envelope,
 )
 from eigcolloc import DecaySequence
+from eigcolloc.eigenspace import exterior_gap
 
 
 class TestClusterSelection:
@@ -90,6 +91,20 @@ class TestIsolationParameter:
     def test_invalid_kappa(self):
         with pytest.raises(DecayViolationError):
             isolation_parameter(1.0, 1.0)
+
+
+class TestExteriorGap:
+    VALUES = [1.0, 2.0, 5.0, 5.5]
+
+    def test_nearer_neighbour_wins(self):
+        assert exterior_gap(self.VALUES, [2]) == 1.0
+        assert exterior_gap(self.VALUES, [3]) == 0.5
+
+    def test_absent_neighbours_count_as_infinite(self):
+        assert exterior_gap(self.VALUES, [1, 2]) == 3.0
+        assert exterior_gap(self.VALUES, [3, 4]) == 3.0
+        assert exterior_gap(self.VALUES[:3], [2, 3]) == 1.0
+        assert math.isinf(exterior_gap(self.VALUES, [1, 2, 3, 4]))
 
 
 class TestCheckIsolation:

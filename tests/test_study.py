@@ -448,6 +448,24 @@ class TestConvergenceStudy:
         assert excinfo.value.stage == "estimate"
         assert excinfo.value.budget_index == 0
 
+    def test_point_solve_failure_names_stage_budget_and_point(self, monkeypatch):
+        from eigcolloc import collocation
+
+        cfg = study_config(budgets=[0.3], n_mc=2)
+        real = collocation.solve_gevp
+
+        def fails_off_origin(K, M, k=None):
+            if M is None:
+                raise SolverError("synthetic failure")
+            return real(K, M, k=k)
+
+        monkeypatch.setattr(collocation, "solve_gevp", fails_off_origin)
+        with pytest.raises(StageError) as excinfo:
+            run_convergence_study(cfg)
+        assert excinfo.value.stage == "collocate"
+        assert excinfo.value.budget_index == 0
+        assert "synthetic failure at point (" in str(excinfo.value)
+
 
 class TestCrossingDemo:
     def config(self):
