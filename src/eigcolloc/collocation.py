@@ -36,6 +36,7 @@ from .families import (
     family_from_dict,
     family_hash,
     family_to_dict,
+    _family_digest,
 )
 from .sparse_grid import (
     CombinationTerm,
@@ -239,11 +240,12 @@ def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
                 "cluster_values": sol.cluster_values.tolist(),
             }
         )
+    family = family_to_dict(cb.family)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "family_hash": family_hash(cb.family),
-        "family": family_to_dict(cb.family),
+        "family_hash": _family_digest(family),
+        "family": family,
         "J": list(cb.cluster.J),
         "A": cb.A.to_json_list(),
         "target": cb.target,

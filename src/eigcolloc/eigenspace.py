@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .eigensolver import ReducedFamily, SpectralDecomposition, solve_gevp
 from .errors import (
@@ -255,14 +256,19 @@ def canonical_basis(
 def principal_angles(X: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Canonical angles between span(X) and span(Y) in the M inner product.
 
-    Returns the angles ascending, in radians.  Both blocks are mapped through
-    the Cholesky factor of M and orthonormalized; small angles are read from
-    the sine-based residual and large ones from the cosine singular values,
-    so tiny angles are not flattened by arccos roundoff near 1.
+    Returns min(#columns of X, #columns of Y) angles ascending, in radians.
+    Both blocks are mapped through the Cholesky factor of M and given
+    orthonormal bases of their numerical spans (``scipy.linalg.orth``'s rank
+    rule); each direction a rank-deficient block lacks counts as an angle of
+    pi/2.  Small angles are read from the sine-based residual and large ones
+    from the cosine singular values, so tiny angles are not flattened by
+    arccos roundoff near 1.
     """
-    L = np.linalg.cholesky(np.asarray(M, dtype=float))
-    QX = np.linalg.qr(L.T @ np.asarray(X, dtype=float))[0]
-    QY = np.linalg.qr(L.T @ np.asarray(Y, dtype=float))[0]
+    LT = np.linalg.cholesky(np.asarray(M, dtype=float)).T
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    QX = scipy.linalg.orth(LT @ X)
+    QY = scipy.linalg.orth(LT @ Y)
     C = QX.T @ QY
     # svd order is descending: cosines descending and sines ascending both
     # enumerate the angles ascending, index by index
@@ -272,4 +278,5 @@ def principal_angles(X: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
     angles = np.where(
         sines < math.sqrt(0.5), np.arcsin(sines), np.arccos(cosines)
     )
-    return np.sort(angles)
+    missing = min(X.shape[1], Y.shape[1]) - len(angles)
+    return np.sort(np.concatenate([angles, np.full(missing, math.pi / 2.0)]))

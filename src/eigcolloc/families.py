@@ -119,10 +119,6 @@ class AffineOperatorFamily:
     def n_terms(self) -> int:
         return len(self.B_terms)
 
-    def v_norm(self, v: np.ndarray) -> float:
-        """Energy norm sqrt(v' B0 v)."""
-        return float(np.sqrt(v @ (self.B0 @ v)))
-
 
 def synthetic_family(B0, B_terms, mass, kappa: DecaySequence) -> AffineOperatorFamily:
     """Wrap user matrices into a validated family (inputs stored unchanged)."""
@@ -444,7 +440,12 @@ def load_family(path) -> AffineOperatorFamily:
         return family_from_dict(json.load(fh))
 
 
+def _family_digest(doc: dict) -> str:
+    """SHA-256 of a ``family_to_dict`` document in canonical JSON."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def family_hash(family: AffineOperatorFamily) -> str:
     """Stable content hash used to match persisted collocation artifacts."""
-    payload = json.dumps(family_to_dict(family), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _family_digest(family_to_dict(family))

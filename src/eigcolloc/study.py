@@ -16,11 +16,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .collocation import CollocatedEigenbasis, collocate, evaluate
 from .eigensolver import ReducedFamily, solve_gevp
-from .eigenspace import _as_cluster, canonical_basis
+from .eigenspace import _as_cluster, canonical_basis, principal_angles
 from .errors import (
     ConfigError,
     DegenerateBasisError,
@@ -112,38 +111,37 @@ class StudyConfig:
             "model", "model_params", "cluster", "budgets", "metric", "n_mc",
             "seed", "threads", "target", "delta_requested", "weights",
         }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            model = doc["model"]
-            cluster = tuple(int(j) for j in doc["cluster"])
-            budgets = tuple(float(b) for b in doc["budgets"])
+            unknown = set(doc) - known
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            weights = doc.get("weights", {"mode": "tau"})
+            fields = dict(
+                model=doc["model"],
+                model_params=dict(doc.get("model_params", {})),
+                cluster=tuple(int(j) for j in doc["cluster"]),
+                budgets=tuple(float(b) for b in doc["budgets"]),
+                metric=doc.get("metric", "vector-l2"),
+                n_mc=int(doc.get("n_mc", 200)),
+                seed=int(doc.get("seed", 0)),
+                threads=int(doc.get("threads", 1)),
+                target=doc.get("target", "canonical"),
+                delta_requested=(
+                    None if doc.get("delta_requested") is None
+                    else float(doc["delta_requested"])
+                ),
+                weights_mode=weights.get("mode", "tau"),
+                epsilon=float(weights.get("epsilon", 0.5)),
+                weights_delta=(
+                    None if weights.get("delta") is None else float(weights["delta"])
+                ),
+                rho_explicit=tuple(float(r) for r in weights.get("rho", ())),
+            )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
-        weights = doc.get("weights", {"mode": "tau"})
-        mode = weights.get("mode", "tau")
-        return cls(
-            model=model,
-            model_params=dict(doc.get("model_params", {})),
-            cluster=cluster,
-            budgets=budgets,
-            metric=doc.get("metric", "vector-l2"),
-            n_mc=int(doc.get("n_mc", 200)),
-            seed=int(doc.get("seed", 0)),
-            threads=int(doc.get("threads", 1)),
-            target=doc.get("target", "canonical"),
-            delta_requested=(
-                None if doc.get("delta_requested") is None
-                else float(doc["delta_requested"])
-            ),
-            weights_mode=mode,
-            epsilon=float(weights.get("epsilon", 0.5)),
-            weights_delta=(
-                None if weights.get("delta") is None else float(weights["delta"])
-            ),
-            rho_explicit=tuple(float(r) for r in weights.get("rho", ())),
-        )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+        return cls(**fields)
 
     def to_dict(self) -> dict:
         weights: dict = {"mode": self.weights_mode}
@@ -170,7 +168,11 @@ class StudyConfig:
 
 def load_config(path) -> StudyConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return StudyConfig.from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return StudyConfig.from_dict(doc)
 
 
 def build_family(config: StudyConfig) -> AffineOperatorFamily:
@@ -225,21 +227,6 @@ class ErrorEstimate:
     n_failures: int
 
 
-def _largest_angle(X: np.ndarray, Y: np.ndarray, LT: np.ndarray, S: int) -> float:
-    # largest principal angle between span(X) and span(Y) in the mass inner
-    # product; a rank-collapsed span counts as fully turned away
-    QX = scipy.linalg.orth(LT @ X)
-    QY = scipy.linalg.orth(LT @ Y)
-    if QX.shape[1] < S or QY.shape[1] < S:
-        return math.pi / 2.0
-    C = QX.T @ QY
-    sin_max = np.linalg.svd(QY - QX @ C, compute_uv=False)[0]
-    if sin_max < math.sqrt(0.5):
-        return float(np.arcsin(np.clip(sin_max, 0.0, 1.0)))
-    cos_min = np.linalg.svd(C, compute_uv=False)[-1]
-    return float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-
-
 def estimate_error(
     cb: CollocatedEigenbasis, metric: str, n_mc: int, seed: int
 ) -> ErrorEstimate:
@@ -276,7 +263,7 @@ def estimate_error(
             diff = approx - truth.vectors
             total += float(np.sum(diff * (family.B0 @ diff)))
         else:
-            angle = _largest_angle(approx, truth.vectors, reduced.LT, cb.cluster.S)
+            angle = principal_angles(approx, truth.vectors, family.mass)[-1]
             total += angle * angle
         used += 1
     if failures > 0.1 * n_mc:
@@ -351,6 +338,65 @@ def _stage(name: str, budget_index: int | None = None):
         raise StageError(name, budget_index, str(exc)) from exc
 
 
+def _sweep(config: StudyConfig, targets: tuple[str, ...]):
+    """Collocate and estimate the error once per target at every budget.
+
+    Yields ``(budget, card_A, card_X, card_X_formula, runs, seconds)`` per
+    budget, where ``runs`` maps each target to its ``(basis, ErrorEstimate)``.
+    Failures are tagged with the stages 'model', 'weights', 'index-set',
+    'collocate' and 'estimate'; with more than one target the last two carry
+    the target, as in 'collocate-raw'.
+    """
+    with _stage("model"):
+        family = build_family(config)
+    with _stage("weights"):
+        rho = resolve_weights(config, family)
+    for i, L in enumerate(config.budgets):
+        t0 = time.perf_counter()
+        with _stage("index-set", i):
+            A = anisotropic_set(rho, L)
+            card_X_formula = point_count_bound(A) if is_monotone(A) else None
+        runs = {}
+        for target in targets:
+            tag = f"-{target}" if len(targets) > 1 else ""
+            with _stage("collocate" + tag, i):
+                cb = collocate(
+                    family, config.cluster, A, target=target, n_threads=config.threads
+                )
+            with _stage("estimate" + tag, i):
+                est = estimate_error(cb, config.metric, config.n_mc, config.seed)
+            runs[target] = (cb, est)
+        seconds = time.perf_counter() - t0
+        card_A = len(A)
+        card_X = len(cb.point_data)
+        if card_X > card_A * card_A:
+            raise StageError(
+                "index-set", i, f"grid size {card_X} exceeds (#A)^2 = {card_A * card_A}"
+            )
+        logger.info(
+            "budget %g: #A=%d #X=%d %s (%.2fs)", L, card_A, card_X,
+            " ".join(f"{t}={est.value:.6e}" for t, (_, est) in runs.items()), seconds,
+        )
+        yield float(L), card_A, card_X, card_X_formula, runs, seconds
+
+
+def _write_outputs(
+    config: StudyConfig, out_dir, csv_name: str, json_name: str,
+    header: list[str], records: list, **summary,
+) -> tuple[str | None, str | None]:
+    """One CSV row per record (its fields, in order) and a JSON summary; both paths."""
+    if out_dir is None:
+        return None, None
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, csv_name)
+    _write_csv(csv_path, header, [list(vars(r).values()) for r in records])
+    summary_path = os.path.join(out_dir, json_name)
+    doc = {"config": config.to_dict(), "records": [vars(r) for r in records]}
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        json.dump({**doc, **summary}, fh, indent=2)
+    return csv_path, summary_path
+
+
 def run_convergence_study(
     config: StudyConfig, out_dir=None, csv_name: str = "study.csv"
 ) -> StudyResult:
@@ -360,83 +406,25 @@ def run_convergence_study(
     ``study.json`` (config echo, per-budget diagnostics, fitted rate) when
     ``out_dir`` is given.
     """
-    with _stage("model"):
-        family = build_family(config)
-    with _stage("weights"):
-        rho = resolve_weights(config, family)
     records = []
     diagnostics = []
-    for i, L in enumerate(config.budgets):
-        t0 = time.perf_counter()
-        with _stage("index-set", i):
-            A = anisotropic_set(rho, L)
-            card_X_bound = point_count_bound(A) if is_monotone(A) else None
-        with _stage("collocate", i):
-            cb = collocate(
-                family,
-                config.cluster,
-                A,
-                target=config.target,
-                n_threads=config.threads,
-            )
-        with _stage("estimate", i):
-            est = estimate_error(cb, config.metric, config.n_mc, config.seed)
-        seconds = time.perf_counter() - t0
-        card_A = len(A)
-        card_X = len(cb.point_data)
-        if card_X > card_A * card_A:
-            raise StageError(
-                "index-set", i, f"grid size {card_X} exceeds (#A)^2 = {card_A * card_A}"
-            )
-        records.append(
-            ErrorRecord(
-                budget=float(L),
-                card_A=card_A,
-                card_X=card_X,
-                error=est.value,
-                seconds=seconds,
-            )
-        )
+    for L, card_A, card_X, card_X_formula, runs, seconds in _sweep(config, (config.target,)):
+        cb, est = runs[config.target]
+        records.append(ErrorRecord(L, card_A, card_X, est.value, seconds))
         diagnostics.append(
             {
-                "budget": float(L),
-                "card_X_formula": card_X_bound,
+                "budget": L,
+                "card_X_formula": card_X_formula,
                 "mc_failures": est.n_failures,
                 **cb.diagnostics,
             }
         )
-        logger.info(
-            "budget %g: #A=%d #X=%d error=%.6e (%.2fs)",
-            L, card_A, card_X, est.value, seconds,
-        )
-    r_hat, reason = fit_rate(
-        [r.card_A for r in records], [r.error for r in records]
+    r_hat, reason = fit_rate([r.card_A for r in records], [r.error for r in records])
+    csv_path, summary_path = _write_outputs(
+        config, out_dir, csv_name, "study.json",
+        ["L", "card_A", "card_X", "error", "seconds"], records,
+        r_hat=r_hat, r_hat_reason=reason, diagnostics=diagnostics,
     )
-    csv_path = summary_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, csv_name)
-        _write_csv(
-            csv_path,
-            ["L", "card_A", "card_X", "error", "seconds"],
-            [
-                [r.budget, r.card_A, r.card_X, r.error, r.seconds]
-                for r in records
-            ],
-        )
-        summary_path = os.path.join(out_dir, "study.json")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "config": config.to_dict(),
-                    "records": [r.__dict__ for r in records],
-                    "r_hat": r_hat,
-                    "r_hat_reason": reason,
-                    "diagnostics": diagnostics,
-                },
-                fh,
-                indent=2,
-            )
     return StudyResult(
         records=tuple(records),
         r_hat=r_hat,
@@ -474,70 +462,19 @@ def run_crossing_demo(
     crossings inside the cluster; the projected basis does not.  Both error
     columns use the same metric, samples, and seed, so rows are comparable.
     """
-    with _stage("model"):
-        family = build_family(config)
-    with _stage("weights"):
-        rho = resolve_weights(config, family)
-    records = []
-    for i, L in enumerate(config.budgets):
-        t0 = time.perf_counter()
-        with _stage("index-set", i):
-            A = anisotropic_set(rho, L)
-        errs = {}
-        for target in ("canonical", "raw"):
-            with _stage(f"collocate-{target}", i):
-                cb = collocate(
-                    family, config.cluster, A,
-                    target=target, n_threads=config.threads,
-                )
-            with _stage(f"estimate-{target}", i):
-                errs[target] = estimate_error(
-                    cb, config.metric, config.n_mc, config.seed
-                ).value
-        seconds = time.perf_counter() - t0
-        records.append(
-            CrossingRecord(
-                budget=float(L),
-                card_A=len(A),
-                card_X=len(cb.point_data),
-                error_canonical=errs["canonical"],
-                error_raw=errs["raw"],
-                seconds=seconds,
-            )
+    records = [
+        CrossingRecord(
+            L, card_A, card_X, runs["canonical"][1].value, runs["raw"][1].value, seconds
         )
-        logger.info(
-            "budget %g: #A=%d canonical=%.3e raw=%.3e",
-            L, len(A), errs["canonical"], errs["raw"],
-        )
+        for L, card_A, card_X, _, runs, seconds in _sweep(config, ("canonical", "raw"))
+    ]
     last = records[-1]
-    ratio = (
-        last.error_raw / last.error_canonical
-        if last.error_canonical > 0
-        else None
+    ratio = last.error_raw / last.error_canonical if last.error_canonical > 0 else None
+    csv_path, summary_path = _write_outputs(
+        config, out_dir, csv_name, "crossing.json",
+        ["L", "card_A", "card_X", "error_canonical", "error_raw", "seconds"], records,
+        final_error_ratio_raw_over_canonical=ratio,
     )
-    csv_path = summary_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, csv_name)
-        _write_csv(
-            csv_path,
-            ["L", "card_A", "card_X", "error_canonical", "error_raw", "seconds"],
-            [
-                [r.budget, r.card_A, r.card_X, r.error_canonical, r.error_raw, r.seconds]
-                for r in records
-            ],
-        )
-        summary_path = os.path.join(out_dir, "crossing.json")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "config": config.to_dict(),
-                    "records": [r.__dict__ for r in records],
-                    "final_error_ratio_raw_over_canonical": ratio,
-                },
-                fh,
-                indent=2,
-            )
     return CrossingResult(
         records=tuple(records),
         final_ratio=ratio,

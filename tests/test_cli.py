@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eigcolloc import load_collocated, model_diffusion_1d
+from eigcolloc import ConfigError, StudyConfig, load_collocated, model_diffusion_1d
 from eigcolloc.cli import build_parser, main
 from eigcolloc.families import family_hash
 
@@ -167,3 +167,26 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, mystery=1)
         assert main(["study", "--config", cfg]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("weights", [1]), ("cluster", 1), ("budgets", ["x"]), ("n_mc", "many")],
+)
+class TestMalformedConfigValue:
+    def test_from_dict_raises_config_error(self, key, value):
+        doc = {"model": "diffusion1d", "cluster": [1], "budgets": [1.0], key: value}
+        with pytest.raises(ConfigError):
+            StudyConfig.from_dict(doc)
+
+    def test_cli_reports_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_config_that_is_not_json_is_reported(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{\"model\": ", encoding="utf-8")
+    assert main(["study", "--config", str(path)]) == 1
+    assert "error: config is not valid JSON" in capsys.readouterr().err

@@ -133,7 +133,7 @@ class TestReducedFamily:
     # the dense solve of the assembled pencil is the oracle; tolerances are
     # fixed in advance: eigenvalues 1e-10 relative, cluster span 1e-8 rad,
     # M-orthonormality 1e-10, and equal signs for the (simple) eigenvectors
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(family_point_cluster())
     def test_matches_dense_solve(self, case):
         fam, y, J = case

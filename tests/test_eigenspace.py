@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eigcolloc import (
     ClusterCoverageError,
@@ -252,6 +253,28 @@ class TestCanonicalBasis:
         angles = principal_angles(basis.vectors, U, M)
         assert angles.max() < 1e-8
 
+    @given(
+        st.integers(3, 12),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_invariant_under_rotation_of_cluster_vectors(self, n, S, seed):
+        # the basis depends on the cluster subspace only, not on the choice of
+        # eigenvectors spanning it: rotate them by a random S x S orthogonal Q
+        lo = 1 + seed % (n - S + 1)
+        decomp, M, cluster, rng = projector_fixture(
+            seed=seed, n=n, cluster=tuple(range(lo, lo + S))
+        )
+        cols = [j - 1 for j in cluster.J]
+        refs = decomp.vectors[:, cols] + 0.1 * rng.standard_normal((n, S))
+        Q = np.linalg.qr(rng.standard_normal((S, S)))[0]
+        rotated = decomp.vectors.copy()
+        rotated[:, cols] = rotated[:, cols] @ Q
+        turned = SpectralDecomposition(values=decomp.values, vectors=rotated)
+        a = canonical_basis(decomp, refs, cluster, M).vectors
+        b = canonical_basis(turned, refs, cluster, M).vectors
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
 
 class TestPrincipalAngles:
     def test_same_span_gives_zero(self):
@@ -265,6 +288,20 @@ class TestPrincipalAngles:
         X = np.eye(4)[:, [0]]
         Y = np.eye(4)[:, [1]]
         assert principal_angles(X, Y, np.eye(4))[-1] == pytest.approx(np.pi / 2)
+
+    def test_rank_deficient_block_is_turned_fully_away(self):
+        # a doubled column spans one direction only; the missing one counts
+        # as pi/2 whichever side it is on
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((6, 1))
+        X = np.hstack([x, 2.0 * x])
+        Y = np.hstack([x, rng.standard_normal((6, 1))])
+        M = np.diag(np.arange(1.0, 7.0))
+        for a, b in ((X, Y), (Y, X)):
+            angles = principal_angles(a, b, M)
+            assert len(angles) == 2
+            assert angles[0] < 1e-10
+            assert angles[-1] == math.pi / 2
 
     def test_known_rotation_angle(self):
         theta = 0.3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -494,6 +495,33 @@ class TestCrossingDemo:
         assert len(lines) == 3
         summary = json.loads((tmp_path / "crossing.json").read_text(encoding="utf-8"))
         assert summary["final_error_ratio_raw_over_canonical"] == result.final_ratio
+
+    def test_error_columns_equal_single_target_studies(self):
+        # one sweep serves both entry points: each demo column is, bit for
+        # bit, the error column of a study of that target alone
+        cfg = self.config()
+        demo = run_crossing_demo(cfg)
+        for target in ("canonical", "raw"):
+            single = run_convergence_study(dataclasses.replace(cfg, target=target))
+            assert [getattr(r, f"error_{target}") for r in demo.records] == [
+                r.error for r in single.records
+            ]
+            assert [r.card_X for r in demo.records] == [r.card_X for r in single.records]
+
+    @pytest.mark.parametrize("failing", ["canonical", "raw"])
+    def test_estimate_failure_names_the_target(self, monkeypatch, failing):
+        real = study.estimate_error
+
+        def fails_for_target(cb, *args):
+            if cb.target == failing:
+                raise ValueError("synthetic")
+            return real(cb, *args)
+
+        monkeypatch.setattr(study, "estimate_error", fails_for_target)
+        with pytest.raises(StageError) as excinfo:
+            run_crossing_demo(self.config())
+        assert excinfo.value.stage == f"estimate-{failing}"
+        assert excinfo.value.budget_index == 0
 
     def test_no_crossing_keeps_columns_comparable(self, tmp_path):
         # gapped spectrum: sorted eigenvectors stay smooth, so raw interpolation
