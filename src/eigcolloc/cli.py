@@ -17,7 +17,7 @@ from .eigenspace import (
     isolation_parameter,
     _as_cluster,
 )
-from .errors import EigcollocError, IsolationPreconditionError
+from .errors import ClusterCoverageError, EigcollocError, IsolationPreconditionError
 from .sparse_grid import anisotropic_set
 from .study import (
     StudyConfig,
@@ -51,9 +51,6 @@ def _load_study_config(args, default: dict | None = None) -> StudyConfig:
         raise EigcollocError("--config is required for this subcommand")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.threads is not None:
-        n = os.cpu_count() or 1 if args.threads == "auto" else int(args.threads)
-        config = dataclasses.replace(config, threads=n)
     return config
 
 
@@ -61,6 +58,8 @@ def _cmd_check(args) -> int:
     config = _load_study_config(args)
     family = build_family(config)
     cluster = _as_cluster(config.cluster)
+    if cluster.hi > family.dim:
+        raise ClusterCoverageError(f"cluster index {cluster.hi} exceeds dimension {family.dim}")
     decay = verify_decay(family)
     k = min(cluster.hi + 1, family.dim)
     vals = solve_gevp(family.B0, family.mass, k=k).values
@@ -118,9 +117,7 @@ def _cmd_collocate(args) -> int:
     rho = resolve_weights(config, family)
     budget = args.budget if args.budget is not None else config.budgets[-1]
     A = anisotropic_set(rho, budget)
-    cb = collocate(
-        family, config.cluster, A, target=config.target, n_threads=config.threads
-    )
+    cb = collocate(family, config.cluster, A, target=config.target)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "basis.json")
     save_collocated(cb, path)
@@ -166,9 +163,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="path to a JSON study config")
     sub.add_argument("--out", default=".", help="output directory (default: cwd)")
     sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument(
-        "--threads", help="point-solve workers: a count or 'auto'", default=None
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ as a deliberately fragile alternative for demonstration purposes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +124,12 @@ def collocate(
     A: MultiIndexSet,
     target: str = "canonical",
     sigma_threshold: float = GRAM_SIGMA_THRESHOLD,
-    n_threads: int = 1,
 ) -> CollocatedEigenbasis:
     """Solve at every grid point of A and assemble the interpolant's data.
 
     The reference vectors are fixed by a dense solve at the origin first.  The
-    family is then reduced once to standard form (``ReducedFamily``), and each
-    grid point gets an independent solve of its reduced matrix, so point
-    solves may run on up to ``n_threads`` workers.  Results are keyed by grid
-    point, which makes the outcome independent of completion order.
+    family is then reduced once to standard form (``ReducedFamily``), and the
+    grid points are solved one after another, in grid order.
 
     Raises
     ------
@@ -163,21 +160,14 @@ def collocate(
     terms = tuple(combination_terms(A))
     # held for this call only; a family may be large and long-lived
     reduced = ReducedFamily(family)
-
-    def work(pt):
-        return _solve_point(
+    point_data = {}
+    min_gap = math.inf
+    for pt in points:
+        point_data[pt], gap = _solve_point(
             family, reduced, cluster, pt, ref_vectors, target, sigma_threshold
         )
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [(pt, pool.submit(work, pt)) for pt in points]
-            results = [(pt, f.result()) for pt, f in futures]
-    else:
-        results = [(pt, work(pt)) for pt in points]
-    point_data = {pt: sol for pt, (sol, _) in results}
-    min_gap = min(g for _, (_, g) in results)
-    min_sigma = min(sol.basis.gram_sigma_min for _, (sol, _) in results)
+        min_gap = min(min_gap, gap)
+    min_sigma = min(sol.basis.gram_sigma_min for sol in point_data.values())
     return CollocatedEigenbasis(
         family=family,
         cluster=cluster,

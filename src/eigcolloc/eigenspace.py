@@ -265,10 +265,13 @@ def principal_angles(X: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:
     arccos roundoff near 1.
     """
     LT = np.linalg.cholesky(np.asarray(M, dtype=float)).T
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    QX = scipy.linalg.orth(LT @ X)
-    QY = scipy.linalg.orth(LT @ Y)
+    return _euclidean_angles(LT @ np.asarray(X, dtype=float), LT @ np.asarray(Y, dtype=float))
+
+
+def _euclidean_angles(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``principal_angles`` of blocks already mapped through L' (M = L L')."""
+    QX = scipy.linalg.orth(X)
+    QY = scipy.linalg.orth(Y)
     C = QX.T @ QY
     # svd order is descending: cosines descending and sines ascending both
     # enumerate the angles ascending, index by index

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collocation import CollocatedEigenbasis, collocate, evaluate
 from .eigensolver import ReducedFamily, solve_gevp
-from .eigenspace import _as_cluster, canonical_basis, principal_angles
+from .eigenspace import _as_cluster, _euclidean_angles, canonical_basis
 from .errors import (
     ConfigError,
     DegenerateBasisError,
@@ -39,7 +39,16 @@ from .sparse_grid import anisotropic_set, is_monotone, point_count_bound
 logger = logging.getLogger("eigcolloc")
 
 METRICS = ("vector-l2", "subspace-angle")
-MODELS = ("diffusion1d", "diffusion2d", "synthetic-file", "builtin-crossing")
+# the model_params keys build_family reads, with their defaults, per model
+_MODEL_PARAMS = {
+    "diffusion1d": {"n_elements": 100, "decay_scale": 0.0, "decay_rate": 2.0,
+                    "n_terms": 0, "p_exponent": 1.0},
+    "diffusion2d": {"n_per_side": 16, "decay_scale": 0.0, "decay_rate": 2.0,
+                    "n_terms": 0, "p_exponent": 1.0},
+    "synthetic-file": {"family_file": None},
+    "builtin-crossing": {},
+}
+MODELS = tuple(_MODEL_PARAMS)
 
 
 def compute_tau_weights(kappa: DecaySequence, delta: float, epsilon: float) -> list[float]:
@@ -80,7 +89,6 @@ class StudyConfig:
     metric: str = "vector-l2"
     n_mc: int = 200
     seed: int = 0
-    threads: int = 1
     target: str = "canonical"
     delta_requested: float | None = None
     weights_mode: str = "tau"
@@ -91,6 +99,9 @@ class StudyConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
+        unread = set(self.model_params) - set(_MODEL_PARAMS[self.model])
+        if unread:
+            raise ConfigError(f"unknown model_params keys for {self.model}: {sorted(unread)}")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if not self.budgets:
@@ -99,8 +110,8 @@ class StudyConfig:
             raise ConfigError("budgets must be strictly increasing")
         if self.n_mc < 1:
             raise ConfigError("n_mc must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if self.weights_mode not in ("tau", "explicit"):
             raise ConfigError(f"unknown weights mode {self.weights_mode!r}")
         _as_cluster(self.cluster)  # validates index layout
@@ -109,7 +120,7 @@ class StudyConfig:
     def from_dict(cls, doc: dict) -> "StudyConfig":
         known = {
             "model", "model_params", "cluster", "budgets", "metric", "n_mc",
-            "seed", "threads", "target", "delta_requested", "weights",
+            "seed", "target", "delta_requested", "weights",
         }
         try:
             unknown = set(doc) - known
@@ -124,7 +135,6 @@ class StudyConfig:
                 metric=doc.get("metric", "vector-l2"),
                 n_mc=int(doc.get("n_mc", 200)),
                 seed=int(doc.get("seed", 0)),
-                threads=int(doc.get("threads", 1)),
                 target=doc.get("target", "canonical"),
                 delta_requested=(
                     None if doc.get("delta_requested") is None
@@ -159,7 +169,6 @@ class StudyConfig:
             "metric": self.metric,
             "n_mc": self.n_mc,
             "seed": self.seed,
-            "threads": self.threads,
             "target": self.target,
             "delta_requested": self.delta_requested,
             "weights": weights,
@@ -176,29 +185,17 @@ def load_config(path) -> StudyConfig:
 
 
 def build_family(config: StudyConfig) -> AffineOperatorFamily:
-    p = config.model_params
-    if config.model == "diffusion1d":
-        return model_diffusion_1d(
-            n_elements=int(p.get("n_elements", 100)),
-            decay_scale=float(p.get("decay_scale", 0.0)),
-            decay_rate=float(p.get("decay_rate", 2.0)),
-            n_terms=int(p.get("n_terms", 0)),
-            p_exponent=float(p.get("p_exponent", 1.0)),
-        )
-    if config.model == "diffusion2d":
-        return model_diffusion_2d(
-            n_per_side=int(p.get("n_per_side", 16)),
-            decay_scale=float(p.get("decay_scale", 0.0)),
-            decay_rate=float(p.get("decay_rate", 2.0)),
-            n_terms=int(p.get("n_terms", 0)),
-            p_exponent=float(p.get("p_exponent", 1.0)),
-        )
+    defaults = _MODEL_PARAMS[config.model]
+    p = {key: config.model_params.get(key, value) for key, value in defaults.items()}
     if config.model == "synthetic-file":
-        path = p.get("family_file")
-        if not path:
+        if not p["family_file"]:
             raise ConfigError("synthetic-file model needs model_params.family_file")
-        return load_family(path)
-    return designed_crossing_family()
+        return load_family(p["family_file"])
+    if config.model == "builtin-crossing":
+        return designed_crossing_family()
+    model = model_diffusion_1d if config.model == "diffusion1d" else model_diffusion_2d
+    # each value is converted to the type of its default: int or float
+    return model(**{key: type(defaults[key])(value) for key, value in p.items()})
 
 
 def resolve_weights(config: StudyConfig, family: AffineOperatorFamily) -> list[float]:
@@ -263,7 +260,8 @@ def estimate_error(
             diff = approx - truth.vectors
             total += float(np.sum(diff * (family.B0 @ diff)))
         else:
-            angle = principal_angles(approx, truth.vectors, family.mass)[-1]
+            # principal_angles with the mass factor the reduction already holds
+            angle = _euclidean_angles(reduced.LT @ approx, reduced.LT @ truth.vectors)[-1]
             total += angle * angle
         used += 1
     if failures > 0.1 * n_mc:
@@ -360,9 +358,7 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
         for target in targets:
             tag = f"-{target}" if len(targets) > 1 else ""
             with _stage("collocate" + tag, i):
-                cb = collocate(
-                    family, config.cluster, A, target=target, n_threads=config.threads
-                )
+                cb = collocate(family, config.cluster, A, target=target)
             with _stage("estimate" + tag, i):
                 est = estimate_error(cb, config.metric, config.n_mc, config.seed)
             runs[target] = (cb, est)

@@ -82,6 +82,20 @@ class TestCheck:
         assert doc["delta0"] is None
         assert doc["delta_certified"] is None
 
+    def test_cluster_beyond_dimension_is_reported(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            model="builtin-crossing",
+            model_params={},
+            cluster=[5],
+            weights={"mode": "explicit", "rho": [2.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cluster index 5 exceeds dimension 4" in err
+        assert not (out / "check.json").exists()
+
     def test_seed_override_lands_in_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -111,17 +125,6 @@ class TestCollocate:
         assert "#A=1" in capsys.readouterr().out
         cb = load_collocated(out / "basis.json")
         assert set(cb.point_data) == {()}
-
-    def test_threads_flag_accepts_count_and_auto(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        for flag in ("2", "auto"):
-            out = tmp_path / f"out-{flag}"
-            code = main(
-                ["collocate", "--config", cfg, "--out", str(out), "--threads", flag]
-            )
-            assert code == 0
-            assert (out / "basis.json").exists()
-        capsys.readouterr()
 
 
 class TestStudy:
@@ -168,10 +171,35 @@ class TestErrorPaths:
         assert main(["study", "--config", cfg]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_threads_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, threads=1)
+        assert main(["collocate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "error: unknown config keys: ['threads']" in capsys.readouterr().err
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["collocate", "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        assert "error: seed must be at least 0" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "key,value",
-    [("weights", [1]), ("cluster", 1), ("budgets", ["x"]), ("n_mc", "many")],
+    [
+        ("weights", [1]),
+        ("cluster", 1),
+        ("budgets", ["x"]),
+        ("n_mc", "many"),
+        ("seed", -1),
+        ("model_params", {"n_element": 400}),
+        ("threads", 1),
+    ],
 )
 class TestMalformedConfigValue:
     def test_from_dict_raises_config_error(self, key, value):

@@ -73,18 +73,6 @@ class TestCollocate:
             y = rng.uniform(-1, 1, 1)
             assert np.allclose(evaluate(cb, y), cb.ref_vectors, atol=1e-12)
 
-    def test_thread_count_does_not_change_results(self):
-        fam = model_diffusion_1d(15, 0.3, 2.0, 2)
-        A = multi_index_set([ORIGIN, mi(1), mi(0, 1), mi(1, 1)])
-        serial = collocate(fam, [1], A, n_threads=1)
-        threaded = collocate(fam, [1], A, n_threads=4)
-        assert set(serial.point_data) == set(threaded.point_data)
-        for pt in serial.point_data:
-            a = serial.point_data[pt]
-            b = threaded.point_data[pt]
-            assert np.array_equal(a.basis.vectors, b.basis.vectors)
-            assert np.array_equal(a.cluster_values, b.cluster_values)
-
     def test_repeat_is_bit_identical(self):
         fam = model_diffusion_1d(15, 0.3, 2.0, 2)
         A = line_set(2)

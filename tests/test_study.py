@@ -19,6 +19,7 @@ from eigcolloc import (
     fit_rate,
     model_diffusion_1d,
     multi_index_set,
+    principal_angles,
     run_convergence_study,
     run_crossing_demo,
     solve_gevp,
@@ -84,7 +85,6 @@ class TestStudyConfig:
         assert cfg.metric == "vector-l2"
         assert cfg.n_mc == 200
         assert cfg.seed == 0
-        assert cfg.threads == 1
         assert cfg.target == "canonical"
         assert cfg.weights_mode == "tau"
         assert cfg.epsilon == 0.5
@@ -131,8 +131,8 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig.from_dict(doc)
         doc = self.minimal()
-        doc["threads"] = 0
-        with pytest.raises(ConfigError):
+        doc["seed"] = -1
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
             StudyConfig.from_dict(doc)
 
     def test_round_trip_tau_mode(self):
@@ -171,6 +171,40 @@ class TestBuildFamily:
         fam = build_family(cfg)
         assert fam.dim == 7
         assert fam.n_terms == 2
+
+    def test_defaults_for_unset_model_params(self):
+        for model, dim in (("diffusion1d", 99), ("diffusion2d", 225)):
+            cfg = StudyConfig.from_dict({"model": model, "cluster": [1], "budgets": [1.0]})
+            fam = build_family(cfg)
+            assert fam.dim == dim
+            assert fam.n_terms == 0
+
+    def test_diffusion2d(self):
+        cfg = StudyConfig.from_dict(
+            {
+                "model": "diffusion2d",
+                "model_params": {"n_per_side": 5, "decay_scale": 0.1, "n_terms": 3},
+                "cluster": [2, 3],
+                "budgets": [1.0],
+            }
+        )
+        fam = build_family(cfg)
+        assert fam.dim == 16
+        assert fam.n_terms == 3
+
+    @pytest.mark.parametrize(
+        "model,params",
+        [
+            ("diffusion1d", {"n_per_side": 5}),
+            ("diffusion2d", {"n_elements": 8}),
+            ("synthetic-file", {"n_terms": 2}),
+            ("builtin-crossing", {"n_terms": 2}),
+        ],
+    )
+    def test_rejects_model_params_the_model_does_not_read(self, model, params):
+        doc = {"model": model, "model_params": params, "cluster": [1], "budgets": [1.0]}
+        with pytest.raises(ConfigError, match="unknown model_params keys"):
+            StudyConfig.from_dict(doc)
 
     def test_builtin_crossing(self):
         cfg = StudyConfig.from_dict(
@@ -288,6 +322,21 @@ class TestEstimateError:
             diff = u0 - truth.vectors
             total += float(np.sum(diff * (fam.B0 @ diff)))
         assert abs(est.value - math.sqrt(total / 20.0)) < 1e-12
+        assert est.n_samples == 20
+
+    def test_subspace_angle_is_largest_principal_angle(self):
+        fam = model_diffusion_1d(12, 0.25, 2.0, 2)
+        cb = collocate(fam, [1], multi_index_set([ORIGIN]))
+        est = estimate_error(cb, "subspace-angle", 20, seed=11)
+        rng = np.random.default_rng(11)
+        u0 = cb.point_data[()].basis.vectors
+        total = 0.0
+        for _ in range(20):
+            y = rng.uniform(-1.0, 1.0, size=fam.n_terms)
+            decomp = solve_gevp(assemble_at(fam, y), fam.mass, k=1)
+            truth = canonical_basis(decomp, cb.ref_vectors, [1], fam.mass)
+            total += principal_angles(u0, truth.vectors, fam.mass)[-1] ** 2
+        assert est.value == pytest.approx(math.sqrt(total / 20.0), rel=1e-8)
         assert est.n_samples == 20
 
     def test_rejects_unknown_metric(self):
