@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,9 @@ from .families import (
     _family_digest,
 )
 from .sparse_grid import (
+    CombinationOperator,
     CombinationTerm,
     MultiIndexSet,
-    combination_interpolate,
     combination_terms,
     grid_points,
 )
@@ -62,7 +62,10 @@ class CollocatedEigenbasis:
     """All point solves of one collocation run, ready for evaluation.
 
     Immutable after construction; ``evaluate`` is pure, so instances may be
-    shared freely across threads.
+    shared freely across threads.  Construction stacks the stored bases and
+    cluster values in sorted-point order and builds the combination operator
+    over them once, so that every evaluation is one weight table and one
+    matrix product.
     """
 
     family: AffineOperatorFamily
@@ -74,15 +77,27 @@ class CollocatedEigenbasis:
     ref_values: np.ndarray
     target: str
     diagnostics: dict
+    _operator: CombinationOperator = field(init=False, repr=False, compare=False)
+    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ConfigError(f"unknown interpolation target {self.target!r}")
-        expected = set(grid_points(self.A))
-        if set(self.point_data) != expected:
+        points = grid_points(self.A)
+        if set(self.point_data) != set(points):
             raise FamilyValidationError(
                 "stored point data does not cover the collocation grid"
             )
+        vectors = np.empty((len(points), self.family.dim * self.S))
+        values = np.empty((len(points), self.S))
+        for i, pt in enumerate(points):
+            vectors[i] = self.point_data[pt].basis.vectors.ravel()
+            values[i] = self.point_data[pt].cluster_values
+        op = CombinationOperator(self.terms, self.A.M_active, points)
+        object.__setattr__(self, "_operator", op)
+        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_values", values)
 
     @property
     def S(self) -> int:
@@ -118,18 +133,49 @@ def _solve_point(family, reduced, cluster, y, ref_vectors, target, sigma_thresho
     return PointSolution(basis=basis, cluster_values=cluster_values), ext_gap / mx
 
 
+class _SolveCache:
+    """Solves carried across the budgets of one sweep over one family and cluster.
+
+    The index sets of a sweep are nested, so each grid holds the last one
+    once its points are padded with zeros, and every budget draws the same
+    Monte Carlo samples from the common seed.  ``collocate`` and
+    ``estimate_error`` fill and read this through their ``_cache`` argument.
+    A carried solve is bit-identical to a fresh one: the reduction, the
+    origin reference and the affine sum (which skips zero coordinates) are the
+    same computation on the same numbers.  ``solves`` counts the eigensolves
+    made and ``reused`` the ones served from the cache.
+    """
+
+    def __init__(self):
+        self.reduced = None
+        self.reference = None  # (ref_vectors, ref_values) from the origin solve
+        self.points = {}  # target -> {zero-padded point: (PointSolution, gap)}
+        self.truths = None  # ((seed, n_mc), truth basis or None per sample)
+        self.solves = 0
+        self.reused = 0
+
+    def reduction(self, family) -> ReducedFamily:
+        if self.reduced is None:
+            self.reduced = ReducedFamily(family)
+        return self.reduced
+
+
 def collocate(
     family: AffineOperatorFamily,
     J,
     A: MultiIndexSet,
     target: str = "canonical",
     sigma_threshold: float = GRAM_SIGMA_THRESHOLD,
+    *,
+    _cache: _SolveCache | None = None,
 ) -> CollocatedEigenbasis:
     """Solve at every grid point of A and assemble the interpolant's data.
 
     The reference vectors are fixed by a dense solve at the origin first.  The
     family is then reduced once to standard form (``ReducedFamily``), and the
-    grid points are solved one after another, in grid order.
+    grid points are solved one after another, in grid order.  ``_cache`` is
+    internal: a budget sweep passes one to carry the origin solve, the
+    reduction and the point solves from budget to budget.
 
     Raises
     ------
@@ -153,19 +199,39 @@ def collocate(
         raise FamilyValidationError(
             f"index set activates dimension {A.M_active}, family has {family.n_terms} terms"
         )
-    decomp0 = solve_gevp(family.B0, family.mass, k=cluster.hi + 1)
-    ref_vectors = np.ascontiguousarray(decomp0.vectors[:, [j - 1 for j in cluster.J]])
-    ref_values = np.array([decomp0.values[j - 1] for j in cluster.J])
+    # a private cache holds the reduction for this call only; a family may be
+    # large and long-lived
+    cache = _SolveCache() if _cache is None else _cache
+    if cache.reference is None:
+        decomp0 = solve_gevp(family.B0, family.mass, k=cluster.hi + 1)
+        cache.solves += 1
+        cache.reference = (
+            np.ascontiguousarray(decomp0.vectors[:, [j - 1 for j in cluster.J]]),
+            np.array([decomp0.values[j - 1] for j in cluster.J]),
+        )
+    else:
+        cache.reused += 1
+    ref_vectors, ref_values = cache.reference
     points = grid_points(A)
     terms = tuple(combination_terms(A))
-    # held for this call only; a family may be large and long-lived
-    reduced = ReducedFamily(family)
+    reduced = cache.reduction(family)
+    solved = cache.points.setdefault(target, {})
+    pad = (0.0,) * (family.n_terms - A.M_active)
     point_data = {}
     min_gap = math.inf
     for pt in points:
-        point_data[pt], gap = _solve_point(
-            family, reduced, cluster, pt, ref_vectors, target, sigma_threshold
-        )
+        key = pt + pad
+        hit = solved.get(key)
+        if hit is None:
+            hit = _solve_point(
+                family, reduced, cluster, pt, ref_vectors, target, sigma_threshold
+            )
+            cache.solves += 1
+            if _cache is not None:  # a private cache carries nothing past this call
+                solved[key] = hit
+        else:
+            cache.reused += 1
+        point_data[pt], gap = hit
         min_gap = min(min_gap, gap)
     min_sigma = min(sol.basis.gram_sigma_min for sol in point_data.values())
     return CollocatedEigenbasis(
@@ -185,14 +251,24 @@ def collocate(
     )
 
 
+def evaluate_many(cb: CollocatedEigenbasis, Y) -> np.ndarray:
+    """Interpolated basis columns at each row of Y (Q x n x S array).
+
+    Row q of the result is ``evaluate(cb, Y[q])`` up to the summation order of
+    one matrix product; coordinates beyond the active dimensions of the index
+    set do not influence it, and active coordinates must lie in [-1, 1].
+    """
+    W = cb._operator.weights_at(Y)
+    return (W @ cb._vectors).reshape(len(W), cb.family.dim, cb.S)
+
+
 def evaluate(cb: CollocatedEigenbasis, y) -> np.ndarray:
     """Interpolated basis columns at parameter point y (n x S matrix).
 
     Coordinates beyond the active dimensions of the index set do not influence
     the result; active coordinates must lie in [-1, 1].
     """
-    data = {pt: sol.basis.vectors for pt, sol in cb.point_data.items()}
-    return combination_interpolate(list(cb.terms), cb.A.M_active, data, y)
+    return evaluate_many(cb, [y])[0]
 
 
 def evaluate_cluster_values(cb: CollocatedEigenbasis, y) -> np.ndarray:
@@ -201,8 +277,7 @@ def evaluate_cluster_values(cb: CollocatedEigenbasis, y) -> np.ndarray:
     Symmetric functions of these (sum, mean) vary smoothly in y; the
     individually sorted values themselves may kink where branches cross.
     """
-    data = {pt: sol.cluster_values for pt, sol in cb.point_data.items()}
-    return combination_interpolate(list(cb.terms), cb.A.M_active, data, y)
+    return (cb._operator.weights_at([y]) @ cb._values)[0]
 
 
 def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:

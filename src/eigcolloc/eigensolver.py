@@ -32,10 +32,9 @@ class SpectralDecomposition:
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     # largest-magnitude entry of each column made positive; ties broken by
     # lowest row index (argmax picks the first maximum)
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
+    cols = np.arange(U.shape[1])
+    flip = U[np.argmax(np.abs(U), axis=0), cols] < 0
+    U[:, flip] = -U[:, flip]
     return U
 
 

@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     ExtrapolationError,
     MonotonicityError,
+    ParameterDimensionError,
     WeightError,
 )
 
@@ -215,14 +216,23 @@ class NodeSet:
 
     def basis_all(self, t: float) -> np.ndarray:
         """All Lagrange basis values at t; exact unit vector when t is a node."""
-        x = np.asarray(self.nodes)
-        for k, xk in enumerate(self.nodes):
-            if t == xk:
-                e = np.zeros(len(x))
-                e[k] = 1.0
-                return e
-        w = np.asarray(self.weights) / (t - x)
-        return w / w.sum()
+        return _barycentric(t, np.asarray(self.nodes), np.asarray(self.weights))
+
+
+def _barycentric(t, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Lagrange basis values at every entry of t, one row per entry.
+
+    The last axis of ``nodes`` and ``weights`` runs over a node set; a shorter
+    set is padded with node ``inf`` and weight 0.  At a node the row is the
+    exact unit vector.  Off the nodes the second barycentric form is scaled by
+    the distance to the nearest node, so no term overflows close to a node.
+    """
+    d = np.asarray(t, dtype=float)[..., None] - nodes
+    hit = d == 0.0
+    on_node = hit.any(axis=-1, keepdims=True)
+    dmin = np.abs(d).min(axis=-1, keepdims=True)
+    v = weights * (dmin / np.where(hit, 1.0, d))
+    return np.where(on_node, hit, v / np.where(on_node, 1.0, v.sum(axis=-1, keepdims=True)))
 
 
 _NODE_CACHE: dict[int, NodeSet] = {}
@@ -321,6 +331,87 @@ def point_count_bound(A: MultiIndexSet) -> int:
     return total
 
 
+class CombinationOperator:
+    """The combination-technique interpolant as one linear map of nodal data.
+
+    For data stacked in ``points`` order as the rows of D, the interpolant at
+    y is ``w(y) @ D``; ``points`` must hold every tensor point of every term,
+    as tuples of length M_active.  The weight vector w(y) sums, over every tensor-point
+    product of every term, the signed term coefficient times the 1D Lagrange
+    basis values of the product's nodes.  Level 0 has the single node 0.0,
+    whose basis value is exactly 1, so only the dimensions where a term's
+    level is positive enter its products.  The products are tabulated once
+    here; a batch of queries then costs one table of 1D basis values, one
+    gather-and-multiply per factor and one ``np.bincount``.
+    """
+
+    def __init__(self, terms, M_active: int, points):
+        if not terms:
+            raise ConfigError("no combination terms to evaluate")
+        self.M_active = M_active
+        self.n_points = len(points)
+        # one row of the 1D basis table per (dimension, level) some term uses
+        pairs = sorted({e for t in terms for e in t.gamma.entries})
+        slot = {e: i for i, e in enumerate(pairs)}
+        L1 = 1 + max((l for _, l in pairs), default=0)
+        self.dims = np.array([m - 1 for m, _ in pairs], dtype=np.intp)
+        self.nodes = np.full((len(pairs), L1), np.inf)
+        self.weights = np.zeros((len(pairs), L1))
+        for i, (_, l) in enumerate(pairs):
+            ns = gauss_legendre_nodes(l)
+            self.nodes[i, : l + 1] = ns.nodes
+            self.weights[i, : l + 1] = ns.weights
+        # factors past a term's support point at a column of ones appended to
+        # the flattened table
+        one = len(pairs) * L1
+        n_factors = max(len(t.gamma.entries) for t in terms)
+        row_of = {pt: i for i, pt in enumerate(points)}
+        coef, flat, rows = [], [], []
+        for t in terms:
+            sizes = [l + 1 for _, l in t.gamma.entries]
+            node = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
+            idx = np.full((n_factors, node.shape[1]), one, dtype=np.intp)
+            xy = np.zeros((node.shape[1], M_active))
+            for k, e in enumerate(t.gamma.entries):
+                idx[k] = slot[e] * L1 + node[k]
+                xy[:, e[0] - 1] = self.nodes[slot[e], node[k]]
+            coef.append(np.full(node.shape[1], float(t.coefficient)))
+            flat.append(idx)
+            rows.append([row_of[tuple(pt)] for pt in xy.tolist()])
+        self.coef = np.concatenate(coef)
+        self.flat = np.concatenate(flat, axis=1)
+        self.rows = np.concatenate(rows).astype(np.intp)
+
+    def weights_at(self, Y) -> np.ndarray:
+        """Rows w(y) for the points y in the rows of Y, shape (len(Y), n_points).
+
+        Columns of Y beyond M_active are ignored and missing ones count as 0;
+        active coordinates must lie in [-1, 1].
+        """
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2:
+            raise ParameterDimensionError("query points must be the rows of a 2-D array")
+        Y = Y[:, : self.M_active]
+        Q = len(Y)
+        if Y.shape[1] < self.M_active:
+            Y = np.concatenate([Y, np.zeros((Q, self.M_active - Y.shape[1]))], axis=1)
+        inside = (Y >= -1.0) & (Y <= 1.0)
+        if not inside.all():
+            q, m = np.argwhere(~inside)[0]
+            raise ExtrapolationError(
+                f"coordinate {m + 1} = {Y[q, m]:.6g} lies outside [-1, 1]"
+            )
+        table = _barycentric(Y[:, self.dims], self.nodes, self.weights).reshape(Q, -1)
+        table = np.concatenate([table, np.ones((Q, 1))], axis=1)
+        w = np.broadcast_to(self.coef, (Q, len(self.coef)))
+        for idx in self.flat:
+            w = w * table[:, idx]
+        index = (np.arange(Q)[:, None] * self.n_points + self.rows).ravel()
+        return np.bincount(
+            index, weights=w.ravel(), minlength=Q * self.n_points
+        ).reshape(Q, self.n_points)
+
+
 def combination_interpolate(
     terms: list[CombinationTerm],
     M_active: int,
@@ -332,34 +423,12 @@ def combination_interpolate(
     ``data`` maps grid-point tuples (length M_active) to arrays of a common
     shape; the result is the signed sum of tensor-product Lagrange interpolants.
     ``y`` may be longer than M_active (the interpolant is constant in inactive
-    dimensions) or shorter (missing coordinates are 0).
+    dimensions) or shorter (missing coordinates are 0).  A throwaway
+    ``CombinationOperator`` does the work; build one directly to evaluate the
+    same data at many points.
     """
-    y = list(y)
-    if len(y) < M_active:
-        y = y + [0.0] * (M_active - len(y))
-    for m in range(M_active):
-        if not -1.0 <= y[m] <= 1.0:
-            raise ExtrapolationError(
-                f"coordinate {m + 1} = {y[m]:.6g} lies outside [-1, 1]"
-            )
-    out = None
-    for term in terms:
-        axes_nodes = []
-        axes_basis = []
-        for m in range(1, M_active + 1):
-            ns = gauss_legendre_nodes(term.gamma.level(m))
-            axes_nodes.append(ns.nodes)
-            axes_basis.append(ns.basis_all(y[m - 1]))
-        for combo in itertools.product(*[range(len(a)) for a in axes_nodes]):
-            coeff = float(term.coefficient)
-            for m, k in enumerate(combo):
-                coeff *= axes_basis[m][k]
-            if coeff == 0.0:
-                continue
-            point = tuple(axes_nodes[m][k] for m, k in enumerate(combo))
-            contrib = coeff * data[point]
-            out = contrib if out is None else out + contrib
-    if out is None:
-        # empty term list never happens for nonempty A; guard for safety
-        raise ConfigError("no combination terms to evaluate")
-    return out
+    points = sorted(data)
+    shape = np.shape(data[points[0]])
+    D = np.stack([np.asarray(data[pt], dtype=float).ravel() for pt in points])
+    w = CombinationOperator(terms, M_active, points).weights_at([y])
+    return (w @ D).reshape(shape)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collocation import CollocatedEigenbasis, collocate, evaluate
-from .eigensolver import ReducedFamily, solve_gevp
+from .collocation import CollocatedEigenbasis, _SolveCache, collocate, evaluate_many
+from .eigensolver import solve_gevp
 from .eigenspace import _as_cluster, _euclidean_angles, canonical_basis
 from .errors import (
     ConfigError,
@@ -99,9 +99,22 @@ class StudyConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        unread = set(self.model_params) - set(_MODEL_PARAMS[self.model])
+        defaults = _MODEL_PARAMS[self.model]
+        unread = set(self.model_params) - set(defaults)
         if unread:
             raise ConfigError(f"unknown model_params keys for {self.model}: {sorted(unread)}")
+        # each number is converted to the type of its default: int or float
+        params = {}
+        for key, value in self.model_params.items():
+            kind = type(defaults[key])
+            try:
+                params[key] = value if defaults[key] is None else kind(value)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"malformed config value: model_params.{key} = {value!r} "
+                    f"is not {kind.__name__}"
+                ) from None
+        object.__setattr__(self, "model_params", params)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if not self.budgets:
@@ -194,8 +207,7 @@ def build_family(config: StudyConfig) -> AffineOperatorFamily:
     if config.model == "builtin-crossing":
         return designed_crossing_family()
     model = model_diffusion_1d if config.model == "diffusion1d" else model_diffusion_2d
-    # each value is converted to the type of its default: int or float
-    return model(**{key: type(defaults[key])(value) for key, value in p.items()})
+    return model(**p)
 
 
 def resolve_weights(config: StudyConfig, family: AffineOperatorFamily) -> list[float]:
@@ -225,16 +237,20 @@ class ErrorEstimate:
 
 
 def estimate_error(
-    cb: CollocatedEigenbasis, metric: str, n_mc: int, seed: int
+    cb: CollocatedEigenbasis, metric: str, n_mc: int, seed: int,
+    *, _cache: _SolveCache | None = None,
 ) -> ErrorEstimate:
     """Root-mean-square interpolation error over seeded uniform samples.
 
     Each sample gets a direct eigensolve of the family reduced once to
     standard form (``ReducedFamily``); the reference is the projected basis
     built from the same origin vectors as the interpolant, so both sides target
-    the identical object.  Metric 'vector-l2' sums squared energy norms of the
-    columnwise differences; 'subspace-angle' uses the largest principal angle
-    between the interpolated and the true cluster span.
+    the identical object.  The interpolant is evaluated at all samples in one
+    batch (``evaluate_many``).  Metric 'vector-l2' sums squared energy norms
+    of the columnwise differences; 'subspace-angle' uses the largest principal
+    angle between the interpolated and the true cluster span.  ``_cache`` is
+    internal: a budget sweep passes one so that the direct solves of the
+    samples, which every budget shares, are made once.
 
     Samples whose direct solve or reference construction fails are skipped and
     counted; more than 10% failures aborts.
@@ -242,28 +258,38 @@ def estimate_error(
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     family = cb.family
-    reduced = ReducedFamily(family)
-    rng = np.random.default_rng(seed)
+    cache = _SolveCache() if _cache is None else _cache
+    reduced = cache.reduction(family)
+    # one (n_mc, n_terms) draw is the stream of n_mc draws of n_terms each
+    Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(int(n_mc), family.n_terms))
+    if cache.truths is None or cache.truths[0] != (seed, n_mc):
+        truths = []
+        for y in Y:
+            try:
+                decomp = reduced.lift(solve_gevp(reduced.at(y), None, k=cb.cluster.hi))
+                truths.append(
+                    canonical_basis(decomp, cb.ref_vectors, cb.cluster, family.mass).vectors
+                )
+            except (SolverError, DegenerateBasisError):
+                truths.append(None)
+        cache.truths = ((seed, n_mc), truths)
+        cache.solves += len(Y)
+    else:
+        cache.reused += len(Y)
     total = 0.0
     used = 0
-    failures = 0
-    for _ in range(int(n_mc)):
-        y = rng.uniform(-1.0, 1.0, size=family.n_terms)
-        try:
-            decomp = reduced.lift(solve_gevp(reduced.at(y), None, k=cb.cluster.hi))
-            truth = canonical_basis(decomp, cb.ref_vectors, cb.cluster, family.mass)
-        except (SolverError, DegenerateBasisError):
-            failures += 1
+    for approx, truth in zip(evaluate_many(cb, Y), cache.truths[1]):
+        if truth is None:
             continue
-        approx = evaluate(cb, y)
         if metric == "vector-l2":
-            diff = approx - truth.vectors
+            diff = approx - truth
             total += float(np.sum(diff * (family.B0 @ diff)))
         else:
             # principal_angles with the mass factor the reduction already holds
-            angle = _euclidean_angles(reduced.LT @ approx, reduced.LT @ truth.vectors)[-1]
+            angle = _euclidean_angles(reduced.LT @ approx, reduced.LT @ truth)[-1]
             total += angle * angle
         used += 1
+    failures = len(Y) - used
     if failures > 0.1 * n_mc:
         raise SolverError(
             f"{failures} of {n_mc} direct solves failed during error estimation"
@@ -339,18 +365,24 @@ def _stage(name: str, budget_index: int | None = None):
 def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     """Collocate and estimate the error once per target at every budget.
 
-    Yields ``(budget, card_A, card_X, card_X_formula, runs, seconds)`` per
-    budget, where ``runs`` maps each target to its ``(basis, ErrorEstimate)``.
-    Failures are tagged with the stages 'model', 'weights', 'index-set',
-    'collocate' and 'estimate'; with more than one target the last two carry
-    the target, as in 'collocate-raw'.
+    Yields ``(budget, card_A, card_X, card_X_formula, runs, seconds, counts)``
+    per budget, where ``runs`` maps each target to its ``(basis,
+    ErrorEstimate)`` and ``counts`` holds the budget's eigensolves made
+    (``solves``) and carried from earlier budgets (``reused_solves``).  One
+    ``_SolveCache`` carries the origin solve, the reduced family, the grid
+    point solves and the Monte Carlo solves across the budgets.  Failures are
+    tagged with the stages 'model', 'weights', 'index-set', 'collocate' and
+    'estimate'; with more than one target the last two carry the target, as
+    in 'collocate-raw'.
     """
     with _stage("model"):
         family = build_family(config)
     with _stage("weights"):
         rho = resolve_weights(config, family)
+    cache = _SolveCache()
     for i, L in enumerate(config.budgets):
         t0 = time.perf_counter()
+        before = (cache.solves, cache.reused)
         with _stage("index-set", i):
             A = anisotropic_set(rho, L)
             card_X_formula = point_count_bound(A) if is_monotone(A) else None
@@ -358,11 +390,17 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
         for target in targets:
             tag = f"-{target}" if len(targets) > 1 else ""
             with _stage("collocate" + tag, i):
-                cb = collocate(family, config.cluster, A, target=target)
+                cb = collocate(family, config.cluster, A, target=target, _cache=cache)
             with _stage("estimate" + tag, i):
-                est = estimate_error(cb, config.metric, config.n_mc, config.seed)
+                est = estimate_error(
+                    cb, config.metric, config.n_mc, config.seed, _cache=cache
+                )
             runs[target] = (cb, est)
         seconds = time.perf_counter() - t0
+        counts = {
+            "solves": cache.solves - before[0],
+            "reused_solves": cache.reused - before[1],
+        }
         card_A = len(A)
         card_X = len(cb.point_data)
         if card_X > card_A * card_A:
@@ -373,7 +411,7 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
             "budget %g: #A=%d #X=%d %s (%.2fs)", L, card_A, card_X,
             " ".join(f"{t}={est.value:.6e}" for t, (_, est) in runs.items()), seconds,
         )
-        yield float(L), card_A, card_X, card_X_formula, runs, seconds
+        yield float(L), card_A, card_X, card_X_formula, runs, seconds, counts
 
 
 def _write_outputs(
@@ -404,7 +442,9 @@ def run_convergence_study(
     """
     records = []
     diagnostics = []
-    for L, card_A, card_X, card_X_formula, runs, seconds in _sweep(config, (config.target,)):
+    for L, card_A, card_X, card_X_formula, runs, seconds, counts in _sweep(
+        config, (config.target,)
+    ):
         cb, est = runs[config.target]
         records.append(ErrorRecord(L, card_A, card_X, est.value, seconds))
         diagnostics.append(
@@ -413,6 +453,7 @@ def run_convergence_study(
                 "card_X_formula": card_X_formula,
                 "mc_failures": est.n_failures,
                 **cb.diagnostics,
+                **counts,
             }
         )
     r_hat, reason = fit_rate([r.card_A for r in records], [r.error for r in records])
@@ -462,7 +503,7 @@ def run_crossing_demo(
         CrossingRecord(
             L, card_A, card_X, runs["canonical"][1].value, runs["raw"][1].value, seconds
         )
-        for L, card_A, card_X, _, runs, seconds in _sweep(config, ("canonical", "raw"))
+        for L, card_A, card_X, _, runs, seconds, _ in _sweep(config, ("canonical", "raw"))
     ]
     last = records[-1]
     ratio = last.error_raw / last.error_canonical if last.error_canonical > 0 else None

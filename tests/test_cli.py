@@ -198,6 +198,8 @@ class TestErrorPaths:
         ("n_mc", "many"),
         ("seed", -1),
         ("model_params", {"n_element": 400}),
+        ("model_params", {"n_elements": "x"}),
+        ("model_params", {"decay_scale": None}),
         ("threads", 1),
     ],
 )
@@ -211,6 +213,23 @@ class TestMalformedConfigValue:
         cfg = write_config(tmp_path, **{key: value})
         assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "collocate"])
+def test_model_param_of_the_wrong_type_is_reported(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, model_params={"n_elements": "x", "n_terms": 2})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: malformed config value: model_params.n_elements = 'x' is not int" in err
+    assert "Traceback" not in err
+
+
+def test_model_params_take_the_types_of_their_defaults():
+    doc = {"model": "diffusion1d", "cluster": [1], "budgets": [1.0],
+           "model_params": {"n_elements": "12", "decay_rate": 3}}
+    params = StudyConfig.from_dict(doc).model_params
+    assert params == {"n_elements": 12, "decay_rate": 3.0}
+    assert type(params["n_elements"]) is int and type(params["decay_rate"]) is float
 
 
 def test_config_that_is_not_json_is_reported(tmp_path, capsys):

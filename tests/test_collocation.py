@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigcolloc import (
     ClusterCoverageError,
@@ -20,19 +23,26 @@ from eigcolloc import (
     designed_crossing_family,
     evaluate,
     evaluate_cluster_values,
+    evaluate_many,
     load_collocated,
     model_diffusion_1d,
     multi_index_set,
     orthonormalize_at,
     principal_angles,
     SolverError,
+    anisotropic_set,
     grid_points,
     save_collocated,
     solve_gevp,
     synthetic_family,
 )
 from eigcolloc import collocation
-from eigcolloc.collocation import PointSolution, collocated_to_dict, collocated_from_dict
+from eigcolloc.collocation import (
+    PointSolution,
+    _SolveCache,
+    collocated_from_dict,
+    collocated_to_dict,
+)
 from eigcolloc.eigensolver import ReducedFamily
 from eigcolloc.sparse_grid import ORIGIN
 
@@ -188,6 +198,59 @@ class TestEvaluate:
         assert np.array_equal(a, b)
 
 
+class TestEvaluateMany:
+    def test_rows_match_single_evaluations(self):
+        fam = model_diffusion_1d(16, 0.3, 2.0, 3)
+        cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0, 4.0], 2.0))
+        Y = np.random.default_rng(2).uniform(-1.0, 1.0, size=(9, 3))
+        many = evaluate_many(cb, Y)
+        assert many.shape == (9, fam.dim, 2)
+        # one matrix product against one per row: only the summation order differs
+        for y, row in zip(Y, many):
+            one = evaluate(cb, y)
+            assert np.abs(row - one).max() <= 1e-13 * np.abs(one).max()
+
+
+class TestCarriedSolves:
+    def test_carried_solves_equal_fresh_ones(self):
+        # the first set activates one dimension and the second three, so the
+        # carried points are found under keys padded with two zeros
+        fam = model_diffusion_1d(14, 0.3, 2.0, 3)
+        rho = [1.5, 3.0, 3.0]
+        small, large = anisotropic_set(rho, 0.9), anisotropic_set(rho, 1.2)
+        assert small.M_active == 1 and large.M_active == 3
+        cache = _SolveCache()
+        first = collocate(fam, [1, 2], small, _cache=cache)
+        carried = collocate(fam, [1, 2], large, _cache=cache)
+        fresh = collocate(fam, [1, 2], large)
+        assert cache.reused == 1 + len(first.point_data)
+        assert cache.solves == 1 + len(fresh.point_data)
+        assert carried.point_data.keys() == fresh.point_data.keys()
+        for pt, sol in fresh.point_data.items():
+            other = carried.point_data[pt]
+            assert np.array_equal(other.basis.vectors, sol.basis.vectors)
+            assert np.array_equal(other.cluster_values, sol.cluster_values)
+            assert other.basis.gram_sigma_min == sol.basis.gram_sigma_min
+        for pt in first.point_data:
+            padded = pt + (0.0, 0.0)
+            assert carried.point_data[padded] is first.point_data[pt]
+        assert carried.diagnostics == fresh.diagnostics
+        assert np.array_equal(carried.ref_vectors, fresh.ref_vectors)
+        y = [0.3, -0.7, 0.1]
+        assert np.array_equal(evaluate(carried, y), evaluate(fresh, y))
+
+    def test_targets_keep_their_own_points(self):
+        fam = model_diffusion_1d(10, 0.2, 2.0, 1)
+        cache = _SolveCache()
+        canonical = collocate(fam, [1], line_set(2), _cache=cache)
+        raw = collocate(fam, [1], line_set(2), target="raw", _cache=cache)
+        assert raw.target == "raw"
+        assert cache.solves == 1 + 2 * len(canonical.point_data)
+        fresh = collocate(fam, [1], line_set(2), target="raw")
+        for pt, sol in fresh.point_data.items():
+            assert np.array_equal(raw.point_data[pt].basis.vectors, sol.basis.vectors)
+
+
 class TestOrthonormalizeAt:
     def test_reference_point_recovers_refs_up_to_sign(self):
         # top level 4 has a node at 0, so the interpolant is exact at y=0
@@ -246,6 +309,26 @@ class TestPersistence:
         for _ in range(5):
             y = rng.uniform(-1, 1, 2)
             assert np.array_equal(evaluate(cb, y), evaluate(back, y))
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(4, 12), st.integers(1, 3), st.floats(0.0, 2.5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_reload_evaluates_bit_identically(self, n_elements, n_terms, budget, seed):
+        fam = model_diffusion_1d(n_elements, 0.3, 2.0, n_terms)
+        cb = collocate(fam, [1], anisotropic_set([2.0, 3.0, 4.0][:n_terms], budget))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "basis.json")
+            save_collocated(cb, path)
+            back = load_collocated(path)
+        Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(6, n_terms))
+        assert np.array_equal(evaluate_many(cb, Y), evaluate_many(back, Y))
+        for y in Y:
+            assert np.array_equal(evaluate(cb, y), evaluate(back, y))
+            assert np.array_equal(
+                evaluate_cluster_values(cb, y), evaluate_cluster_values(back, y)
+            )
 
     def test_tampered_family_detected(self, tmp_path):
         fam = model_diffusion_1d(8, 0.2, 2.0, 1)

@@ -13,7 +13,7 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc.eigensolver import ReducedFamily
+from eigcolloc.eigensolver import ReducedFamily, _fix_signs
 
 
 def random_pencil(n, seed):
@@ -161,6 +161,35 @@ class TestReducedFamily:
         reduced = ReducedFamily(spd_family(5, 2, 2))
         with pytest.raises(ParameterDimensionError):
             reduced.at([0.1, 0.2, 0.3])
+
+
+def loop_fix_signs(U):
+    """Per-column reference for ``_fix_signs``."""
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        if U[i, j] < 0:
+            U[:, j] = -U[:, j]
+    return U
+
+
+class TestFixSigns:
+    # entries drawn from a few values of equal magnitude and either sign, so
+    # columns with tied largest magnitudes are common: the first one decides
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, -0.5, 1.5]),
+                         min_size=n, max_size=n),
+                min_size=1, max_size=8,
+            )
+        )
+    )
+    def test_bit_identical_to_the_column_loop(self, rows):
+        U = np.array(rows)
+        want = loop_fix_signs(U.copy())
+        got = _fix_signs(U.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestMOrthonormalize:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigcolloc import (
     ConfigError,
@@ -11,6 +12,7 @@ from eigcolloc import (
     MonotonicityError,
     MultiIndex,
     MultiIndexSet,
+    ParameterDimensionError,
     WeightError,
     anisotropic_set,
     combination_interpolate,
@@ -24,7 +26,7 @@ from eigcolloc import (
     point_count_bound,
 )
 from eigcolloc import DecaySequence
-from eigcolloc.sparse_grid import ORIGIN
+from eigcolloc.sparse_grid import ORIGIN, CombinationOperator
 
 
 def mi(*levels):
@@ -376,3 +378,126 @@ class TestCombinationInterpolate:
         data = {pt: np.zeros(1) for pt in grid_points(A)}
         with pytest.raises(ExtrapolationError):
             combination_interpolate(terms, 1, data, [1.5])
+
+
+def loop_basis(ns, t):
+    """Per-node reference for ``NodeSet.basis_all``: unit vector at a node."""
+    x = np.asarray(ns.nodes)
+    for k, xk in enumerate(ns.nodes):
+        if t == xk:
+            e = np.zeros(len(x))
+            e[k] = 1.0
+            return e
+    w = np.asarray(ns.weights) / (t - x)
+    return w / w.sum()
+
+
+def loop_interpolate(terms, M_active, data, y):
+    """The per-term tensor-product loop the combination operator replaced.
+
+    Kept as the reference: the signed sum over every term of its tensor
+    Lagrange interpolant, one product of 1D basis values per tensor point.
+    """
+    y = list(y) + [0.0] * max(M_active - len(y), 0)
+    out = None
+    for term in terms:
+        axes = [gauss_legendre_nodes(term.gamma.level(m)) for m in range(1, M_active + 1)]
+        basis = [loop_basis(ns, y[m]) for m, ns in enumerate(axes)]
+        for combo in itertools.product(*[range(len(ns)) for ns in axes]):
+            coeff = float(term.coefficient)
+            for m, k in enumerate(combo):
+                coeff *= basis[m][k]
+            point = tuple(axes[m].nodes[k] for m, k in enumerate(combo))
+            contrib = coeff * data[point]
+            out = contrib if out is None else out + contrib
+    return out
+
+
+@st.composite
+def monotone_set_with_points(draw):
+    """A random downward-closed set, a polynomial in its span, query points.
+
+    The polynomial sums random multiples of y^beta over beta in the set, so
+    the combination technique reproduces it exactly up to roundoff.  The
+    queries mix grid points and uniform points of the box.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = random_monotone_set(
+        rng, n_dims=draw(st.integers(1, 4)), max_level=draw(st.integers(1, 5)),
+        n_grow=draw(st.integers(0, 12)),
+    )
+    M = A.M_active
+    coeffs = {alpha.to_dense(M): rng.standard_normal(2) for alpha in A}
+
+    def poly(y):
+        return sum(c * math.prod(y[m] ** b[m] for m in range(M)) for b, c in coeffs.items())
+
+    pts = grid_points(A)
+    on = [pts[i] for i in rng.choice(len(pts), size=min(4, len(pts)), replace=False)]
+    off = [tuple(y) for y in rng.uniform(-1.0, 1.0, size=(4, M))]
+    return A, poly, on + off
+
+
+class TestCombinationOperator:
+    @settings(max_examples=60)
+    @given(monotone_set_with_points())
+    def test_exact_on_polynomials_in_the_span(self, case):
+        A, poly, queries = case
+        M = A.M_active
+        pts = grid_points(A)
+        op = CombinationOperator(combination_terms(A), M, pts)
+        D = np.stack([poly(pt) for pt in pts])
+        got = op.weights_at(np.array(queries).reshape(len(queries), M)) @ D
+        want = np.stack([poly(y) for y in queries])
+        scale = max(1.0, float(np.abs(D).max()))
+        assert np.abs(got - want).max() <= 1e-10 * scale
+
+    @settings(max_examples=60)
+    @given(monotone_set_with_points())
+    def test_matches_the_loop_on_arbitrary_data(self, case):
+        # data not in the span: the interpolant is a genuine combination of
+        # tensor interpolants, and the operator must sum the same terms
+        A, _, queries = case
+        M = A.M_active
+        pts = grid_points(A)
+        terms = combination_terms(A)
+        rng = np.random.default_rng(len(pts))
+        data = {pt: rng.standard_normal(3) for pt in pts}
+        op = CombinationOperator(terms, M, pts)
+        D = np.stack([data[pt] for pt in pts])
+        for y in queries:
+            want = loop_interpolate(terms, M, data, y)
+            got = op.weights_at([y])[0] @ D
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(combination_interpolate(terms, M, data, y), got)
+
+    def test_batch_rows_match_single_queries(self):
+        A = random_monotone_set(np.random.default_rng(8))
+        pts = grid_points(A)
+        op = CombinationOperator(combination_terms(A), A.M_active, pts)
+        Y = np.random.default_rng(9).uniform(-1.0, 1.0, size=(7, A.M_active))
+        batch = op.weights_at(Y)
+        for y, row in zip(Y, batch):
+            assert np.array_equal(op.weights_at([y])[0], row)
+
+    @given(st.integers(0, 6), st.floats(-1.0, 1.0))
+    def test_basis_values_are_finite_next_to_a_node(self, level, t):
+        # the scaled barycentric form may not overflow when t lies a few
+        # subnormals away from a node
+        ns = gauss_legendre_nodes(level)
+        for x in (t, *ns.nodes):
+            for v in (x, np.nextafter(x, 2.0), np.nextafter(x, -2.0)):
+                b = ns.basis_all(min(max(v, -1.0), 1.0))
+                assert np.all(np.isfinite(b))
+                assert abs(b.sum() - 1.0) <= 1e-12
+
+    def test_extrapolation_names_the_coordinate(self):
+        A = multi_index_set([ORIGIN, mi(1), mi(0, 1)])
+        op = CombinationOperator(combination_terms(A), 2, grid_points(A))
+        with pytest.raises(ExtrapolationError, match="coordinate 2 = 1.5"):
+            op.weights_at([[0.0, 0.0], [0.2, 1.5]])
+        with pytest.raises(ExtrapolationError, match="coordinate 1 = nan"):
+            op.weights_at([[math.nan]])
+        with pytest.raises(ParameterDimensionError):
+            op.weights_at([0.1, 0.2])

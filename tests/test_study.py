@@ -15,6 +15,7 @@ from eigcolloc import (
     canonical_basis,
     collocate,
     compute_tau_weights,
+    anisotropic_set,
     estimate_error,
     fit_rate,
     model_diffusion_1d,
@@ -339,6 +340,15 @@ class TestEstimateError:
         assert est.value == pytest.approx(math.sqrt(total / 20.0), rel=1e-8)
         assert est.n_samples == 20
 
+    def test_one_draw_is_the_stream_of_per_sample_draws(self):
+        # estimate_error draws its samples as one (n_mc, n_terms) array; the
+        # values are those of n_mc successive draws of n_terms each
+        rng = np.random.default_rng(5)
+        rows = np.stack([rng.uniform(-1.0, 1.0, size=3) for _ in range(40)])
+        assert np.array_equal(
+            np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 3)), rows
+        )
+
     def test_rejects_unknown_metric(self):
         fam = self.constant_family()
         cb = collocate(fam, [1], line_set(1))
@@ -466,6 +476,34 @@ class TestConvergenceStudy:
 
         assert masked(tmp_path / "a" / "study.csv") == masked(tmp_path / "b" / "study.csv")
 
+    def test_csv_matches_a_study_without_reuse(self, tmp_path):
+        # every budget collocated and estimated from scratch, with nothing
+        # carried over, gives the same rows bit for bit
+        cfg = study_config(budgets=[0.3, 0.8, 1.4], metric="subspace-angle")
+        run_convergence_study(cfg, out_dir=tmp_path)
+        lines = (tmp_path / "study.csv").read_text(encoding="utf-8").splitlines()[1:]
+        fam = build_family(cfg)
+        rho = resolve_weights(cfg, fam)
+        for line, L in zip(lines, cfg.budgets):
+            A = anisotropic_set(rho, L)
+            cb = collocate(fam, cfg.cluster, A)
+            est = estimate_error(cb, cfg.metric, cfg.n_mc, cfg.seed)
+            row = [repr(float(L)), str(len(A)), str(len(cb.point_data)), repr(est.value)]
+            assert line.split(",")[:-1] == row
+
+    def test_diagnostics_count_made_and_reused_solves(self, tmp_path):
+        cfg = study_config(budgets=[0.3, 0.8, 1.4])
+        result = run_convergence_study(cfg, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "study.json").read_text(encoding="utf-8"))
+        assert summary["diagnostics"] == json.loads(json.dumps(list(result.diagnostics)))
+        previous = 0
+        for rec, diag in zip(result.records, result.diagnostics):
+            # the origin solve, one per grid point and one per sample
+            assert diag["solves"] + diag["reused_solves"] == 1 + rec.card_X + cfg.n_mc
+            carried = 0 if previous == 0 else 1 + previous + cfg.n_mc
+            assert diag["reused_solves"] == carried
+            previous = rec.card_X
+
     def test_no_output_dir_writes_nothing(self):
         cfg = study_config(budgets=[0.3], n_mc=5)
         result = run_convergence_study(cfg)
@@ -561,10 +599,10 @@ class TestCrossingDemo:
     def test_estimate_failure_names_the_target(self, monkeypatch, failing):
         real = study.estimate_error
 
-        def fails_for_target(cb, *args):
+        def fails_for_target(cb, *args, **kwargs):
             if cb.target == failing:
                 raise ValueError("synthetic")
-            return real(cb, *args)
+            return real(cb, *args, **kwargs)
 
         monkeypatch.setattr(study, "estimate_error", fails_for_target)
         with pytest.raises(StageError) as excinfo:
