@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import ReducedFamily, m_orthonormalize, solve_gevp
+from .eigensolver import (
+    ReducedFamily,
+    SpectralDecomposition,
+    m_orthonormalize,
+    solve_gevp,
+)
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
@@ -104,60 +109,48 @@ class CollocatedEigenbasis:
         return self.cluster.S
 
 
-def _solve_point(family, reduced, cluster, y, ref_vectors, target, sigma_threshold):
-    try:
-        decomp = reduced.lift(solve_gevp(reduced.at(y), None, k=cluster.hi + 1))
-    except SolverError as exc:
-        raise SolverError(f"{exc} at point {tuple(y)}") from exc
-    vals = decomp.values
-    ext_gap = exterior_gap(vals, cluster)
-    mx = float(vals[cluster.hi - 1])
-    if ext_gap <= 0.0:
-        raise ClusterCrossingError(
-            f"cluster touches exterior spectrum at point {tuple(y)}"
-        )
-    cluster_values = np.array([vals[j - 1] for j in cluster.J])
-    if target == "canonical":
-        try:
-            basis = canonical_basis(
-                decomp, ref_vectors, cluster, family.mass, sigma_threshold
-            )
-        except DegenerateBasisError as exc:
-            raise DegenerateBasisError(exc.sigma_min, point=tuple(y)) from None
-    else:
-        # raw sorted eigenvectors; keep the Gram singular value as a diagnostic
-        U = decomp.vectors[:, [j - 1 for j in cluster.J]]
-        G = ref_vectors.T @ (family.mass @ U)
-        sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1])
-        basis = EigenspaceBasis(vectors=U, gram_sigma_min=sigma_min)
-    return PointSolution(basis=basis, cluster_values=cluster_values), ext_gap / mx
-
-
 class _SolveCache:
-    """Solves carried across the budgets of one sweep over one family and cluster.
+    """One memo of reduced eigensolves over one family and cluster.
 
-    The index sets of a sweep are nested, so each grid holds the last one
-    once its points are padded with zeros, and every budget draws the same
-    Monte Carlo samples from the common seed.  ``collocate`` and
-    ``estimate_error`` fill and read this through their ``_cache`` argument.
-    A carried solve is bit-identical to a fresh one: the reduction, the
-    origin reference and the affine sum (which skips zero coordinates) are the
-    same computation on the same numbers.  ``solves`` counts the eigensolves
-    made and ``reused`` the ones served from the cache.
+    A solve is a function of its point alone, so the memo is keyed by the
+    point padded with zeros to the family's term count and by the number of
+    pairs.  The nested grids of a budget sweep, its common Monte Carlo
+    samples and both interpolation targets all read it, and a memo solve is
+    bit-identical to a fresh one (the affine sum skips zero coordinates).
+    ``solves`` counts the eigensolves made, the carried origin reference
+    included, and ``reused`` those served again.  With ``carry=False``
+    nothing is kept: a cache that lives inside one call.
     """
 
-    def __init__(self):
-        self.reduced = None
+    def __init__(self, family: AffineOperatorFamily, J, carry: bool = True):
+        self.family = family
+        self.cluster = _as_cluster(J)
+        self.carry = carry
+        self.reduced = None  # ReducedFamily, built at the first solve
         self.reference = None  # (ref_vectors, ref_values) from the origin solve
-        self.points = {}  # target -> {zero-padded point: (PointSolution, gap)}
-        self.truths = None  # ((seed, n_mc), truth basis or None per sample)
         self.solves = 0
         self.reused = 0
+        self._memo = {}
 
-    def reduction(self, family) -> ReducedFamily:
+    def solve(self, y, k: int) -> SpectralDecomposition:
+        """The k lowest eigenpairs at y, without the eigenvectors past the cluster."""
+        key = (tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.reused += 1
+            return hit
         if self.reduced is None:
-            self.reduced = ReducedFamily(family)
-        return self.reduced
+            self.reduced = ReducedFamily(self.family)
+        self.solves += 1
+        try:
+            decomp = self.reduced.lift(solve_gevp(self.reduced.at(y), None, k=k))
+        except SolverError as exc:
+            raise SolverError(f"{exc} at point {tuple(y)}") from exc
+        vectors = np.ascontiguousarray(decomp.vectors[:, : self.cluster.hi])
+        hit = SpectralDecomposition(values=decomp.values, vectors=vectors)
+        if self.carry:
+            self._memo[key] = hit
+        return hit
 
 
 def collocate(
@@ -174,8 +167,8 @@ def collocate(
     The reference vectors are fixed by a dense solve at the origin first.  The
     family is then reduced once to standard form (``ReducedFamily``), and the
     grid points are solved one after another, in grid order.  ``_cache`` is
-    internal: a budget sweep passes one to carry the origin solve, the
-    reduction and the point solves from budget to budget.
+    internal: a budget sweep passes its memo of solves to carry them, and the
+    origin solve, from budget to budget and from target to target.
 
     Raises
     ------
@@ -199,40 +192,41 @@ def collocate(
         raise FamilyValidationError(
             f"index set activates dimension {A.M_active}, family has {family.n_terms} terms"
         )
-    # a private cache holds the reduction for this call only; a family may be
-    # large and long-lived
-    cache = _SolveCache() if _cache is None else _cache
+    cache = _SolveCache(family, cluster, carry=False) if _cache is None else _cache
+    cols = [j - 1 for j in cluster.J]
     if cache.reference is None:
         decomp0 = solve_gevp(family.B0, family.mass, k=cluster.hi + 1)
         cache.solves += 1
-        cache.reference = (
-            np.ascontiguousarray(decomp0.vectors[:, [j - 1 for j in cluster.J]]),
-            np.array([decomp0.values[j - 1] for j in cluster.J]),
-        )
+        cache.reference = (decomp0.vectors[:, cols], decomp0.values[cols])
     else:
         cache.reused += 1
     ref_vectors, ref_values = cache.reference
     points = grid_points(A)
     terms = tuple(combination_terms(A))
-    reduced = cache.reduction(family)
-    solved = cache.points.setdefault(target, {})
-    pad = (0.0,) * (family.n_terms - A.M_active)
     point_data = {}
     min_gap = math.inf
     for pt in points:
-        key = pt + pad
-        hit = solved.get(key)
-        if hit is None:
-            hit = _solve_point(
-                family, reduced, cluster, pt, ref_vectors, target, sigma_threshold
+        decomp = cache.solve(pt, cluster.hi + 1)
+        vals = decomp.values
+        gap = exterior_gap(vals, cluster)
+        if gap <= 0.0:
+            raise ClusterCrossingError(
+                f"cluster touches exterior spectrum at point {pt}"
             )
-            cache.solves += 1
-            if _cache is not None:  # a private cache carries nothing past this call
-                solved[key] = hit
+        min_gap = min(min_gap, gap / float(vals[cluster.hi - 1]))
+        if target == "canonical":
+            try:
+                basis = canonical_basis(
+                    decomp, ref_vectors, cluster, family.mass, sigma_threshold
+                )
+            except DegenerateBasisError as exc:
+                raise DegenerateBasisError(exc.sigma_min, point=pt) from None
         else:
-            cache.reused += 1
-        point_data[pt], gap = hit
-        min_gap = min(min_gap, gap)
+            # raw sorted eigenvectors; keep the Gram singular value as a diagnostic
+            U = decomp.vectors[:, cols]
+            G = ref_vectors.T @ (family.mass @ U)
+            basis = EigenspaceBasis(U, float(np.linalg.svd(G, compute_uv=False)[-1]))
+        point_data[pt] = PointSolution(basis=basis, cluster_values=vals[cols])
     min_sigma = min(sol.basis.gram_sigma_min for sol in point_data.values())
     return CollocatedEigenbasis(
         family=family,

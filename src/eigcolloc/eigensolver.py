@@ -125,10 +125,12 @@ class ReducedFamily:
 def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:
     """Orthonormalize the columns of V in the M inner product.
 
-    Modified Gram-Schmidt with a second reorthogonalization pass.  Column signs
-    follow the first-nonzero-component-positive convention.  A column whose
-    norm after projection drops below ``rel_tol`` times its original norm is
-    reported as dependent.
+    CholeskyQR2: twice, factor the M-Gram matrix G = R'R of the columns and
+    replace them by V inv(R).  The diagonal of the product of both factors
+    holds the M-norm of each column after projection onto the previous ones;
+    the first column where it drops to ``rel_tol`` times the column's own
+    M-norm, or where a factorisation breaks down, is reported as dependent.
+    Column signs follow the first-nonzero-component-positive convention.
 
     Raises
     ------
@@ -142,22 +144,20 @@ def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:
     n, s = V.shape
     if M.shape != (n, n):
         raise SolverError("inner-product matrix shape does not match vectors")
-
-    def mnorm(v):
-        return float(np.sqrt(max(v @ (M @ v), 0.0)))
-
-    original = [mnorm(V[:, j]) for j in range(s)]
-    for j in range(s):
-        v = V[:, j]
-        for _pass in range(2):
-            for i in range(j):
-                v = v - (V[:, i] @ (M @ v)) * V[:, i]
-        nrm = mnorm(v)
-        if original[j] == 0.0 or nrm <= rel_tol * original[j]:
-            raise RankDeficiencyError(j)
-        v = v / nrm
-        nz = np.nonzero(v)[0]
-        if len(nz) and v[nz[0]] < 0:
-            v = -v
-        V[:, j] = v
+    norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", V, M @ V), 0.0))
+    diag = np.ones(s)
+    done = s  # leading columns both factorisations reached
+    for _ in range(2):
+        R, info = scipy.linalg.lapack.dpotrf(V.T @ (M @ V), lower=0, clean=1)
+        if info > 0:
+            done = info - 1
+            R, V = R[:done, :done], V[:, :done]
+        diag[:done] *= np.diag(R)
+        V = scipy.linalg.solve_triangular(R, V.T, trans="T", lower=False).T
+    small = np.flatnonzero(diag[:done] <= rel_tol * norms[:done])
+    if small.size or done < s:
+        raise RankDeficiencyError(int(small[0]) if small.size else done)
+    V = np.ascontiguousarray(V)
+    flip = V[np.argmax(V != 0.0, axis=0), np.arange(s)] < 0
+    V[:, flip] = -V[:, flip]
     return V

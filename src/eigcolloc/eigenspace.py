@@ -8,6 +8,7 @@ that stays smooth in y even when eigenvalues inside the cluster cross.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.linalg
 from .eigensolver import ReducedFamily, SpectralDecomposition, solve_gevp
 from .errors import (
     ClusterCoverageError,
+    ConfigError,
     DecayViolationError,
     DegenerateBasisError,
     FamilyValidationError,
@@ -57,6 +59,14 @@ class ClusterSelection:
 
 def _as_cluster(J) -> ClusterSelection:
     return J if isinstance(J, ClusterSelection) else ClusterSelection(tuple(J))
+
+
+def _check_sampling(count, seed, name: str) -> None:
+    """A Monte Carlo sample count is an integer >= 1, a seed an integer >= 0."""
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ConfigError(f"{name} must be at least 1 and an integer, got {count!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed must be at least 0 and an integer, got {seed!r}")
 
 
 def exterior_gap(values, J) -> float:
@@ -159,6 +169,7 @@ def check_isolation(
     missing neighbor (cluster at the spectrum edge) counts as +inf.  Reports
     the minimum of gap / max(sigma_J) over the samples.
     """
+    _check_sampling(n_samples, seed, "n_samples")
     cluster = _as_cluster(J)
     n = family.dim
     k = min(cluster.hi + 1, n)

@@ -311,11 +311,10 @@ def model_diffusion_1d(
 # 2D diffusion model on the unit square (tensorized bilinear elements)
 # ---------------------------------------------------------------------------
 
-def wavenumber_pairs(count: int, swapped: bool = False):
+def wavenumber_pairs(count: int):
     """First ``count`` pairs (k1, k2) of the diagonal enumeration of N^2.
 
-    Ordering: by k1+k2 ascending, then k1 ascending; ``swapped`` reverses the
-    roles of the two coordinates.
+    Ordering: by k1+k2 ascending, then k1 ascending.
     """
     pairs = []
     s = 2
@@ -325,7 +324,7 @@ def wavenumber_pairs(count: int, swapped: bool = False):
             if len(pairs) == count:
                 break
         s += 1
-    return [(k2, k1) for (k1, k2) in pairs] if swapped else pairs
+    return pairs
 
 
 def model_diffusion_2d(
@@ -334,7 +333,6 @@ def model_diffusion_2d(
     decay_rate: float = 2.0,
     n_terms: int = 0,
     p_exponent: float = 1.0,
-    swapped_enumeration: bool = False,
 ) -> AffineOperatorFamily:
     """Diffusion family on the unit square with separable cosine coefficients.
 
@@ -356,7 +354,7 @@ def model_diffusion_2d(
     B0 = np.kron(K1, M1) + np.kron(M1, K1)
     mass = np.kron(M1, M1)
     terms = []
-    for m, (k1, k2) in enumerate(wavenumber_pairs(M, swapped_enumeration), start=1):
+    for m, (k1, k2) in enumerate(wavenumber_pairs(M), start=1):
         Kw1, Mw1 = _weighted_matrices_1d(n_per_side, k1)
         Kw2, Mw2 = _weighted_matrices_1d(n_per_side, k2)
         Bm = np.kron(Kw1, Mw2) + np.kron(Mw1, Kw2)

@@ -401,7 +401,9 @@ class CombinationOperator:
             raise ExtrapolationError(
                 f"coordinate {m + 1} = {Y[q, m]:.6g} lies outside [-1, 1]"
             )
-        table = _barycentric(Y[:, self.dims], self.nodes, self.weights).reshape(Q, -1)
+        # the width is explicit: reshape cannot infer it for an empty batch
+        table = _barycentric(Y[:, self.dims], self.nodes, self.weights)
+        table = table.reshape(Q, self.nodes.size)
         table = np.concatenate([table, np.ones((Q, 1))], axis=1)
         w = np.broadcast_to(self.coef, (Q, len(self.coef)))
         for idx in self.flat:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collocation import CollocatedEigenbasis, _SolveCache, collocate, evaluate_many
-from .eigensolver import solve_gevp
-from .eigenspace import _as_cluster, _euclidean_angles, canonical_basis
+from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles, canonical_basis
 from .errors import (
     ConfigError,
     DegenerateBasisError,
@@ -121,10 +120,7 @@ class StudyConfig:
             raise ConfigError("budget schedule must not be empty")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
-        if self.n_mc < 1:
-            raise ConfigError("n_mc must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be at least 0, got {self.seed}")
+        _check_sampling(self.n_mc, self.seed, "n_mc")
         if self.weights_mode not in ("tau", "explicit"):
             raise ConfigError(f"unknown weights mode {self.weights_mode!r}")
         _as_cluster(self.cluster)  # validates index layout
@@ -257,36 +253,27 @@ def estimate_error(
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
+    _check_sampling(n_mc, seed, "n_mc")
     family = cb.family
-    cache = _SolveCache() if _cache is None else _cache
-    reduced = cache.reduction(family)
+    cache = _SolveCache(family, cb.cluster, carry=False) if _cache is None else _cache
     # one (n_mc, n_terms) draw is the stream of n_mc draws of n_terms each
-    Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(int(n_mc), family.n_terms))
-    if cache.truths is None or cache.truths[0] != (seed, n_mc):
-        truths = []
-        for y in Y:
-            try:
-                decomp = reduced.lift(solve_gevp(reduced.at(y), None, k=cb.cluster.hi))
-                truths.append(
-                    canonical_basis(decomp, cb.ref_vectors, cb.cluster, family.mass).vectors
-                )
-            except (SolverError, DegenerateBasisError):
-                truths.append(None)
-        cache.truths = ((seed, n_mc), truths)
-        cache.solves += len(Y)
-    else:
-        cache.reused += len(Y)
+    Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_mc, family.n_terms))
     total = 0.0
     used = 0
-    for approx, truth in zip(evaluate_many(cb, Y), cache.truths[1]):
-        if truth is None:
+    for y, approx in zip(Y, evaluate_many(cb, Y)):
+        try:
+            truth = canonical_basis(
+                cache.solve(y, cb.cluster.hi), cb.ref_vectors, cb.cluster, family.mass
+            ).vectors
+        except (SolverError, DegenerateBasisError):
             continue
         if metric == "vector-l2":
             diff = approx - truth
             total += float(np.sum(diff * (family.B0 @ diff)))
         else:
             # principal_angles with the mass factor the reduction already holds
-            angle = _euclidean_angles(reduced.LT @ approx, reduced.LT @ truth)[-1]
+            LT = cache.reduced.LT
+            angle = _euclidean_angles(LT @ approx, LT @ truth)[-1]
             total += angle * angle
         used += 1
     failures = len(Y) - used
@@ -379,7 +366,7 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
         family = build_family(config)
     with _stage("weights"):
         rho = resolve_weights(config, family)
-    cache = _SolveCache()
+    cache = _SolveCache(family, config.cluster)
     for i, L in enumerate(config.budgets):
         t0 = time.perf_counter()
         before = (cache.solves, cache.reused)

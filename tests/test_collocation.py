@@ -210,6 +210,12 @@ class TestEvaluateMany:
             one = evaluate(cb, y)
             assert np.abs(row - one).max() <= 1e-13 * np.abs(one).max()
 
+    @pytest.mark.parametrize("columns", [0, 3, 5])
+    def test_empty_batch(self, columns):
+        fam = model_diffusion_1d(16, 0.3, 2.0, 3)
+        cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0, 4.0], 2.0))
+        assert evaluate_many(cb, np.empty((0, columns))).shape == (0, fam.dim, 2)
+
 
 class TestCarriedSolves:
     def test_carried_solves_equal_fresh_ones(self):
@@ -219,7 +225,7 @@ class TestCarriedSolves:
         rho = [1.5, 3.0, 3.0]
         small, large = anisotropic_set(rho, 0.9), anisotropic_set(rho, 1.2)
         assert small.M_active == 1 and large.M_active == 3
-        cache = _SolveCache()
+        cache = _SolveCache(fam, [1, 2])
         first = collocate(fam, [1, 2], small, _cache=cache)
         carried = collocate(fam, [1, 2], large, _cache=cache)
         fresh = collocate(fam, [1, 2], large)
@@ -231,21 +237,19 @@ class TestCarriedSolves:
             assert np.array_equal(other.basis.vectors, sol.basis.vectors)
             assert np.array_equal(other.cluster_values, sol.cluster_values)
             assert other.basis.gram_sigma_min == sol.basis.gram_sigma_min
-        for pt in first.point_data:
-            padded = pt + (0.0, 0.0)
-            assert carried.point_data[padded] is first.point_data[pt]
         assert carried.diagnostics == fresh.diagnostics
         assert np.array_equal(carried.ref_vectors, fresh.ref_vectors)
         y = [0.3, -0.7, 0.1]
         assert np.array_equal(evaluate(carried, y), evaluate(fresh, y))
 
-    def test_targets_keep_their_own_points(self):
+    def test_targets_share_one_solve_per_point(self):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
-        cache = _SolveCache()
+        cache = _SolveCache(fam, [1])
         canonical = collocate(fam, [1], line_set(2), _cache=cache)
         raw = collocate(fam, [1], line_set(2), target="raw", _cache=cache)
         assert raw.target == "raw"
-        assert cache.solves == 1 + 2 * len(canonical.point_data)
+        assert cache.solves == 1 + len(canonical.point_data)
+        assert cache.reused == 1 + len(canonical.point_data)
         fresh = collocate(fam, [1], line_set(2), target="raw")
         for pt, sol in fresh.point_data.items():
             assert np.array_equal(raw.point_data[pt].basis.vectors, sol.basis.vectors)

@@ -233,3 +233,64 @@ class TestMOrthonormalize:
         U = m_orthonormalize(V, M)
         again = m_orthonormalize(U, M)
         assert np.allclose(U, again, atol=1e-13)
+
+
+def mgs_orthonormalize(V, M, rel_tol=1e-10):
+    """Modified Gram-Schmidt with one reorthogonalisation pass, the reference
+    for ``m_orthonormalize``'s CholeskyQR2."""
+    V = np.array(V, dtype=float, copy=True)
+
+    def mnorm(v):
+        return float(np.sqrt(max(v @ (M @ v), 0.0)))
+
+    original = [mnorm(V[:, j]) for j in range(V.shape[1])]
+    for j in range(V.shape[1]):
+        v = V[:, j]
+        for _pass in range(2):
+            for i in range(j):
+                v = v - (V[:, i] @ (M @ v)) * V[:, i]
+        nrm = mnorm(v)
+        if original[j] == 0.0 or nrm <= rel_tol * original[j]:
+            raise RankDeficiencyError(j)
+        v = v / nrm
+        nz = np.nonzero(v)[0]
+        if len(nz) and v[nz[0]] < 0:
+            v = -v
+        V[:, j] = v
+    return V
+
+
+@st.composite
+def block_and_mass(draw):
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = rng.standard_normal((n, n))
+    return rng.standard_normal((n, s)), C @ C.T + n * np.eye(n)
+
+
+class TestCholeskyQR:
+    # the Gram-Schmidt loop is the oracle: same span column by column, same
+    # signs and M-orthonormal columns, all to 1e-10
+    @given(block_and_mass())
+    def test_matches_gram_schmidt(self, case):
+        V, M = case
+        got = m_orthonormalize(V, M)
+        want = mgs_orthonormalize(V, M)
+        s = V.shape[1]
+        assert np.abs(got.T @ M @ got - np.eye(s)).max() <= 1e-10
+        # cross Gram = I: column j spans the same direction, with the same sign
+        assert np.abs(got.T @ M @ want - np.eye(s)).max() <= 1e-10
+
+    @given(block_and_mass(), st.data())
+    def test_dependent_column_is_reported_like_gram_schmidt(self, case, data):
+        V, M = case
+        s = V.shape[1]
+        j = data.draw(st.integers(0, s))
+        c = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=j, max_size=j))
+        V = np.insert(V, j, V[:, :j] @ np.array(c, dtype=float), axis=1)
+        with pytest.raises(RankDeficiencyError) as want:
+            mgs_orthonormalize(V, M)
+        with pytest.raises(RankDeficiencyError) as got:
+            m_orthonormalize(V, M)
+        assert got.value.column == want.value.column == j

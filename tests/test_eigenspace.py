@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from eigcolloc import (
     ClusterCoverageError,
+    ConfigError,
     ClusterSelection,
     DecayViolationError,
     DegenerateBasisError,
@@ -140,6 +141,13 @@ class TestCheckIsolation:
         fam = synthetic_family(np.eye(2), [], np.eye(2), DecaySequence(()))
         with pytest.raises(ClusterCoverageError):
             check_isolation(fam, [3], delta=0.1, n_samples=2, seed=0)
+
+    @pytest.mark.parametrize("n_samples, seed", [(0, 0), (-3, 0), (2.5, 0), (5, -1)])
+    def test_rejects_bad_sample_count_or_seed(self, n_samples, seed):
+        # zero samples would certify isolation with delta_observed = inf
+        fam = synthetic_family(np.diag([1.0, 2.0, 5.0]), [], np.eye(3), DecaySequence(()))
+        with pytest.raises(ConfigError):
+            check_isolation(fam, [1], delta=0.1, n_samples=n_samples, seed=seed)
 
     def test_report_serializes(self):
         fam = synthetic_family(

@@ -151,7 +151,6 @@ class TestDiffusion1D:
 class TestDiffusion2D:
     def test_wavenumber_enumeration(self):
         assert wavenumber_pairs(6) == [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
-        assert wavenumber_pairs(3, swapped=True) == [(1, 1), (2, 1), (1, 2)]
 
     def test_unperturbed_spectrum_is_sum_of_1d(self):
         n = 8

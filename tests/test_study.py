@@ -26,7 +26,7 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc import study
+from eigcolloc import collocation, study
 from eigcolloc.families import family_hash, save_family
 from eigcolloc.sparse_grid import ORIGIN, MultiIndex
 from eigcolloc.study import build_family, load_config, resolve_weights, _write_csv
@@ -355,10 +355,17 @@ class TestEstimateError:
         with pytest.raises(ConfigError):
             estimate_error(cb, "hausdorff", 5, seed=0)
 
+    @pytest.mark.parametrize("n_mc, seed", [(0, 0), (-2, 0), (2.5, 0), (5, -1), (5, 1.5)])
+    def test_rejects_bad_sample_count_or_seed(self, n_mc, seed):
+        # the rules of StudyConfig: an integer count >= 1, an integer seed >= 0
+        cb = collocate(self.constant_family(), [1], line_set(1))
+        with pytest.raises(ConfigError):
+            estimate_error(cb, "vector-l2", n_mc, seed)
+
     def test_isolated_failures_are_recorded(self, monkeypatch):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
-        real = study.solve_gevp
+        real = collocation.solve_gevp
         calls = {"n": 0}
 
         def flaky(K, M, k=None):
@@ -367,7 +374,7 @@ class TestEstimateError:
                 raise SolverError("synthetic failure")
             return real(K, M, k=k)
 
-        monkeypatch.setattr(study, "solve_gevp", flaky)
+        monkeypatch.setattr(collocation, "solve_gevp", flaky)
         est = study.estimate_error(cb, "vector-l2", 20, seed=0)
         assert est.n_failures == 1
         assert est.n_samples == 19
@@ -379,7 +386,7 @@ class TestEstimateError:
         def broken(K, M, k=None):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(study, "solve_gevp", broken)
+        monkeypatch.setattr(collocation, "solve_gevp", broken)
         with pytest.raises(SolverError):
             study.estimate_error(cb, "vector-l2", 10, seed=0)
 
@@ -594,6 +601,22 @@ class TestCrossingDemo:
                 r.error for r in single.records
             ]
             assert [r.card_X for r in demo.records] == [r.card_X for r in single.records]
+
+    def test_both_targets_share_each_solve(self):
+        # a fresh budget makes the origin solve, one per grid point and one per
+        # sample; the raw target reads them all from the canonical one's memo
+        cfg = self.config()
+        sweep = study._sweep(cfg, ("canonical", "raw"))
+        _, _, card_X, _, runs, _, counts = next(sweep)
+        assert counts == {"solves": 1 + card_X + cfg.n_mc,
+                          "reused_solves": 1 + card_X + cfg.n_mc}
+        raw = runs["raw"][0]
+        fresh = collocate(raw.family, cfg.cluster, raw.A, target="raw")
+        assert raw.point_data.keys() == fresh.point_data.keys()
+        for pt, sol in fresh.point_data.items():
+            assert np.array_equal(raw.point_data[pt].basis.vectors, sol.basis.vectors)
+            assert raw.point_data[pt].basis.gram_sigma_min == sol.basis.gram_sigma_min
+            assert np.array_equal(raw.point_data[pt].cluster_values, sol.cluster_values)
 
     @pytest.mark.parametrize("failing", ["canonical", "raw"])
     def test_estimate_failure_names_the_target(self, monkeypatch, failing):
