@@ -10,7 +10,7 @@ import os
 import sys
 
 from .collocation import collocate, save_collocated
-from .eigensolver import solve_gevp
+from .eigensolver import ReducedFamily
 from .eigenspace import (
     check_isolation,
     exterior_gap,
@@ -62,7 +62,7 @@ def _cmd_check(args) -> int:
         raise ClusterCoverageError(f"cluster index {cluster.hi} exceeds dimension {family.dim}")
     decay = verify_decay(family)
     k = min(cluster.hi + 1, family.dim)
-    vals = solve_gevp(family.B0, family.mass, k=k).values
+    vals = ReducedFamily(family).solve((), k).values
     delta0 = exterior_gap(vals, cluster) / vals[cluster.hi - 1]
     certified = None
     certified_reason = None

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import (
-    ReducedFamily,
-    SpectralDecomposition,
-    m_orthonormalize,
-    solve_gevp,
-)
+from .eigensolver import ReducedFamily, m_orthonormalize
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
@@ -34,12 +29,10 @@ from .errors import (
     ConfigError,
     DegenerateBasisError,
     FamilyValidationError,
-    SolverError,
 )
 from .families import (
     AffineOperatorFamily,
     family_from_dict,
-    family_hash,
     family_to_dict,
     _family_digest,
 )
@@ -109,50 +102,6 @@ class CollocatedEigenbasis:
         return self.cluster.S
 
 
-class _SolveCache:
-    """One memo of reduced eigensolves over one family and cluster.
-
-    A solve is a function of its point alone, so the memo is keyed by the
-    point padded with zeros to the family's term count and by the number of
-    pairs.  The nested grids of a budget sweep, its common Monte Carlo
-    samples and both interpolation targets all read it, and a memo solve is
-    bit-identical to a fresh one (the affine sum skips zero coordinates).
-    ``solves`` counts the eigensolves made, the carried origin reference
-    included, and ``reused`` those served again.  With ``carry=False``
-    nothing is kept: a cache that lives inside one call.
-    """
-
-    def __init__(self, family: AffineOperatorFamily, J, carry: bool = True):
-        self.family = family
-        self.cluster = _as_cluster(J)
-        self.carry = carry
-        self.reduced = None  # ReducedFamily, built at the first solve
-        self.reference = None  # (ref_vectors, ref_values) from the origin solve
-        self.solves = 0
-        self.reused = 0
-        self._memo = {}
-
-    def solve(self, y, k: int) -> SpectralDecomposition:
-        """The k lowest eigenpairs at y, without the eigenvectors past the cluster."""
-        key = (tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.reused += 1
-            return hit
-        if self.reduced is None:
-            self.reduced = ReducedFamily(self.family)
-        self.solves += 1
-        try:
-            decomp = self.reduced.lift(solve_gevp(self.reduced.at(y), None, k=k))
-        except SolverError as exc:
-            raise SolverError(f"{exc} at point {tuple(y)}") from exc
-        vectors = np.ascontiguousarray(decomp.vectors[:, : self.cluster.hi])
-        hit = SpectralDecomposition(values=decomp.values, vectors=vectors)
-        if self.carry:
-            self._memo[key] = hit
-        return hit
-
-
 def collocate(
     family: AffineOperatorFamily,
     J,
@@ -160,15 +109,16 @@ def collocate(
     target: str = "canonical",
     sigma_threshold: float = GRAM_SIGMA_THRESHOLD,
     *,
-    _cache: _SolveCache | None = None,
+    _cache: ReducedFamily | None = None,
 ) -> CollocatedEigenbasis:
     """Solve at every grid point of A and assemble the interpolant's data.
 
-    The reference vectors are fixed by a dense solve at the origin first.  The
-    family is then reduced once to standard form (``ReducedFamily``), and the
-    grid points are solved one after another, in grid order.  ``_cache`` is
-    internal: a budget sweep passes its memo of solves to carry them, and the
-    origin solve, from budget to budget and from target to target.
+    The reference vectors are fixed by the solve at the origin first, a dense
+    one.  The grid points are then solved one after another, in grid order,
+    by ``ReducedFamily.solve``, which reduces the family to standard form at
+    the first point away from the origin.  ``_cache`` is internal: a budget
+    sweep passes its ``ReducedFamily`` to carry the solves, the origin's
+    included, from budget to budget and from target to target.
 
     Raises
     ------
@@ -192,15 +142,10 @@ def collocate(
         raise FamilyValidationError(
             f"index set activates dimension {A.M_active}, family has {family.n_terms} terms"
         )
-    cache = _SolveCache(family, cluster, carry=False) if _cache is None else _cache
+    cache = ReducedFamily(family, carry=False) if _cache is None else _cache
     cols = [j - 1 for j in cluster.J]
-    if cache.reference is None:
-        decomp0 = solve_gevp(family.B0, family.mass, k=cluster.hi + 1)
-        cache.solves += 1
-        cache.reference = (decomp0.vectors[:, cols], decomp0.values[cols])
-    else:
-        cache.reused += 1
-    ref_vectors, ref_values = cache.reference
+    decomp0 = cache.solve((), cluster.hi + 1)
+    ref_vectors, ref_values = decomp0.vectors[:, cols], decomp0.values[cols]
     points = grid_points(A)
     terms = tuple(combination_terms(A))
     point_data = {}
@@ -321,7 +266,8 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported document version {doc.get('version')!r}")
     family = family_from_dict(doc["family"])
-    if doc.get("family_hash") != family_hash(family):
+    # the block is valid now; its digest is the hash collocated_to_dict wrote
+    if doc.get("family_hash") != _family_digest(doc["family"]):
         raise ConfigError("family hash mismatch: document is inconsistent")
     A = MultiIndexSet.from_json_list(doc["A"])
     point_data = {}
@@ -349,7 +295,7 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
 
 def save_collocated(cb: CollocatedEigenbasis, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(collocated_to_dict(cb), fh)
+        fh.write(json.dumps(collocated_to_dict(cb)))  # json.dump encodes in pure Python
 
 
 def load_collocated(path) -> CollocatedEigenbasis:

@@ -3,12 +3,13 @@
 Solves K u = mu M u with symmetric K and SPD M by Cholesky reduction to an
 ordinary symmetric problem.  Returned eigenvectors are M-orthonormal with a
 deterministic sign convention so that repeated solves are bit-reproducible.
-``ReducedFamily`` does the reduction once for a whole affine family, so that
-a solve at a parameter point costs an affine sum plus one ``eigh``.
+``ReducedFamily`` makes and memoises every point solve of an affine family;
+it reduces the family once, so that a solve costs an affine sum and an ``eigh``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -95,21 +96,32 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
 
 
 class ReducedFamily:
-    """An affine pencil (B0 + sum_m y_m B_m, M) reduced once to standard form.
+    """Every eigensolve of an affine pencil (B0 + sum_m y_m B_m, M), memoised.
 
-    The constant mass matrix is factored once, M = L L', and every affine
-    term once, A_m = inv(L) B_m inv(L)'.  ``at(y)`` is then the standard
-    symmetric matrix of the pencil at y, a plain affine sum to hand to
-    ``solve_gevp(..., None, k)``, and ``lift`` maps that solve back to
-    M-orthonormal eigenvectors of the pencil.  Built per call by the
-    many-point solvers and never stored on a family or a basis: the reduced
-    terms take as much memory as the family's own.
+    ``solve(y, k)`` at the origin is the dense ``solve_gevp(B0, M, k)``.  The
+    first solve away from it factors M = L L' and reduces every affine term,
+    A_m = inv(L) B_m inv(L)'; a solve at y is then ``lift`` of the standard
+    solve of ``at(y)``, bit for bit the dense one at the origin.  Solves are
+    keyed by the point padded with zeros and k; with ``carry=False`` only the
+    origin's are kept.  ``solves`` counts the eigensolves made, ``reused``
+    those served again.  The reduced terms take as much memory as the family.
     """
 
-    def __init__(self, family):
-        L = _cholesky(np.asarray(family.mass, dtype=float))
-        self.LT = L.T
-        self.terms = tuple(_reduce(L, B) for B in (family.B0, *family.B_terms))
+    def __init__(self, family, carry: bool = True):
+        self.family = family
+        self.carry = carry
+        self.solves = 0
+        self.reused = 0
+        self._memo = {}
+
+    @cached_property
+    def LT(self) -> np.ndarray:
+        return _cholesky(self.family.mass).T
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        L = self.LT.T
+        return tuple(_reduce(L, B) for B in (self.family.B0, *self.family.B_terms))
 
     def at(self, y) -> np.ndarray:
         """inv(L) B(y) inv(L)'; missing trailing components of y count as zero."""
@@ -120,6 +132,27 @@ class ReducedFamily:
         U = scipy.linalg.solve_triangular(self.LT, decomp.vectors, lower=False)
         U = _fix_signs(np.ascontiguousarray(U))
         return SpectralDecomposition(values=decomp.values, vectors=U)
+
+    def solve(self, y, k: int) -> SpectralDecomposition:
+        """The k lowest eigenpairs at y; a ``SolverError`` names the point."""
+        key = (tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.reused += 1
+            return hit
+        self.solves += 1
+        origin = not any(key[0])
+        try:
+            if origin:
+                hit = solve_gevp(self.family.B0, self.family.mass, k=k)
+            else:
+                hit = self.lift(solve_gevp(self.at(y), None, k=k))
+        except SolverError as exc:
+            raise SolverError(f"{exc} at point {tuple(y)}") from exc
+        # the origin is the reference of every caller and a grid point as well
+        if self.carry or origin:
+            self._memo[key] = hit
+        return hit
 
 
 def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:

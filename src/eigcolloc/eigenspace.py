@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .eigensolver import ReducedFamily, SpectralDecomposition, solve_gevp
+from .eigensolver import ReducedFamily, SpectralDecomposition
 from .errors import (
     ClusterCoverageError,
     ConfigError,
@@ -177,13 +177,13 @@ def check_isolation(
         raise ClusterCoverageError(
             f"cluster index {cluster.hi} exceeds dimension {n}"
         )
-    reduced = ReducedFamily(family)
-    rng = np.random.default_rng(seed)
+    solver = ReducedFamily(family, carry=False)
+    # one (n_samples, n_terms) draw is the stream of per-sample draws
+    Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_samples, family.n_terms))
     samples = []
     worst = math.inf
-    for _ in range(int(n_samples)):
-        y = rng.uniform(-1.0, 1.0, size=family.n_terms)
-        vals = solve_gevp(reduced.at(y), None, k=k).values
+    for y in Y:
+        vals = solver.solve(y, k).values
         gap = exterior_gap(vals, cluster)
         mx = float(vals[cluster.hi - 1])
         worst = min(worst, gap / mx)

@@ -288,22 +288,20 @@ def model_diffusion_1d(
     if decay_scale < 0:
         raise FamilyValidationError("decay_scale must be nonnegative")
     M = 0 if decay_scale == 0.0 else int(n_terms)
-    kappas = [decay_scale * (m**-decay_rate) for m in range(1, M + 1)]
-    if sum(kappas) >= 1.0:
-        raise DecayViolationError(
-            f"sum of decay bounds is {sum(kappas):.6g}, must be < 1"
-        )
+    kappa = DecaySequence(
+        tuple(decay_scale * (m**-decay_rate) for m in range(1, M + 1)), p_exponent
+    )
     B0, mass = _weighted_matrices_1d(n_elements, 0)
     terms = []
     for m in range(1, M + 1):
         Km, _ = _weighted_matrices_1d(n_elements, m)
-        terms.append(kappas[m - 1] * Km)
+        terms.append(kappa.kappa[m - 1] * Km)
     return AffineOperatorFamily(
         dim=n_elements - 1,
         B0=B0,
         B_terms=tuple(terms),
         mass=mass,
-        kappa=DecaySequence(tuple(kappas), p_exponent),
+        kappa=kappa,
     )
 
 
@@ -345,11 +343,9 @@ def model_diffusion_2d(
     if decay_scale < 0:
         raise FamilyValidationError("decay_scale must be nonnegative")
     M = 0 if decay_scale == 0.0 else int(n_terms)
-    kappas = [decay_scale * (m**-decay_rate) for m in range(1, M + 1)]
-    if sum(kappas) >= 1.0:
-        raise DecayViolationError(
-            f"sum of decay bounds is {sum(kappas):.6g}, must be < 1"
-        )
+    kappa = DecaySequence(
+        tuple(decay_scale * (m**-decay_rate) for m in range(1, M + 1)), p_exponent
+    )
     K1, M1 = _weighted_matrices_1d(n_per_side, 0)
     B0 = np.kron(K1, M1) + np.kron(M1, K1)
     mass = np.kron(M1, M1)
@@ -358,14 +354,14 @@ def model_diffusion_2d(
         Kw1, Mw1 = _weighted_matrices_1d(n_per_side, k1)
         Kw2, Mw2 = _weighted_matrices_1d(n_per_side, k2)
         Bm = np.kron(Kw1, Mw2) + np.kron(Mw1, Kw2)
-        terms.append(kappas[m - 1] * Bm)
+        terms.append(kappa.kappa[m - 1] * Bm)
     n = (n_per_side - 1) ** 2
     return AffineOperatorFamily(
         dim=n,
         B0=B0,
         B_terms=tuple(terms),
         mass=mass,
-        kappa=DecaySequence(tuple(kappas), p_exponent),
+        kappa=kappa,
     )
 
 
@@ -430,7 +426,7 @@ def family_from_dict(doc: dict) -> AffineOperatorFamily:
 
 def save_family(family: AffineOperatorFamily, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_dict(family), fh)
+        fh.write(json.dumps(family_to_dict(family)))  # json.dump encodes in pure Python
 
 
 def load_family(path) -> AffineOperatorFamily:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collocation import CollocatedEigenbasis, _SolveCache, collocate, evaluate_many
+from .collocation import CollocatedEigenbasis, collocate, evaluate_many
+from .eigensolver import ReducedFamily
 from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles, canonical_basis
 from .errors import (
     ConfigError,
@@ -77,6 +78,17 @@ def compute_tau_weights(kappa: DecaySequence, delta: float, epsilon: float) -> l
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _convert(value, kind: type, name: str):
+    """``kind(value)``, but a bool is no number and a fractional number no int."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"malformed config value: {name} = {value!r} is not {kind.__name__}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Validated study description; see ``from_dict`` for the JSON layout."""
@@ -103,16 +115,11 @@ class StudyConfig:
         if unread:
             raise ConfigError(f"unknown model_params keys for {self.model}: {sorted(unread)}")
         # each number is converted to the type of its default: int or float
-        params = {}
-        for key, value in self.model_params.items():
-            kind = type(defaults[key])
-            try:
-                params[key] = value if defaults[key] is None else kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"malformed config value: model_params.{key} = {value!r} "
-                    f"is not {kind.__name__}"
-                ) from None
+        params = {
+            key: value if defaults[key] is None
+            else _convert(value, type(defaults[key]), f"model_params.{key}")
+            for key, value in self.model_params.items()
+        }
         object.__setattr__(self, "model_params", params)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
@@ -136,25 +143,31 @@ class StudyConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             weights = doc.get("weights", {"mode": "tau"})
+            unknown = set(weights) - {"mode", "epsilon", "delta", "rho"}
+            if unknown:
+                raise ConfigError(f"unknown weights keys: {sorted(unknown)}")
             fields = dict(
                 model=doc["model"],
                 model_params=dict(doc.get("model_params", {})),
-                cluster=tuple(int(j) for j in doc["cluster"]),
-                budgets=tuple(float(b) for b in doc["budgets"]),
+                cluster=tuple(_convert(j, int, "cluster") for j in doc["cluster"]),
+                budgets=tuple(_convert(b, float, "budgets") for b in doc["budgets"]),
                 metric=doc.get("metric", "vector-l2"),
-                n_mc=int(doc.get("n_mc", 200)),
-                seed=int(doc.get("seed", 0)),
+                n_mc=_convert(doc.get("n_mc", 200), int, "n_mc"),
+                seed=_convert(doc.get("seed", 0), int, "seed"),
                 target=doc.get("target", "canonical"),
                 delta_requested=(
                     None if doc.get("delta_requested") is None
-                    else float(doc["delta_requested"])
+                    else _convert(doc["delta_requested"], float, "delta_requested")
                 ),
                 weights_mode=weights.get("mode", "tau"),
-                epsilon=float(weights.get("epsilon", 0.5)),
+                epsilon=_convert(weights.get("epsilon", 0.5), float, "weights.epsilon"),
                 weights_delta=(
-                    None if weights.get("delta") is None else float(weights["delta"])
+                    None if weights.get("delta") is None
+                    else _convert(weights["delta"], float, "weights.delta")
                 ),
-                rho_explicit=tuple(float(r) for r in weights.get("rho", ())),
+                rho_explicit=tuple(
+                    _convert(r, float, "weights.rho") for r in weights.get("rho", ())
+                ),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
@@ -234,7 +247,7 @@ class ErrorEstimate:
 
 def estimate_error(
     cb: CollocatedEigenbasis, metric: str, n_mc: int, seed: int,
-    *, _cache: _SolveCache | None = None,
+    *, _cache: ReducedFamily | None = None,
 ) -> ErrorEstimate:
     """Root-mean-square interpolation error over seeded uniform samples.
 
@@ -255,7 +268,7 @@ def estimate_error(
         raise ConfigError(f"unknown metric {metric!r}")
     _check_sampling(n_mc, seed, "n_mc")
     family = cb.family
-    cache = _SolveCache(family, cb.cluster, carry=False) if _cache is None else _cache
+    cache = ReducedFamily(family, carry=False) if _cache is None else _cache
     # one (n_mc, n_terms) draw is the stream of n_mc draws of n_terms each
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_mc, family.n_terms))
     total = 0.0
@@ -272,7 +285,7 @@ def estimate_error(
             total += float(np.sum(diff * (family.B0 @ diff)))
         else:
             # principal_angles with the mass factor the reduction already holds
-            LT = cache.reduced.LT
+            LT = cache.LT
             angle = _euclidean_angles(LT @ approx, LT @ truth)[-1]
             total += angle * angle
         used += 1
@@ -355,18 +368,18 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     Yields ``(budget, card_A, card_X, card_X_formula, runs, seconds, counts)``
     per budget, where ``runs`` maps each target to its ``(basis,
     ErrorEstimate)`` and ``counts`` holds the budget's eigensolves made
-    (``solves``) and carried from earlier budgets (``reused_solves``).  One
-    ``_SolveCache`` carries the origin solve, the reduced family, the grid
-    point solves and the Monte Carlo solves across the budgets.  Failures are
-    tagged with the stages 'model', 'weights', 'index-set', 'collocate' and
-    'estimate'; with more than one target the last two carry the target, as
-    in 'collocate-raw'.
+    (``solves``) and served again from the memo (``reused_solves``).  One
+    ``ReducedFamily`` carries the reduction, the origin solve, the grid point
+    solves and the Monte Carlo solves across the budgets and the targets.
+    Failures are tagged with the stages 'model', 'weights', 'index-set',
+    'collocate' and 'estimate'; with more than one target the last two carry
+    the target, as in 'collocate-raw'.
     """
     with _stage("model"):
         family = build_family(config)
     with _stage("weights"):
         rho = resolve_weights(config, family)
-    cache = _SolveCache(family, config.cluster)
+    cache = ReducedFamily(family)
     for i, L in enumerate(config.budgets):
         t0 = time.perf_counter()
         before = (cache.solves, cache.reused)

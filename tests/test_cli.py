@@ -201,6 +201,14 @@ class TestErrorPaths:
         ("model_params", {"n_elements": "x"}),
         ("model_params", {"decay_scale": None}),
         ("threads", 1),
+        # numbers that would truncate, booleans and misspelt weights keys
+        ("n_mc", 2.5),
+        ("seed", 1.9),
+        ("cluster", [1.7]),
+        ("n_mc", True),
+        ("cluster", [True]),
+        ("model_params", {"n_elements": 12.7}),
+        ("weights", {"mode": "tau", "epsilom": 0.3}),
     ],
 )
 class TestMalformedConfigValue:

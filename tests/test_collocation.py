@@ -24,6 +24,7 @@ from eigcolloc import (
     evaluate,
     evaluate_cluster_values,
     evaluate_many,
+    family_to_dict,
     load_collocated,
     model_diffusion_1d,
     multi_index_set,
@@ -33,13 +34,13 @@ from eigcolloc import (
     anisotropic_set,
     grid_points,
     save_collocated,
+    save_family,
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc import collocation
+from eigcolloc import eigensolver
 from eigcolloc.collocation import (
     PointSolution,
-    _SolveCache,
     collocated_from_dict,
     collocated_to_dict,
 )
@@ -127,7 +128,7 @@ class TestCollocate:
     def test_solver_error_reports_point(self, monkeypatch):
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
         A = line_set(2)
-        real = collocation.solve_gevp
+        real = eigensolver.solve_gevp
 
         def fails_off_origin(K, M, k=None):
             # the dense reference solve passes; the reduced point solves fail
@@ -135,7 +136,7 @@ class TestCollocate:
                 raise SolverError("synthetic failure")
             return real(K, M, k=k)
 
-        monkeypatch.setattr(collocation, "solve_gevp", fails_off_origin)
+        monkeypatch.setattr(eigensolver, "solve_gevp", fails_off_origin)
         with pytest.raises(SolverError, match="synthetic failure at point") as err:
             collocate(fam, [1], A)
         assert str(grid_points(A)[0]) in str(err.value)
@@ -225,12 +226,13 @@ class TestCarriedSolves:
         rho = [1.5, 3.0, 3.0]
         small, large = anisotropic_set(rho, 0.9), anisotropic_set(rho, 1.2)
         assert small.M_active == 1 and large.M_active == 3
-        cache = _SolveCache(fam, [1, 2])
+        cache = ReducedFamily(fam)
         first = collocate(fam, [1, 2], small, _cache=cache)
         carried = collocate(fam, [1, 2], large, _cache=cache)
         fresh = collocate(fam, [1, 2], large)
-        assert cache.reused == 1 + len(first.point_data)
-        assert cache.solves == 1 + len(fresh.point_data)
+        # the reference solve is the grid's origin point, served from the memo
+        assert cache.reused == 2 + len(first.point_data)
+        assert cache.solves == len(fresh.point_data)
         assert carried.point_data.keys() == fresh.point_data.keys()
         for pt, sol in fresh.point_data.items():
             other = carried.point_data[pt]
@@ -244,15 +246,35 @@ class TestCarriedSolves:
 
     def test_targets_share_one_solve_per_point(self):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
-        cache = _SolveCache(fam, [1])
+        cache = ReducedFamily(fam)
         canonical = collocate(fam, [1], line_set(2), _cache=cache)
         raw = collocate(fam, [1], line_set(2), target="raw", _cache=cache)
         assert raw.target == "raw"
-        assert cache.solves == 1 + len(canonical.point_data)
-        assert cache.reused == 1 + len(canonical.point_data)
+        assert cache.solves == len(canonical.point_data)
+        assert cache.reused == 2 + len(canonical.point_data)
         fresh = collocate(fam, [1], line_set(2), target="raw")
         for pt, sol in fresh.point_data.items():
             assert np.array_equal(raw.point_data[pt].basis.vectors, sol.basis.vectors)
+
+    def test_reference_is_the_first_solve_and_dense(self, monkeypatch):
+        # the reference solve comes first and is dense; the grid's origin
+        # point is served from the memo and every other point is reduced
+        fam = model_diffusion_1d(14, 0.3, 2.0, 3)
+        real = eigensolver.solve_gevp
+        dense = []
+
+        def record(K, M=None, k=None):
+            dense.append(M is not None)
+            return real(K, M, k=k)
+
+        monkeypatch.setattr(eigensolver, "solve_gevp", record)
+        A = anisotropic_set([1.5, 3.0, 3.0], 1.2)
+        cb = collocate(fam, [1, 2], A)
+        assert (0.0, 0.0, 0.0) in cb.point_data
+        assert dense == [True] + [False] * (len(cb.point_data) - 1)
+        origin = real(fam.B0, fam.mass, k=3)
+        assert np.array_equal(cb.ref_vectors, origin.vectors[:, :2])
+        assert np.array_equal(cb.ref_values, origin.values[:2])
 
 
 class TestOrthonormalizeAt:
@@ -333,6 +355,16 @@ class TestPersistence:
             assert np.array_equal(
                 evaluate_cluster_values(cb, y), evaluate_cluster_values(back, y)
             )
+
+    def test_saved_bytes_are_one_dumps(self, tmp_path):
+        fam = model_diffusion_1d(8, 0.2, 2.0, 2)
+        cb = collocate(fam, [1], line_set(2))
+        path = tmp_path / "basis.json"
+        save_collocated(cb, path)
+        assert path.read_bytes() == json.dumps(collocated_to_dict(cb)).encode("utf-8")
+        path = tmp_path / "family.json"
+        save_family(fam, path)
+        assert path.read_bytes() == json.dumps(family_to_dict(fam)).encode("utf-8")
 
     def test_tampered_family_detected(self, tmp_path):
         fam = model_diffusion_1d(8, 0.2, 2.0, 1)

@@ -13,6 +13,7 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
+from eigcolloc import eigensolver
 from eigcolloc.eigensolver import ReducedFamily, _fix_signs
 
 
@@ -161,6 +162,54 @@ class TestReducedFamily:
         reduced = ReducedFamily(spd_family(5, 2, 2))
         with pytest.raises(ParameterDimensionError):
             reduced.at([0.1, 0.2, 0.3])
+
+
+class TestReducedFamilySolve:
+    def test_origin_is_the_dense_solve_memoised(self):
+        fam = spd_family(9, 3, 4)
+        solver = ReducedFamily(fam)
+        first = solver.solve((), 4)
+        dense = solve_gevp(fam.B0, fam.mass, k=4)
+        assert np.array_equal(first.values, dense.values)
+        assert np.array_equal(first.vectors, dense.vectors)
+        # made before the reduction, which waits for a point off the origin
+        assert "terms" not in vars(solver)
+        # the origin of any padding is the same memo entry
+        assert solver.solve((0.0, 0.0), 4) is first
+        assert (solver.solves, solver.reused) == (1, 1)
+        # the reduced solve at the origin is the same bit for bit
+        reduced = solver.lift(solve_gevp(solver.at(()), None, k=4))
+        assert np.array_equal(reduced.values, dense.values)
+        assert np.array_equal(reduced.vectors, dense.vectors)
+
+    def test_points_off_the_origin_are_reduced_solves(self):
+        fam = spd_family(9, 3, 5)
+        solver = ReducedFamily(fam)
+        y = (0.4, 0.0, -0.3)
+        first = solver.solve(y[:1], 3)
+        assert "terms" in vars(solver)
+        direct = solver.lift(solve_gevp(solver.at(y[:1]), None, k=3))
+        assert np.array_equal(first.vectors, direct.vectors)
+        assert solver.solve((0.4, 0.0, 0.0), 3) is first
+        assert solver.solve(y, 3) is not first
+        assert solver.solve(y[:1], 2) is not first
+        assert (solver.solves, solver.reused) == (3, 1)
+
+    def test_without_carry_only_the_origin_is_kept(self):
+        solver = ReducedFamily(spd_family(6, 2, 6), carry=False)
+        a = solver.solve((0.5,), 2)
+        b = solver.solve((0.5,), 2)
+        assert a is not b and np.array_equal(a.vectors, b.vectors)
+        assert solver.solve((), 2) is solver.solve((0.0, 0.0), 2)
+        assert (solver.solves, solver.reused) == (3, 1)
+
+    def test_failure_names_the_point(self, monkeypatch):
+        def broken(K, M=None, k=None):
+            raise SolverError("synthetic failure")
+
+        monkeypatch.setattr(eigensolver, "solve_gevp", broken)
+        with pytest.raises(SolverError, match=r"synthetic failure at point \(0.5, -0.25\)"):
+            ReducedFamily(spd_family(6, 2, 7)).solve((0.5, -0.25), 2)
 
 
 def loop_fix_signs(U):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eigcolloc import (
     ClusterCoverageError,
@@ -26,6 +26,7 @@ from eigcolloc import (
     weyl_envelope,
 )
 from eigcolloc import DecaySequence
+from eigcolloc.eigensolver import ReducedFamily
 from eigcolloc.eigenspace import exterior_gap
 
 
@@ -157,6 +158,41 @@ class TestCheckIsolation:
         doc = rep.to_dict()
         assert doc["delta_observed"] is None  # inf maps to null
         assert doc["n_samples"] == 3 and len(doc["samples"]) == 3
+
+
+def loop_check_isolation(family, J, n_samples, seed):
+    """The per-sample loop ``check_isolation`` ran before it read its solves
+    from ``ReducedFamily.solve``; kept as the reference: (samples, worst)."""
+    cluster = ClusterSelection(tuple(J))
+    k = min(cluster.hi + 1, family.dim)
+    reduced = ReducedFamily(family)
+    rng = np.random.default_rng(seed)
+    samples = []
+    worst = math.inf
+    for _ in range(n_samples):
+        y = rng.uniform(-1.0, 1.0, size=family.n_terms)
+        vals = solve_gevp(reduced.at(y), None, k=k).values
+        gap = exterior_gap(vals, cluster)
+        mx = float(vals[cluster.hi - 1])
+        worst = min(worst, gap / mx)
+        samples.append((tuple(y), gap, mx))
+    return tuple(samples), worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 14), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2),
+    st.integers(1, 12), st.integers(0, 2**32 - 1),
+)
+def test_check_isolation_equals_the_per_sample_loop(n_elements, n_terms, lo, width,
+                                                    n_samples, seed):
+    fam = model_diffusion_1d(n_elements, 0.3, 2.0, n_terms)
+    J = list(range(lo, min(lo + width, fam.dim) + 1))
+    rep = check_isolation(fam, J, delta=0.1, n_samples=n_samples, seed=seed)
+    samples, worst = loop_check_isolation(fam, J, n_samples, seed)
+    # bit for bit: the same sample stream and the same solves
+    assert rep.samples == samples
+    assert rep.delta_observed == worst
 
 
 def projector_fixture(seed=0, n=7, cluster=(2, 3)):

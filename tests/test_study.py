@@ -26,7 +26,7 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc import collocation, study
+from eigcolloc import eigensolver, study
 from eigcolloc.families import family_hash, save_family
 from eigcolloc.sparse_grid import ORIGIN, MultiIndex
 from eigcolloc.study import build_family, load_config, resolve_weights, _write_csv
@@ -365,7 +365,7 @@ class TestEstimateError:
     def test_isolated_failures_are_recorded(self, monkeypatch):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
-        real = collocation.solve_gevp
+        real = eigensolver.solve_gevp
         calls = {"n": 0}
 
         def flaky(K, M, k=None):
@@ -374,7 +374,7 @@ class TestEstimateError:
                 raise SolverError("synthetic failure")
             return real(K, M, k=k)
 
-        monkeypatch.setattr(collocation, "solve_gevp", flaky)
+        monkeypatch.setattr(eigensolver, "solve_gevp", flaky)
         est = study.estimate_error(cb, "vector-l2", 20, seed=0)
         assert est.n_failures == 1
         assert est.n_samples == 19
@@ -386,7 +386,7 @@ class TestEstimateError:
         def broken(K, M, k=None):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(collocation, "solve_gevp", broken)
+        monkeypatch.setattr(eigensolver, "solve_gevp", broken)
         with pytest.raises(SolverError):
             study.estimate_error(cb, "vector-l2", 10, seed=0)
 
@@ -505,9 +505,10 @@ class TestConvergenceStudy:
         assert summary["diagnostics"] == json.loads(json.dumps(list(result.diagnostics)))
         previous = 0
         for rec, diag in zip(result.records, result.diagnostics):
-            # the origin solve, one per grid point and one per sample
+            # the origin solve, one per grid point and one per sample; the
+            # grid's origin point is the reference solve, served from the memo
             assert diag["solves"] + diag["reused_solves"] == 1 + rec.card_X + cfg.n_mc
-            carried = 0 if previous == 0 else 1 + previous + cfg.n_mc
+            carried = 1 if previous == 0 else 1 + previous + cfg.n_mc
             assert diag["reused_solves"] == carried
             previous = rec.card_X
 
@@ -544,17 +545,15 @@ class TestConvergenceStudy:
         assert excinfo.value.budget_index == 0
 
     def test_point_solve_failure_names_stage_budget_and_point(self, monkeypatch):
-        from eigcolloc import collocation
-
         cfg = study_config(budgets=[0.3], n_mc=2)
-        real = collocation.solve_gevp
+        real = eigensolver.solve_gevp
 
         def fails_off_origin(K, M, k=None):
             if M is None:
                 raise SolverError("synthetic failure")
             return real(K, M, k=k)
 
-        monkeypatch.setattr(collocation, "solve_gevp", fails_off_origin)
+        monkeypatch.setattr(eigensolver, "solve_gevp", fails_off_origin)
         with pytest.raises(StageError) as excinfo:
             run_convergence_study(cfg)
         assert excinfo.value.stage == "collocate"
@@ -603,13 +602,14 @@ class TestCrossingDemo:
             assert [r.card_X for r in demo.records] == [r.card_X for r in single.records]
 
     def test_both_targets_share_each_solve(self):
-        # a fresh budget makes the origin solve, one per grid point and one per
-        # sample; the raw target reads them all from the canonical one's memo
+        # a fresh budget makes the origin solve (which the grid's origin point
+        # reuses), one per other grid point and one per sample; the raw target
+        # reads them all from the canonical one's memo
         cfg = self.config()
         sweep = study._sweep(cfg, ("canonical", "raw"))
         _, _, card_X, _, runs, _, counts = next(sweep)
-        assert counts == {"solves": 1 + card_X + cfg.n_mc,
-                          "reused_solves": 1 + card_X + cfg.n_mc}
+        assert counts == {"solves": card_X + cfg.n_mc,
+                          "reused_solves": 2 + card_X + cfg.n_mc}
         raw = runs["raw"][0]
         fresh = collocate(raw.family, cfg.cluster, raw.A, target="raw")
         assert raw.point_data.keys() == fresh.point_data.keys()
