@@ -16,7 +16,6 @@ import numpy as np
 
 from .eigensolver import ReducedFamily, m_orthonormalize
 from .eigenspace import (
-    GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
     EigenspaceBasis,
     _as_cluster,
@@ -63,13 +62,13 @@ class CollocatedEigenbasis:
     shared freely across threads.  Construction stacks the stored bases and
     cluster values in sorted-point order and builds the combination operator
     over them once, so that every evaluation is one weight table and one
-    matrix product.
+    matrix product.  ``terms`` is derived from ``A`` there, not passed in.
     """
 
     family: AffineOperatorFamily
     cluster: ClusterSelection
     A: MultiIndexSet
-    terms: tuple[CombinationTerm, ...]
+    terms: tuple[CombinationTerm, ...] = field(init=False)
     point_data: dict
     ref_vectors: np.ndarray
     ref_values: np.ndarray
@@ -92,6 +91,7 @@ class CollocatedEigenbasis:
         for i, pt in enumerate(points):
             vectors[i] = self.point_data[pt].basis.vectors.ravel()
             values[i] = self.point_data[pt].cluster_values
+        object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
         op = CombinationOperator(self.terms, self.A.M_active, points)
         object.__setattr__(self, "_operator", op)
         object.__setattr__(self, "_vectors", vectors)
@@ -102,12 +102,26 @@ class CollocatedEigenbasis:
         return self.cluster.S
 
 
+def _target_basis(decomp, ref_vectors, cluster, mass, target) -> EigenspaceBasis:
+    """The basis that stands for ``target`` at one solved point.
+
+    Grid nodes store it and Monte Carlo truths are made by it, so an error
+    compares like with like.  'canonical' is ``canonical_basis``; 'raw' is
+    the sorted cluster eigenvectors, with the smallest singular value of their
+    Gram matrix against the reference vectors as a diagnostic.
+    """
+    if target == "canonical":
+        return canonical_basis(decomp, ref_vectors, cluster, mass)
+    U = decomp.vectors[:, [j - 1 for j in cluster.J]]
+    G = ref_vectors.T @ (mass @ U)
+    return EigenspaceBasis(U, float(np.linalg.svd(G, compute_uv=False)[-1]))
+
+
 def collocate(
     family: AffineOperatorFamily,
     J,
     A: MultiIndexSet,
     target: str = "canonical",
-    sigma_threshold: float = GRAM_SIGMA_THRESHOLD,
     *,
     _cache: ReducedFamily | None = None,
 ) -> CollocatedEigenbasis:
@@ -118,10 +132,13 @@ def collocate(
     by ``ReducedFamily.solve``, which reduces the family to standard form at
     the first point away from the origin.  ``_cache`` is internal: a budget
     sweep passes its ``ReducedFamily`` to carry the solves, the origin's
-    included, from budget to budget and from target to target.
+    included, from budget to budget and from target to target.  Each point
+    stores the basis that ``_target_basis`` makes for the target.
 
     Raises
     ------
+    ConfigError
+        If the target is unknown or A is empty.
     DegenerateBasisError
         If at some point the cluster subspace turns nearly orthogonal to the
         reference one (canonical target only); carries the offending point.
@@ -133,6 +150,8 @@ def collocate(
     cluster = _as_cluster(J)
     if target not in TARGETS:
         raise ConfigError(f"unknown interpolation target {target!r}")
+    if not len(A):
+        raise ConfigError("cannot collocate on an empty index set")
     n = family.dim
     if cluster.hi + 1 > n:
         raise ClusterCoverageError(
@@ -147,7 +166,6 @@ def collocate(
     decomp0 = cache.solve((), cluster.hi + 1)
     ref_vectors, ref_values = decomp0.vectors[:, cols], decomp0.values[cols]
     points = grid_points(A)
-    terms = tuple(combination_terms(A))
     point_data = {}
     min_gap = math.inf
     for pt in points:
@@ -159,25 +177,16 @@ def collocate(
                 f"cluster touches exterior spectrum at point {pt}"
             )
         min_gap = min(min_gap, gap / float(vals[cluster.hi - 1]))
-        if target == "canonical":
-            try:
-                basis = canonical_basis(
-                    decomp, ref_vectors, cluster, family.mass, sigma_threshold
-                )
-            except DegenerateBasisError as exc:
-                raise DegenerateBasisError(exc.sigma_min, point=pt) from None
-        else:
-            # raw sorted eigenvectors; keep the Gram singular value as a diagnostic
-            U = decomp.vectors[:, cols]
-            G = ref_vectors.T @ (family.mass @ U)
-            basis = EigenspaceBasis(U, float(np.linalg.svd(G, compute_uv=False)[-1]))
+        try:
+            basis = _target_basis(decomp, ref_vectors, cluster, family.mass, target)
+        except DegenerateBasisError as exc:
+            raise DegenerateBasisError(exc.sigma_min, point=pt) from None
         point_data[pt] = PointSolution(basis=basis, cluster_values=vals[cols])
     min_sigma = min(sol.basis.gram_sigma_min for sol in point_data.values())
     return CollocatedEigenbasis(
         family=family,
         cluster=cluster,
         A=A,
-        terms=terms,
         point_data=point_data,
         ref_vectors=ref_vectors,
         ref_values=ref_values,
@@ -284,7 +293,6 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
         family=family,
         cluster=ClusterSelection(tuple(doc["J"])),
         A=A,
-        terms=tuple(combination_terms(A)),
         point_data=point_data,
         ref_vectors=np.asarray(doc["ref_vectors"], dtype=float),
         ref_values=np.asarray(doc["ref_values"], dtype=float),

@@ -142,8 +142,8 @@ def anisotropic_set(weights, budget: float) -> MultiIndexSet:
         if not rho > 1.0:
             raise WeightError(f"weight for dimension {m} is {rho:.6g}, must be > 1")
         logs.append(math.log(rho))
-    if budget < 0.0:
-        raise ConfigError("budget must be nonnegative")
+    if not (math.isfinite(budget) and budget >= 0.0):
+        raise ConfigError(f"budget must be finite and nonnegative, got {budget!r}")
     out = []
 
     def extend(prefix, m, remaining):

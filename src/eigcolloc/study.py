@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collocation import CollocatedEigenbasis, collocate, evaluate_many
+from .collocation import CollocatedEigenbasis, _target_basis, collocate, evaluate_many
 from .eigensolver import ReducedFamily
-from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles, canonical_basis
+from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles
 from .errors import (
     ConfigError,
     DegenerateBasisError,
@@ -125,6 +125,8 @@ class StudyConfig:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if not self.budgets:
             raise ConfigError("budget schedule must not be empty")
+        if not all(math.isfinite(b) and b >= 0.0 for b in self.budgets):
+            raise ConfigError(f"budgets must be finite and at least 0: {list(self.budgets)}")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
         _check_sampling(self.n_mc, self.seed, "n_mc")
@@ -252,8 +254,9 @@ def estimate_error(
     """Root-mean-square interpolation error over seeded uniform samples.
 
     Each sample gets a direct eigensolve of the family reduced once to
-    standard form (``ReducedFamily``); the reference is the projected basis
-    built from the same origin vectors as the interpolant, so both sides target
+    standard form (``ReducedFamily``); the reference is the basis of the
+    interpolant's own target, made from the same origin vectors by the rule
+    that made its grid nodes (``_target_basis``), so both sides target
     the identical object.  The interpolant is evaluated at all samples in one
     batch (``evaluate_many``).  Metric 'vector-l2' sums squared energy norms
     of the columnwise differences; 'subspace-angle' uses the largest principal
@@ -275,8 +278,9 @@ def estimate_error(
     used = 0
     for y, approx in zip(Y, evaluate_many(cb, Y)):
         try:
-            truth = canonical_basis(
-                cache.solve(y, cb.cluster.hi), cb.ref_vectors, cb.cluster, family.mass
+            truth = _target_basis(
+                cache.solve(y, cb.cluster.hi), cb.ref_vectors, cb.cluster, family.mass,
+                cb.target,
             ).vectors
         except (SolverError, DegenerateBasisError):
             continue

@@ -209,6 +209,10 @@ class TestErrorPaths:
         ("cluster", [True]),
         ("model_params", {"n_elements": 12.7}),
         ("weights", {"mode": "tau", "epsilom": 0.3}),
+        # json reads NaN and Infinity; a budget is finite and at least 0
+        ("budgets", [float("nan")]),
+        ("budgets", [float("inf")]),
+        ("budgets", [-1.0, 0.5]),
     ],
 )
 class TestMalformedConfigValue:

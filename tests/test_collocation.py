@@ -32,15 +32,17 @@ from eigcolloc import (
     principal_angles,
     SolverError,
     anisotropic_set,
+    combination_terms,
     grid_points,
     save_collocated,
     save_family,
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc import eigensolver
+from eigcolloc import collocation, eigensolver
 from eigcolloc.collocation import (
     PointSolution,
+    _target_basis,
     collocated_from_dict,
     collocated_to_dict,
 )
@@ -117,11 +119,17 @@ class TestCollocate:
         with pytest.raises(ClusterCrossingError):
             collocate(fam, [2], line_set(1))
 
-    def test_degenerate_basis_reports_point(self):
+    def test_degenerate_basis_reports_point(self, monkeypatch):
         # force the failure path with an artificially strict threshold
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
+        real = collocation.canonical_basis
+
+        def strict(decomp, ref_vectors, J, M):
+            return real(decomp, ref_vectors, J, M, sigma_threshold=1.0)
+
+        monkeypatch.setattr(collocation, "canonical_basis", strict)
         with pytest.raises(DegenerateBasisError) as err:
-            collocate(fam, [1], line_set(3), sigma_threshold=1.0)
+            collocate(fam, [1], line_set(3))
         assert err.value.point is not None
         assert err.value.sigma_min < 1.0
 
@@ -145,6 +153,22 @@ class TestCollocate:
         fam = constant_family()
         with pytest.raises(ConfigError):
             collocate(fam, [1], multi_index_set([ORIGIN]), target="sorted")
+
+    def test_empty_index_set_rejected(self):
+        with pytest.raises(ConfigError, match="empty index set"):
+            collocate(constant_family(), [1], multi_index_set([]))
+
+    @pytest.mark.parametrize("target", ["canonical", "raw"])
+    def test_nodes_store_the_target_basis(self, target):
+        # the nodes and the Monte Carlo truths share one rule per target
+        fam = model_diffusion_1d(14, 0.3, 2.0, 2)
+        cache = ReducedFamily(fam)
+        cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5), target, _cache=cache)
+        for pt, sol in cb.point_data.items():
+            decomp = cache.solve(pt, 3)
+            basis = _target_basis(decomp, cb.ref_vectors, cb.cluster, fam.mass, target)
+            assert np.array_equal(basis.vectors, sol.basis.vectors)
+            assert basis.gram_sigma_min == sol.basis.gram_sigma_min
 
 
 class TestEvaluate:
@@ -377,6 +401,13 @@ class TestPersistence:
     def test_wrong_format_rejected(self):
         with pytest.raises(ConfigError):
             collocated_from_dict({"format": "something-else"})
+
+    def test_terms_follow_the_index_set(self):
+        fam = model_diffusion_1d(8, 0.2, 2.0, 2)
+        cb = collocate(fam, [1], anisotropic_set([2.0, 3.0], 1.5))
+        assert cb.terms == tuple(combination_terms(cb.A))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cb, terms=cb.terms[:-1])
 
     def test_point_coverage_validated(self):
         fam = model_diffusion_1d(8, 0.2, 2.0, 1)

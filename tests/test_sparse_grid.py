@@ -134,6 +134,11 @@ class TestAnisotropicSet:
         with pytest.raises(ConfigError):
             anisotropic_set([2.0], -1.0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ConfigError, match="finite"):
+            anisotropic_set([2.0], budget)
+
     def test_growing_budgets_stay_monotone(self):
         kappa = DecaySequence(tuple(0.3 * m**-2.0 for m in range(1, 5)))
         rho = compute_tau_weights(kappa, delta=0.5, epsilon=0.5)

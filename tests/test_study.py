@@ -633,9 +633,11 @@ class TestCrossingDemo:
         assert excinfo.value.stage == f"estimate-{failing}"
         assert excinfo.value.budget_index == 0
 
-    def test_no_crossing_keeps_columns_comparable(self, tmp_path):
+    @pytest.mark.parametrize("metric", ["subspace-angle", "vector-l2"])
+    def test_no_crossing_keeps_columns_comparable(self, tmp_path, metric):
         # gapped spectrum: sorted eigenvectors stay smooth, so raw interpolation
-        # works about as well as the projected basis
+        # works about as well as the projected basis; under vector-l2 this
+        # holds only if the raw column's truths are raw bases too
         B0 = np.diag([1.0, 2.0, 3.0, 6.0])
         B1 = np.zeros((4, 4))
         B1[1, 2] = B1[2, 1] = 0.2
@@ -650,7 +652,7 @@ class TestCrossingDemo:
                 "model_params": {"family_file": str(path)},
                 "cluster": [2, 3],
                 "budgets": [1.0, 2.0, 3.0],
-                "metric": "subspace-angle",
+                "metric": metric,
                 "n_mc": 30,
                 "seed": 2,
                 "weights": {"mode": "explicit", "rho": [math.e]},
