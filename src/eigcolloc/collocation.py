@@ -238,7 +238,9 @@ def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 FORMAT_NAME = "collocated-eigenbasis"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# version 1 wrote the family's matrices dense; it still loads
+READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 
 def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
@@ -272,12 +274,14 @@ def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
 def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     if doc.get("format") != FORMAT_NAME:
         raise ConfigError("not a collocated-eigenbasis document")
-    if doc.get("version") != FORMAT_VERSION:
+    # exact ints only: True == 1 and 1.0 == 1 in Python
+    if type(doc.get("version")) is not int or doc["version"] not in READABLE_VERSIONS:
         raise ConfigError(f"unsupported document version {doc.get('version')!r}")
-    family = family_from_dict(doc["family"])
-    # the block is valid now; its digest is the hash collocated_to_dict wrote
+    # the stored block's digest is the hash collocated_to_dict wrote, so any
+    # edit of the block fails here, before the block is parsed
     if doc.get("family_hash") != _family_digest(doc["family"]):
         raise ConfigError("family hash mismatch: document is inconsistent")
+    family = family_from_dict(doc["family"])
     A = MultiIndexSet.from_json_list(doc["A"])
     point_data = {}
     for rec in doc["points"]:

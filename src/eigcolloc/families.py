@@ -391,13 +391,85 @@ def designed_crossing_family() -> AffineOperatorFamily:
 # JSON matrix-family format
 # ---------------------------------------------------------------------------
 
+def _matrix_to_csr(B: np.ndarray) -> dict:
+    """CSR triplets of the entries that are nonzero or negative zero.
+
+    Rows are stored in order with columns ascending, and keeping ``-0.0``
+    makes the round trip through JSON bit-exact.
+    """
+    keep = (B != 0.0) | np.signbit(B)
+    indptr = np.zeros(B.shape[0] + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return {
+        "indptr": indptr.tolist(),
+        "indices": np.nonzero(keep)[1].tolist(),
+        "data": B[keep].tolist(),
+    }
+
+
+def _index_array(values, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise FamilyValidationError(f"{what} must be a list of integers")
+    return arr.astype(np.int64)
+
+
+def _matrix_from_doc(obj, dim: int, name: str) -> np.ndarray:
+    """Dense matrix from a CSR object (version 2) or nested lists (version 1).
+
+    The CSR structure is checked in full before the dim x dim array exists.
+    """
+    if not isinstance(obj, dict):
+        try:
+            return np.asarray(obj, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FamilyValidationError(f"{name}: malformed dense matrix: {exc}") from None
+    if set(obj) != {"indptr", "indices", "data"}:
+        raise FamilyValidationError(
+            f"{name}: CSR matrix needs exactly the keys indptr, indices, data"
+        )
+    indptr = _index_array(obj["indptr"], f"{name}: indptr")
+    indices = _index_array(obj["indices"], f"{name}: indices")
+    try:
+        data = np.asarray(obj["data"], dtype=float)
+    except (TypeError, ValueError):
+        data = None
+    if data is None or data.ndim != 1:
+        raise FamilyValidationError(f"{name}: data must be a list of numbers")
+    if len(indptr) != dim + 1:
+        raise FamilyValidationError(
+            f"{name}: indptr has length {len(indptr)}, expected dim + 1 = {dim + 1}"
+        )
+    # compared, not differenced: a difference of int64 entries can wrap
+    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+        raise FamilyValidationError(f"{name}: indptr must start at 0 and not decrease")
+    if not indptr[-1] == len(indices) == len(data):
+        raise FamilyValidationError(
+            f"{name}: indptr ends at {indptr[-1]} but there are {len(indices)} "
+            f"indices and {len(data)} values"
+        )
+    if indices.size and (indices.min() < 0 or indices.max() >= dim):
+        raise FamilyValidationError(f"{name}: column index outside [0, {dim})")
+    rows = np.repeat(np.arange(dim), np.diff(indptr))
+    if np.any((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])):
+        raise FamilyValidationError(
+            f"{name}: columns must be strictly ascending within each row"
+        )
+    out = np.zeros((dim, dim))
+    out[rows, indices] = data
+    return out
+
+
 def family_to_dict(family: AffineOperatorFamily) -> dict:
-    """Dense JSON-ready representation (row-major nested lists)."""
+    """JSON-ready representation; every matrix as CSR triplets, ``dim`` its shape."""
     return {
         "dim": family.dim,
-        "mass": family.mass.tolist(),
-        "B0": family.B0.tolist(),
-        "terms": [B.tolist() for B in family.B_terms],
+        "mass": _matrix_to_csr(family.mass),
+        "B0": _matrix_to_csr(family.B0),
+        "terms": [_matrix_to_csr(B) for B in family.B_terms],
         "kappa": list(family.kappa.kappa),
         "p": family.kappa.p_exponent,
         "alpha0": family.alpha0,
@@ -405,20 +477,27 @@ def family_to_dict(family: AffineOperatorFamily) -> dict:
 
 
 def family_from_dict(doc: dict) -> AffineOperatorFamily:
-    """Inverse of :func:`family_to_dict`; 'p' and 'alpha0' default to 1.0."""
+    """Inverse of :func:`family_to_dict`; 'p' and 'alpha0' default to 1.0.
+
+    Each matrix may be a CSR object or, as version-1 documents wrote it, a
+    dense nested list; both give the same array.
+    """
     try:
         dim = int(doc["dim"])
-        mass = np.asarray(doc["mass"], dtype=float)
-        B0 = np.asarray(doc["B0"], dtype=float)
-        terms = tuple(np.asarray(t, dtype=float) for t in doc.get("terms", []))
+        raw_terms = list(doc.get("terms", []))
         kappa = tuple(float(k) for k in doc.get("kappa", []))
+        mass, B0 = doc["mass"], doc["B0"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FamilyValidationError(f"malformed family document: {exc}") from exc
+    if dim < 0:
+        raise FamilyValidationError(f"dim must be nonnegative, got {dim}")
     return AffineOperatorFamily(
         dim=dim,
-        B0=B0,
-        B_terms=terms,
-        mass=mass,
+        B0=_matrix_from_doc(B0, dim, "B0"),
+        B_terms=tuple(
+            _matrix_from_doc(t, dim, f"terms[{i}]") for i, t in enumerate(raw_terms)
+        ),
+        mass=_matrix_from_doc(mass, dim, "mass"),
         kappa=DecaySequence(kappa, float(doc.get("p", 1.0))),
         alpha0=float(doc.get("alpha0", 1.0)),
     )

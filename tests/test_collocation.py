@@ -394,8 +394,18 @@ class TestPersistence:
         fam = model_diffusion_1d(8, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(1))
         doc = collocated_to_dict(cb)
-        doc["family"]["B0"][0][0] *= 2.0
+        doc["family"]["B0"]["data"][0] *= 2.0
         with pytest.raises(ConfigError):
+            collocated_from_dict(json.loads(json.dumps(doc)))
+
+    def test_tampered_family_indices_detected(self):
+        fam = model_diffusion_1d(8, 0.2, 2.0, 1)
+        doc = collocated_to_dict(collocate(fam, [1], line_set(1)))
+        # row 0 of the tridiagonal term holds columns 0 and 1; move the
+        # second entry to column 2, which keeps the layout well formed
+        assert doc["family"]["terms"][0]["indices"][:2] == [0, 1]
+        doc["family"]["terms"][0]["indices"][1] = 2
+        with pytest.raises(ConfigError, match="family hash mismatch"):
             collocated_from_dict(json.loads(json.dumps(doc)))
 
     def test_wrong_format_rejected(self):

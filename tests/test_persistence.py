@@ -1,0 +1,209 @@
+"""Family and basis files: the CSR layout of version 2 and the dense one of version 1."""
+import json
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eigcolloc import (
+    ConfigError,
+    DecaySequence,
+    FamilyValidationError,
+    evaluate,
+    evaluate_many,
+    family_from_dict,
+    family_hash,
+    family_to_dict,
+    load_collocated,
+    load_family,
+    model_diffusion_1d,
+    save_collocated,
+    synthetic_family,
+)
+from eigcolloc.collocation import FORMAT_VERSION, collocated_from_dict
+
+DATA = pathlib.Path(__file__).parent / "data"
+# Both written by the version-1 (dense) writer: the family is
+# model_diffusion_1d(8, 0.2, 2.0, 2), the basis collocates its cluster [1]
+# on the index set {0, 1, 2} along the first parameter.
+FAMILY_V1 = DATA / "family_v1.json"
+BASIS_V1 = DATA / "basis_v1.json"
+
+
+def matrices(fam):
+    return [fam.mass, fam.B0, *fam.B_terms]
+
+
+class TestLayout:
+    def test_csr_triplets_keep_negative_zero(self):
+        mass = np.array([[1.0, -0.0], [-0.0, 1.0]])
+        B0 = np.array([[2.0, 0.0], [0.0, 3.0]])
+        fam = synthetic_family(B0, [np.zeros((2, 2))], mass, DecaySequence((0.1,)))
+        doc = family_to_dict(fam)
+        assert doc["dim"] == 2
+        assert doc["mass"] == {
+            "indptr": [0, 2, 4], "indices": [0, 1, 0, 1], "data": [1.0, -0.0, -0.0, 1.0],
+        }
+        assert doc["B0"] == {"indptr": [0, 1, 2], "indices": [0, 1], "data": [2.0, 3.0]}
+        assert doc["terms"] == [{"indptr": [0, 0, 0], "indices": [], "data": []}]
+
+    def test_dense_and_csr_blocks_give_the_same_family(self):
+        fam = model_diffusion_1d(8, 0.2, 2.0, 2)
+        doc = family_to_dict(fam)
+        dense = dict(doc, mass=fam.mass.tolist(), B0=fam.B0.tolist(),
+                     terms=[B.tolist() for B in fam.B_terms])
+        for a, b in zip(matrices(family_from_dict(doc)), matrices(family_from_dict(dense)),
+                        strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+_SMALL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.5e-308]
+_ANY = _SMALL + [1e300, -1e300]
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+    def symmetric(values, zero_base):
+        A = np.zeros((n, n)) if zero_base else rng.standard_normal((n, n))
+        A = A + A.T
+        for (i, j), v in draw(st.lists(st.tuples(pos, st.sampled_from(values)), max_size=8)):
+            A[i, j] = A[j, i] = v
+        return A
+
+    def spd():
+        A = symmetric(_SMALL, draw(st.booleans()))
+        np.fill_diagonal(A, 0.0)
+        # strictly diagonally dominant with a positive diagonal
+        np.fill_diagonal(A, np.abs(A).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+        return A
+
+    terms = [symmetric(_ANY, draw(st.booleans())) for _ in range(draw(st.integers(0, 3)))]
+    return synthetic_family(spd(), terms, spd(), DecaySequence((0.1,) * len(terms)))
+
+
+class TestRoundTrip:
+    @settings(max_examples=60)
+    @given(families())
+    def test_bytes_and_hash_survive_json(self, fam):
+        back = family_from_dict(json.loads(json.dumps(family_to_dict(fam))))
+        for a, b in zip(matrices(fam), matrices(back), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert family_hash(back) == family_hash(fam)
+
+
+class TestVersion1Files:
+    def test_fixtures_are_version_1(self):
+        assert isinstance(json.loads(FAMILY_V1.read_text())["B0"], list)
+        doc = json.loads(BASIS_V1.read_text())
+        assert doc["version"] == 1 and isinstance(doc["family"]["B0"], list)
+
+    @pytest.mark.parametrize(
+        "load",
+        [lambda: load_family(FAMILY_V1), lambda: load_collocated(BASIS_V1).family],
+        ids=["family", "basis"],
+    )
+    def test_family_equals_the_builder(self, load):
+        loaded = load()
+        built = model_diffusion_1d(8, 0.2, 2.0, 2)
+        for a, b in zip(matrices(loaded), matrices(built), strict=True):
+            assert np.array_equal(a, b)
+        assert loaded.kappa == built.kappa
+        assert family_hash(loaded) == family_hash(built)
+
+    def test_tampered_dense_block_detected(self):
+        doc = json.loads(BASIS_V1.read_text())
+        doc["family"]["B0"][0][0] *= 2.0
+        with pytest.raises(ConfigError, match="family hash mismatch"):
+            collocated_from_dict(doc)
+
+    def test_version_2_resave_evaluates_bit_identically(self, tmp_path):
+        v1 = load_collocated(BASIS_V1)
+        path = tmp_path / "basis.json"
+        save_collocated(v1, path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == FORMAT_VERSION == 2
+        assert set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
+        v2 = load_collocated(path)
+        Y = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 2))
+        assert np.array_equal(evaluate_many(v1, Y), evaluate_many(v2, Y))
+        for y in Y:
+            assert np.array_equal(evaluate(v1, y), evaluate(v2, y))
+
+    @pytest.mark.parametrize("version", [0, 3, "2", 1.0, True, None])
+    def test_other_versions_rejected(self, version):
+        doc = json.loads(BASIS_V1.read_text())
+        doc["version"] = version
+        with pytest.raises(ConfigError, match="unsupported document version"):
+            collocated_from_dict(doc)
+
+
+def _set(key, index, value):
+    def edit(m):
+        m[key][index] = value
+    return edit
+
+
+# Edits of one CSR matrix of model_diffusion_1d(6, ...): dim 5, tridiagonal,
+# indptr [0, 2, 5, 8, 11, 13]; row 1 holds columns 0, 1, 2 at indices[2:5].
+MALFORMED = {
+    "indptr-short": lambda m: m["indptr"].pop(),
+    "indptr-long": lambda m: m["indptr"].append(m["indptr"][-1]),
+    "indptr-not-from-zero": _set("indptr", 0, 1),
+    "indptr-decreasing": _set("indptr", 2, 1),
+    # its int64 differences wrap to 2**63 - 1, 2**63 - 1, 8, 0, 0
+    "indptr-wrapping": lambda m: m.update(
+        indptr=[0, 2**63 - 1, -2, 6, 6, 6], indices=m["indices"][:6], data=m["data"][:6]
+    ),
+    "indptr-end-past-indices": lambda m: m["indices"].pop(),
+    "indptr-end-past-data": lambda m: m["data"].append(1.0),
+    "column-negative": _set("indices", 0, -1),
+    "column-at-dim": _set("indices", -1, 5),
+    "columns-unsorted": lambda m: m.update(indices=m["indices"][:2] + [1, 0] + m["indices"][4:]),
+    "columns-duplicate": _set("indices", 3, 0),
+    "column-not-integer": _set("indices", 0, 0.5),
+    "indices-nested": lambda m: m.update(indices=[m["indices"]]),
+    "data-not-numbers": _set("data", 0, "x"),
+    "key-missing": lambda m: m.pop("data"),
+    "key-extra": lambda m: m.update(shape=[5, 5]),
+}
+
+
+def _malformed_doc(matrix, case):
+    doc = family_to_dict(model_diffusion_1d(6, 0.2, 2.0, 3))
+    target = doc["terms"][2] if matrix == "terms[2]" else doc[matrix]
+    assert target["indptr"] == [0, 2, 5, 8, 11, 13]
+    assert target["indices"][2:5] == [0, 1, 2]
+    MALFORMED[case](target)
+    return doc
+
+
+class TestMalformedCsr:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("matrix", ["B0", "mass", "terms[2]"])
+    def test_names_the_matrix(self, matrix, case, tmp_path):
+        doc = _malformed_doc(matrix, case)
+        with pytest.raises(FamilyValidationError, match=re.escape(matrix)):
+            family_from_dict(doc)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FamilyValidationError, match=re.escape(matrix)):
+            load_family(path)
+
+    def test_huge_dim_fails_before_allocating(self):
+        doc = family_to_dict(model_diffusion_1d(6, 0.2, 2.0, 3))
+        doc["dim"] = 10**12
+        with pytest.raises(FamilyValidationError, match="B0: indptr has length 6"):
+            family_from_dict(doc)
+
+    def test_negative_dim_rejected(self):
+        doc = family_to_dict(model_diffusion_1d(6, 0.2, 2.0, 3))
+        doc["dim"] = -1
+        doc["B0"] = {"indptr": [], "indices": [], "data": []}
+        with pytest.raises(FamilyValidationError, match="dim"):
+            family_from_dict(doc)
