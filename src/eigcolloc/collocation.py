@@ -9,16 +9,17 @@ as a deliberately fragile alternative for demonstration purposes.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .eigensolver import ReducedFamily, m_orthonormalize
+from .eigensolver import CHUNK, ReducedFamily, m_orthonormalize
 from .eigenspace import (
+    GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
     EigenspaceBasis,
     _as_cluster,
+    _project_clusters,
     canonical_basis,
     exterior_gap,
 )
@@ -28,6 +29,7 @@ from .errors import (
     ConfigError,
     DegenerateBasisError,
     FamilyValidationError,
+    SolverError,
 )
 from .families import (
     AffineOperatorFamily,
@@ -60,9 +62,12 @@ class CollocatedEigenbasis:
 
     Immutable after construction; ``evaluate`` is pure, so instances may be
     shared freely across threads.  Construction stacks the stored bases and
-    cluster values in sorted-point order and builds the combination operator
-    over them once, so that every evaluation is one weight table and one
-    matrix product.  ``terms`` is derived from ``A`` there, not passed in.
+    cluster values once, in sorted-point order, makes each point's basis and
+    cluster values views of its row of the stack, and builds the combination
+    operator over the stack, so that every evaluation is one weight table and
+    one matrix product.  ``terms`` is derived from ``A`` there, not passed
+    in.  ``_stack`` is internal: ``collocate`` passes the stacked bases and
+    cluster values its point data are already views of.
     """
 
     family: AffineOperatorFamily
@@ -77,8 +82,9 @@ class CollocatedEigenbasis:
     _operator: CombinationOperator = field(init=False, repr=False, compare=False)
     _vectors: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _stack):
         if self.target not in TARGETS:
             raise ConfigError(f"unknown interpolation target {self.target!r}")
         points = grid_points(self.A)
@@ -86,35 +92,77 @@ class CollocatedEigenbasis:
             raise FamilyValidationError(
                 "stored point data does not cover the collocation grid"
             )
-        vectors = np.empty((len(points), self.family.dim * self.S))
-        values = np.empty((len(points), self.S))
-        for i, pt in enumerate(points):
-            vectors[i] = self.point_data[pt].basis.vectors.ravel()
-            values[i] = self.point_data[pt].cluster_values
+        if _stack is None:
+            shape = (self.family.dim, self.S)
+            vectors = np.empty((len(points), shape[0] * shape[1]))
+            values = np.empty((len(points), self.S))
+            point_data = {}
+            for i, pt in enumerate(points):
+                sol = self.point_data[pt]
+                vectors[i] = sol.basis.vectors.ravel()
+                values[i] = sol.cluster_values
+                basis = EigenspaceBasis(vectors[i].reshape(shape), sol.basis.gram_sigma_min)
+                point_data[pt] = PointSolution(basis=basis, cluster_values=values[i])
+            object.__setattr__(self, "point_data", point_data)
+            _stack = (vectors, values)
         object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
         op = CombinationOperator(self.terms, self.A.M_active, points)
         object.__setattr__(self, "_operator", op)
-        object.__setattr__(self, "_vectors", vectors)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_vectors", _stack[0])
+        object.__setattr__(self, "_values", _stack[1])
 
     @property
     def S(self) -> int:
         return self.cluster.S
 
 
-def _target_basis(decomp, ref_vectors, cluster, mass, target) -> EigenspaceBasis:
-    """The basis that stands for ``target`` at one solved point.
+def _target_bases(decomps, ref_vectors, cluster, mass, target):
+    """The bases that stand for ``target`` at solved points, with Gram sigmas.
 
-    Grid nodes store it and Monte Carlo truths are made by it, so an error
-    compares like with like.  'canonical' is ``canonical_basis``; 'raw' is
-    the sorted cluster eigenvectors, with the smallest singular value of their
-    Gram matrix against the reference vectors as a diagnostic.
+    Grid nodes store them and Monte Carlo truths are made by them, so an
+    error compares like with like.  For each decomposition the cluster
+    eigenvectors U are projected by ``_project_clusters``: 'canonical' is the
+    projected block, as ``canonical_basis`` makes it, and 'raw' the sorted
+    cluster eigenvectors themselves.  Returns the stacked bases (P x n x S)
+    and the smallest singular value of each Gram matrix against the reference
+    vectors (P,), unchecked.
     """
+    cols = [j - 1 for j in cluster.J]
+    U = np.stack([d.vectors[:, cols] for d in decomps])
+    projected, sigma = _project_clusters(U, ref_vectors, mass)
+    return (projected if target == "canonical" else U), sigma
+
+
+def _target_basis(decomp, ref_vectors, cluster, mass, target) -> EigenspaceBasis:
+    """``_target_bases`` of one decomposition; 'canonical' is ``canonical_basis``."""
     if target == "canonical":
         return canonical_basis(decomp, ref_vectors, cluster, mass)
-    U = decomp.vectors[:, [j - 1 for j in cluster.J]]
-    G = ref_vectors.T @ (mass @ U)
-    return EigenspaceBasis(U, float(np.linalg.svd(G, compute_uv=False)[-1]))
+    bases, sigma = _target_bases([decomp], ref_vectors, cluster, mass, target)
+    return EigenspaceBasis(bases[0], float(sigma[0]))
+
+
+def _nodes(cache, points, ref_vectors, cluster, mass, target):
+    """Solve, check and project the grid points, stopping at the first fault.
+
+    Returns the eigenvalues (P x k), target bases and Gram sigmas of the
+    points.  A ``ClusterCrossingError`` or, for the canonical target, a
+    ``DegenerateBasisError`` names the first point, in the order given, where
+    the check fails; at one point the gap is checked first.
+    """
+    decomps = cache.solve_many(points, cluster.hi + 1)
+    values = np.stack([d.values for d in decomps])
+    crossed = exterior_gap(values, cluster) <= 0.0
+    bases, sigma = _target_bases(decomps, ref_vectors, cluster, mass, target)
+    weak = sigma < GRAM_SIGMA_THRESHOLD if target == "canonical" else False
+    bad = np.flatnonzero(crossed | weak)
+    if bad.size:
+        i = bad[0]
+        if crossed[i]:
+            raise ClusterCrossingError(
+                f"cluster touches exterior spectrum at point {points[i]}"
+            )
+        raise DegenerateBasisError(float(sigma[i]), point=points[i])
+    return values, bases, sigma
 
 
 def collocate(
@@ -128,12 +176,15 @@ def collocate(
     """Solve at every grid point of A and assemble the interpolant's data.
 
     The reference vectors are fixed by the solve at the origin first, a dense
-    one.  The grid points are then solved one after another, in grid order,
-    by ``ReducedFamily.solve``, which reduces the family to standard form at
-    the first point away from the origin.  ``_cache`` is internal: a budget
-    sweep passes its ``ReducedFamily`` to carry the solves, the origin's
-    included, from budget to budget and from target to target.  Each point
-    stores the basis that ``_target_basis`` makes for the target.
+    one.  The grid points are then taken in grid order, CHUNK at a time: each
+    chunk is solved by ``ReducedFamily.solve_many``, which reduces the family
+    to standard form at the first point away from the origin, and its gaps
+    and Gram matrices are checked and its bases projected in one step
+    (``_nodes``).  ``_cache`` is internal: a budget sweep passes its
+    ``ReducedFamily`` to carry the solves, the origin's included, from budget
+    to budget and from target to target.  Each point stores the basis that
+    ``_target_bases`` makes for the target.  An error names the first
+    offending point in grid order, as a loop over the points would.
 
     Raises
     ------
@@ -166,23 +217,30 @@ def collocate(
     decomp0 = cache.solve((), cluster.hi + 1)
     ref_vectors, ref_values = decomp0.vectors[:, cols], decomp0.values[cols]
     points = grid_points(A)
-    point_data = {}
-    min_gap = math.inf
-    for pt in points:
-        decomp = cache.solve(pt, cluster.hi + 1)
-        vals = decomp.values
-        gap = exterior_gap(vals, cluster)
-        if gap <= 0.0:
-            raise ClusterCrossingError(
-                f"cluster touches exterior spectrum at point {pt}"
-            )
-        min_gap = min(min_gap, gap / float(vals[cluster.hi - 1]))
+    args = (ref_vectors, cluster, family.mass, target)
+    values = np.empty((len(points), cluster.hi + 1))
+    bases = np.empty((len(points), n, cluster.S))
+    sigma = np.empty(len(points))
+    for start in range(0, len(points), CHUNK):
+        chunk = points[start:start + CHUNK]
         try:
-            basis = _target_basis(decomp, ref_vectors, cluster, family.mass, target)
-        except DegenerateBasisError as exc:
-            raise DegenerateBasisError(exc.sigma_min, point=pt) from None
-        point_data[pt] = PointSolution(basis=basis, cluster_values=vals[cols])
-    min_sigma = min(sol.basis.gram_sigma_min for sol in point_data.values())
+            rows = _nodes(cache, chunk, *args)
+        except SolverError:
+            # the failed solve stopped the chunk before it was checked: point
+            # by point, the first offending point in grid order raises
+            for pt in chunk:
+                _nodes(cache, [pt], *args)
+            raise
+        for out, part in zip((values, bases, sigma), rows):
+            out[start:start + len(chunk)] = part
+    gaps = exterior_gap(values, cluster) / values[:, cluster.hi - 1]
+    cluster_values = values[:, cols]
+    point_data = {
+        pt: PointSolution(
+            basis=EigenspaceBasis(bases[i], float(sigma[i])), cluster_values=cluster_values[i]
+        )
+        for i, pt in enumerate(points)
+    }
     return CollocatedEigenbasis(
         family=family,
         cluster=cluster,
@@ -192,10 +250,11 @@ def collocate(
         ref_values=ref_values,
         target=target,
         diagnostics={
-            "min_gram_sigma_min": min_sigma,
-            "min_relative_exterior_gap": float(min_gap),
+            "min_gram_sigma_min": float(sigma.min()),
+            "min_relative_exterior_gap": float(gaps.min()),
             "n_points": len(points),
         },
+        _stack=(bases.reshape(len(points), -1), cluster_values),
     )
 
 

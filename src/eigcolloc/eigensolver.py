@@ -4,12 +4,14 @@ Solves K u = mu M u with symmetric K and SPD M by Cholesky reduction to an
 ordinary symmetric problem.  Returned eigenvectors are M-orthonormal with a
 deterministic sign convention so that repeated solves are bit-reproducible.
 ``ReducedFamily`` makes and memoises every point solve of an affine family;
-it reduces the family once, so that a solve costs an affine sum and an ``eigh``.
+it reduces the family once, so that a solve costs an affine sum and one LAPACK
+call, and it lifts the eigenvectors of many points by one triangular solve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -95,16 +97,25 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(values=np.ascontiguousarray(vals), vectors=U)
 
 
+# points per batch of solves: a chunk's reduced eigenvectors are lifted by one
+# triangular solve, and the chunk bounds the memory a batch holds at once
+CHUNK = 256
+
+
 class ReducedFamily:
     """Every eigensolve of an affine pencil (B0 + sum_m y_m B_m, M), memoised.
 
-    ``solve(y, k)`` at the origin is the dense ``solve_gevp(B0, M, k)``.  The
-    first solve away from it factors M = L L' and reduces every affine term,
-    A_m = inv(L) B_m inv(L)'; a solve at y is then ``lift`` of the standard
-    solve of ``at(y)``, bit for bit the dense one at the origin.  Solves are
-    keyed by the point padded with zeros and k; with ``carry=False`` only the
-    origin's are kept.  ``solves`` counts the eigensolves made, ``reused``
-    those served again.  The reduced terms take as much memory as the family.
+    ``solve_many(Y, k)`` is the one path of every point solve, and ``solve(y,
+    k)`` is its one-point case.  The origin is the dense ``solve_gevp(B0, M,
+    k)``.  The first point away from it factors M = L L' and reduces every
+    affine term, A_m = inv(L) B_m inv(L)'; each other point then costs its
+    affine sum ``at(y)`` and one LAPACK ``dsyevr`` call.  Points go CHUNK at a
+    time, and the eigenvectors of a chunk are lifted by one triangular solve
+    and sign-fixed together, as ``lift`` does for one point; at the origin
+    that is bit for bit the dense solve.  Solves are keyed by the point
+    padded with zeros and k; with ``carry=False`` only the origin's are kept.
+    ``solves`` counts the eigensolves made, ``reused`` those served again.
+    The reduced terms take as much memory as the family.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -123,36 +134,88 @@ class ReducedFamily:
         L = self.LT.T
         return tuple(_reduce(L, B) for B in (self.family.B0, *self.family.B_terms))
 
+    @cached_property
+    def _syevr(self):
+        # dsyevr with the arguments and workspace scipy's eigh(driver="evr")
+        # passes, so that a reduced solve is the one solve_gevp(at(y)) makes
+        drv, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), (self.LT,))
+        lwork, liwork, _ = query(self.family.dim, lower=1)
+        return partial(
+            drv, compute_v=1, range="I", lower=1, il=1, lwork=int(lwork), liwork=liwork
+        )
+
     def at(self, y) -> np.ndarray:
         """inv(L) B(y) inv(L)'; missing trailing components of y count as zero."""
         return affine_sum(self.terms[0], self.terms[1:], y)
 
+    def _eigh(self, A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest eigenvalues and orthonormal eigenvectors of symmetric A."""
+        w, z, _, _, info = self._syevr(A, iu=k)
+        if info:
+            raise SolverError(f"dense eigensolver failed: dsyevr returned info={info}")
+        return w[:k].copy(), z
+
     def lift(self, decomp: SpectralDecomposition) -> SpectralDecomposition:
         """Eigenvectors of the pencil from those of its reduced matrix."""
-        U = scipy.linalg.solve_triangular(self.LT, decomp.vectors, lower=False)
-        U = _fix_signs(np.ascontiguousarray(U))
-        return SpectralDecomposition(values=decomp.values, vectors=U)
+        W = np.array(decomp.vectors, dtype=float, order="F")
+        return SpectralDecomposition(decomp.values, self._lift(W))
+
+    def _lift(self, W: np.ndarray) -> np.ndarray:
+        # inv(L') W in place of W, one triangular solve for every column, then
+        # the sign rule
+        return _fix_signs(
+            scipy.linalg.solve_triangular(self.LT, W, lower=False, overwrite_b=True)
+        )
 
     def solve(self, y, k: int) -> SpectralDecomposition:
-        """The k lowest eigenpairs at y; a ``SolverError`` names the point."""
-        key = (tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.reused += 1
-            return hit
-        self.solves += 1
-        origin = not any(key[0])
-        try:
-            if origin:
-                hit = solve_gevp(self.family.B0, self.family.mass, k=k)
+        """The k lowest eigenpairs at y: ``solve_many`` of the one point."""
+        return self.solve_many([y], k)[0]
+
+    def solve_many(self, Y, k: int) -> list[SpectralDecomposition]:
+        """The k lowest eigenpairs at every point of Y, in the order of Y.
+
+        A point given twice is solved once.  A ``SolverError`` names the first
+        point, in the order of Y, that is not finite or whose solve fails;
+        the solves of its chunk are not kept.
+        """
+        out = []
+        for start in range(0, len(Y), CHUNK):
+            out += self._solve_chunk(Y[start:start + CHUNK], k)
+        return out
+
+    def _solve_chunk(self, Y, k: int) -> list[SpectralDecomposition]:
+        keys = [(tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k) for y in Y]
+        fresh = {}  # key -> its point, for the keys the memo lacks
+        for y, key in zip(Y, keys):
+            if key in self._memo or key in fresh:
+                self.reused += 1
             else:
-                hit = self.lift(solve_gevp(self.at(y), None, k=k))
-        except SolverError as exc:
-            raise SolverError(f"{exc} at point {tuple(y)}") from exc
-        # the origin is the reference of every caller and a grid point as well
-        if self.carry or origin:
-            self._memo[key] = hit
-        return hit
+                fresh[key] = y
+        made = {}
+        reduced = []  # (key, values); the reduced eigenvectors go to W
+        W = np.empty((self.family.dim, k * len(fresh)), order="F")
+        for key, y in fresh.items():
+            self.solves += 1
+            try:
+                if not all(map(math.isfinite, key[0])):
+                    raise SolverError("parameter point is not finite")
+                if any(key[0]):
+                    values, z = self._eigh(self.at(y), k)
+                    W[:, k * len(reduced):k * (len(reduced) + 1)] = z
+                    reduced.append((key, values))
+                else:
+                    made[key] = solve_gevp(self.family.B0, self.family.mass, k=k)
+            except SolverError as exc:
+                raise SolverError(f"{exc} at point {tuple(map(float, y))}") from exc
+        if reduced:
+            U = self._lift(W[:, :k * len(reduced)])
+            for p, (key, values) in enumerate(reduced):
+                made[key] = SpectralDecomposition(values, U[:, p * k:(p + 1) * k])
+        for key, decomp in made.items():
+            # the origin is the reference of every caller and a grid point as well
+            if self.carry or not any(key[0]):
+                self._memo[key] = decomp
+        return [made[key] if key in made else self._memo[key] for key in keys]
 
 
 def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:

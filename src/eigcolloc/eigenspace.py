@@ -69,22 +69,25 @@ def _check_sampling(count, seed, name: str) -> None:
         raise ConfigError(f"seed must be at least 0 and an integer, got {seed!r}")
 
 
-def exterior_gap(values, J) -> float:
+def exterior_gap(values, J):
     """Distance from the cluster to the nearest eigenvalue outside it.
 
-    ``values`` are the ascending eigenvalues 1..k with k >= max(J).  The gap is
-    min(lower-neighbour gap, upper-neighbour gap).  A neighbour that does not
-    exist (the cluster starts at eigenvalue 1) or is not among the k values
-    given counts as +inf.
+    ``values`` are the ascending eigenvalues 1..k with k >= max(J), or one
+    such row per point.  The gap is min(lower-neighbour gap, upper-neighbour
+    gap), a float for one row and an array for several.  A neighbour that
+    does not exist (the cluster starts at eigenvalue 1) or is not among the k
+    values given counts as +inf.
     """
     cluster = _as_cluster(J)
+    values = np.asarray(values, dtype=float)
     lo_gap = math.inf
     if cluster.lo >= 2:
-        lo_gap = values[cluster.lo - 1] - values[cluster.lo - 2]
+        lo_gap = values[..., cluster.lo - 1] - values[..., cluster.lo - 2]
     hi_gap = math.inf
-    if cluster.hi < len(values):
-        hi_gap = values[cluster.hi] - values[cluster.hi - 1]
-    return min(lo_gap, hi_gap)
+    if cluster.hi < values.shape[-1]:
+        hi_gap = values[..., cluster.hi] - values[..., cluster.hi - 1]
+    gap = np.minimum(lo_gap, hi_gap)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def weyl_envelope(values_at_origin, kappa_sum: float):
@@ -182,8 +185,8 @@ def check_isolation(
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_samples, family.n_terms))
     samples = []
     worst = math.inf
-    for y in Y:
-        vals = solver.solve(y, k).values
+    for y, decomp in zip(Y, solver.solve_many(Y, k)):
+        vals = decomp.values
         gap = exterior_gap(vals, cluster)
         mx = float(vals[cluster.hi - 1])
         worst = min(worst, gap / mx)
@@ -241,6 +244,7 @@ def canonical_basis(
     G[i, j] = ref_i' M u_{J(j)}(y).  The output depends only on the subspace
     spanned by the cluster eigenvectors, not on their individual choice, which
     is what makes interpolating these columns across parameter space viable.
+    It is ``_project_clusters`` of the one point.
 
     Raises
     ------
@@ -257,11 +261,24 @@ def canonical_basis(
     if ref.shape[1] != cluster.S:
         raise FamilyValidationError("reference block must have one column per cluster index")
     U = decomp_at_y.vectors[:, [j - 1 for j in cluster.J]]
-    G = ref.T @ (M @ U)
-    sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1]) if cluster.S else 0.0
-    if sigma_min < sigma_threshold:
-        raise DegenerateBasisError(sigma_min)
-    return EigenspaceBasis(vectors=U @ G.T, gram_sigma_min=sigma_min)
+    projected, sigma = _project_clusters(U[None], ref, M)
+    if sigma[0] < sigma_threshold:
+        raise DegenerateBasisError(float(sigma[0]))
+    return EigenspaceBasis(vectors=projected[0], gram_sigma_min=float(sigma[0]))
+
+
+def _project_clusters(U: np.ndarray, ref_vectors: np.ndarray, M: np.ndarray):
+    """Canonical bases and Gram sigmas of a stack of cluster blocks.
+
+    ``U`` holds one n x S block of cluster eigenvectors per point (P x n x S).
+    With the Gram matrices G_p = ref' M U_p, returns the projected blocks
+    U_p G_p' (P x n x S) and the smallest singular value of each G_p (P,),
+    unchecked.  Every point is a product and an SVD of its own, so a point
+    gets the same bits alone as in any stack.
+    """
+    G = np.matmul((M @ ref_vectors).T, U)
+    sigma = np.linalg.svd(G, compute_uv=False)[:, -1]
+    return np.matmul(U, G.transpose(0, 2, 1)), sigma
 
 
 def principal_angles(X: np.ndarray, Y: np.ndarray, M: np.ndarray) -> np.ndarray:

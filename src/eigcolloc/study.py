@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collocation import CollocatedEigenbasis, _target_basis, collocate, evaluate_many
-from .eigensolver import ReducedFamily
-from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles
-from .errors import (
-    ConfigError,
-    DegenerateBasisError,
-    SolverError,
-    StageError,
+from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
+from .eigensolver import CHUNK, ReducedFamily
+from .eigenspace import (
+    GRAM_SIGMA_THRESHOLD,
+    _as_cluster,
+    _check_sampling,
+    _euclidean_angles,
 )
+from .errors import ConfigError, SolverError, StageError
 from .families import (
     AffineOperatorFamily,
     DecaySequence,
@@ -249,20 +249,22 @@ class ErrorEstimate:
 
 def estimate_error(
     cb: CollocatedEigenbasis, metric: str, n_mc: int, seed: int,
-    *, _cache: ReducedFamily | None = None,
+    *, _cache: ReducedFamily | None = None, _truths: dict | None = None,
 ) -> ErrorEstimate:
     """Root-mean-square interpolation error over seeded uniform samples.
 
     Each sample gets a direct eigensolve of the family reduced once to
-    standard form (``ReducedFamily``); the reference is the basis of the
-    interpolant's own target, made from the same origin vectors by the rule
-    that made its grid nodes (``_target_basis``), so both sides target
-    the identical object.  The interpolant is evaluated at all samples in one
-    batch (``evaluate_many``).  Metric 'vector-l2' sums squared energy norms
-    of the columnwise differences; 'subspace-angle' uses the largest principal
-    angle between the interpolated and the true cluster span.  ``_cache`` is
-    internal: a budget sweep passes one so that the direct solves of the
-    samples, which every budget shares, are made once.
+    standard form (``ReducedFamily.solve_many``, CHUNK samples at a time); the
+    reference is the basis of the interpolant's own target, made from the
+    same origin vectors by the rule that made its grid nodes
+    (``_target_bases``), so both sides target the identical object.  The
+    interpolant is evaluated at a chunk of samples in one batch
+    (``evaluate_many``).  Metric 'vector-l2' sums squared energy norms of the
+    columnwise differences; 'subspace-angle' uses the largest principal angle
+    between the interpolated and the true cluster span.  ``_cache`` and
+    ``_truths`` are internal: a budget sweep passes one of each, so that the
+    direct solves of the samples, which every budget shares, are made once,
+    and the truth of each sample is projected once per target.
 
     Samples whose direct solve or reference construction fails are skipped and
     counted; more than 10% failures aborts.
@@ -272,27 +274,26 @@ def estimate_error(
     _check_sampling(n_mc, seed, "n_mc")
     family = cb.family
     cache = ReducedFamily(family, carry=False) if _cache is None else _cache
+    truths = {} if _truths is None else _truths
     # one (n_mc, n_terms) draw is the stream of n_mc draws of n_terms each
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_mc, family.n_terms))
     total = 0.0
     used = 0
-    for y, approx in zip(Y, evaluate_many(cb, Y)):
-        try:
-            truth = _target_basis(
-                cache.solve(y, cb.cluster.hi), cb.ref_vectors, cb.cluster, family.mass,
-                cb.target,
-            ).vectors
-        except (SolverError, DegenerateBasisError):
-            continue
-        if metric == "vector-l2":
-            diff = approx - truth
-            total += float(np.sum(diff * (family.B0 @ diff)))
-        else:
-            # principal_angles with the mass factor the reduction already holds
-            LT = cache.LT
-            angle = _euclidean_angles(LT @ approx, LT @ truth)[-1]
-            total += angle * angle
-        used += 1
+    for start in range(0, n_mc, CHUNK):
+        chunk = Y[start:start + CHUNK]
+        truth_bases = _truth_bases(cb, cache, chunk, truths)
+        for approx, truth in zip(evaluate_many(cb, chunk), truth_bases):
+            if truth is None:
+                continue
+            if metric == "vector-l2":
+                diff = approx - truth
+                total += float(np.sum(diff * (family.B0 @ diff)))
+            else:
+                # principal_angles with the mass factor the reduction already holds
+                LT = cache.LT
+                angle = _euclidean_angles(LT @ approx, LT @ truth)[-1]
+                total += angle * angle
+            used += 1
     failures = len(Y) - used
     if failures > 0.1 * n_mc:
         raise SolverError(
@@ -300,6 +301,39 @@ def estimate_error(
         )
     value = math.sqrt(total / used) if used else math.nan
     return ErrorEstimate(value=value, n_samples=used, n_failures=failures)
+
+
+def _truth_bases(cb, cache: ReducedFamily, Y, truths: dict) -> list:
+    """The target basis of the direct solve at each row of Y, or None.
+
+    None stands for a sample whose solve fails or, for the canonical target,
+    whose Gram sigma falls below the threshold.  Every sample is read from
+    ``cache``, so the memo counts it; a basis is projected only if ``truths``
+    lacks its (sample, target) key, and then kept there.
+    """
+    k = cb.cluster.hi
+    try:
+        decomps = cache.solve_many(Y, k)
+    except SolverError:
+        # the failed solve stopped the chunk: point by point, skipping failures
+        decomps = []
+        for y in Y:
+            try:
+                decomps.append(cache.solve(y, k))
+            except SolverError:
+                decomps.append(None)
+    keys = [(tuple(y), cb.target) for y in Y]
+    new = [i for i, (key, d) in enumerate(zip(keys, decomps))
+           if d is not None and key not in truths]
+    if new:
+        bases, sigma = _target_bases(
+            [decomps[i] for i in new], cb.ref_vectors, cb.cluster, cb.family.mass, cb.target
+        )
+        ok = (sigma >= GRAM_SIGMA_THRESHOLD) | (cb.target == "raw")
+        for i, basis, keep in zip(new, bases, ok):
+            if keep:
+                truths[keys[i]] = basis
+    return [truths.get(key) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +408,8 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     ErrorEstimate)`` and ``counts`` holds the budget's eigensolves made
     (``solves``) and served again from the memo (``reused_solves``).  One
     ``ReducedFamily`` carries the reduction, the origin solve, the grid point
-    solves and the Monte Carlo solves across the budgets and the targets.
+    solves and the Monte Carlo solves across the budgets and the targets, and
+    one dict the projected Monte Carlo truths, per sample and target.
     Failures are tagged with the stages 'model', 'weights', 'index-set',
     'collocate' and 'estimate'; with more than one target the last two carry
     the target, as in 'collocate-raw'.
@@ -384,6 +419,7 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     with _stage("weights"):
         rho = resolve_weights(config, family)
     cache = ReducedFamily(family)
+    truths = {}
     for i, L in enumerate(config.budgets):
         t0 = time.perf_counter()
         before = (cache.solves, cache.reused)
@@ -397,7 +433,8 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
                 cb = collocate(family, config.cluster, A, target=target, _cache=cache)
             with _stage("estimate" + tag, i):
                 est = estimate_error(
-                    cb, config.metric, config.n_mc, config.seed, _cache=cache
+                    cb, config.metric, config.n_mc, config.seed,
+                    _cache=cache, _truths=truths,
                 )
             runs[target] = (cb, est)
         seconds = time.perf_counter() - t0

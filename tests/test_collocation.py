@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -46,7 +47,8 @@ from eigcolloc.collocation import (
     collocated_from_dict,
     collocated_to_dict,
 )
-from eigcolloc.eigensolver import ReducedFamily
+from eigcolloc.eigensolver import CHUNK, ReducedFamily
+from eigcolloc.eigenspace import exterior_gap
 from eigcolloc.sparse_grid import ORIGIN
 
 
@@ -96,6 +98,18 @@ class TestCollocate:
                 a.point_data[pt].basis.vectors, b.point_data[pt].basis.vectors
             )
 
+    def test_point_data_are_views_of_the_stack(self, tmp_path):
+        # each nodal basis is kept once: in the stack the evaluation multiplies
+        fam = model_diffusion_1d(12, 0.3, 2.0, 2)
+        cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5))
+        save_collocated(cb, tmp_path / "basis.json")
+        for basis in (cb, load_collocated(tmp_path / "basis.json")):
+            for i, pt in enumerate(grid_points(basis.A)):
+                sol = basis.point_data[pt]
+                assert np.shares_memory(sol.basis.vectors, basis._vectors[i])
+                assert np.shares_memory(sol.cluster_values, basis._values[i])
+                assert np.array_equal(sol.basis.vectors.ravel(), basis._vectors[i])
+
     def test_diagnostics_recorded(self):
         fam = model_diffusion_1d(15, 0.3, 2.0, 2)
         cb = collocate(fam, [1], line_set(2))
@@ -122,12 +136,7 @@ class TestCollocate:
     def test_degenerate_basis_reports_point(self, monkeypatch):
         # force the failure path with an artificially strict threshold
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
-        real = collocation.canonical_basis
-
-        def strict(decomp, ref_vectors, J, M):
-            return real(decomp, ref_vectors, J, M, sigma_threshold=1.0)
-
-        monkeypatch.setattr(collocation, "canonical_basis", strict)
+        monkeypatch.setattr(collocation, "GRAM_SIGMA_THRESHOLD", 1.0)
         with pytest.raises(DegenerateBasisError) as err:
             collocate(fam, [1], line_set(3))
         assert err.value.point is not None
@@ -136,15 +145,12 @@ class TestCollocate:
     def test_solver_error_reports_point(self, monkeypatch):
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
         A = line_set(2)
-        real = eigensolver.solve_gevp
 
-        def fails_off_origin(K, M, k=None):
+        def fails(self, A, k):
             # the dense reference solve passes; the reduced point solves fail
-            if M is None:
-                raise SolverError("synthetic failure")
-            return real(K, M, k=k)
+            raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(eigensolver, "solve_gevp", fails_off_origin)
+        monkeypatch.setattr(ReducedFamily, "_eigh", fails)
         with pytest.raises(SolverError, match="synthetic failure at point") as err:
             collocate(fam, [1], A)
         assert str(grid_points(A)[0]) in str(err.value)
@@ -169,6 +175,92 @@ class TestCollocate:
             basis = _target_basis(decomp, cb.ref_vectors, cb.cluster, fam.mass, target)
             assert np.array_equal(basis.vectors, sol.basis.vectors)
             assert basis.gram_sigma_min == sol.basis.gram_sigma_min
+
+
+def switching_family(c):
+    """Diagonal family on one parameter, mass I: the lowest eigenvector is e1
+    for y1 < c and e2 for y1 > c, where the lowest two eigenvalues cross."""
+    B0 = np.diag([2.0, 2.0 + 2.0 * c, 10.0, 20.0])
+    B1 = np.diag([1.0, -1.0, 0.0, 0.0])
+    return synthetic_family(B0, [B1], np.eye(4), DecaySequence((0.1,)))
+
+
+def first_fault(fam, J, A):
+    """(error class, point) of the first point the per-point loop of
+    ``collocate`` rejected: gap first, then the canonical basis."""
+    k = max(J) + 1
+    cols = [j - 1 for j in J]
+    ref = solve_gevp(fam.B0, fam.mass, k=k).vectors[:, cols]
+    for pt in grid_points(A):
+        decomp = solve_gevp(assemble_at(fam, pt), fam.mass, k=k)
+        if exterior_gap(decomp.values, J) <= 0.0:
+            return ClusterCrossingError, pt
+        try:
+            canonical_basis(decomp, ref, J, fam.mass)
+        except DegenerateBasisError:
+            return DegenerateBasisError, pt
+    return None
+
+
+class TestChunkedErrors:
+    # a 1D grid of 513 points: chunk 2 holds points 256..511, sorted by y1
+    A = line_set(31)
+
+    def points(self):
+        pts = grid_points(self.A)
+        assert CHUNK < 384 < 2 * CHUNK <= len(pts)
+        return pts
+
+    def test_degenerate_point_in_the_second_chunk(self):
+        pts = self.points()
+        fam = switching_family(0.5 * (pts[383][0] + pts[384][0]))
+        assert first_fault(fam, [1], self.A) == (DegenerateBasisError, pts[384])
+        with pytest.raises(DegenerateBasisError) as err:
+            collocate(fam, [1], self.A)
+        assert err.value.point == pts[384]
+        # the raw target has no basis check and passes
+        assert len(collocate(fam, [1], self.A, target="raw").point_data) == len(pts)
+
+    def test_crossing_point_in_the_second_chunk(self):
+        # the lowest eigenvalues coincide exactly at point 384, where the
+        # basis is degenerate as well, and so is it at the points after it:
+        # at one point the gap error comes first
+        pts = self.points()
+        y = pts[384][0]
+        B0 = np.diag([2.0 + y, 2.0, 10.0, 20.0])
+        B1 = np.diag([0.0, 1.0, 0.0, 0.0])
+        fam = synthetic_family(B0, [B1], np.eye(4), DecaySequence((0.1,)))
+        assert first_fault(fam, [1], self.A) == (ClusterCrossingError, pts[384])
+        ref = solve_gevp(fam.B0, fam.mass, k=2).vectors[:, :1]
+        at_crossing = solve_gevp(assemble_at(fam, pts[384]), fam.mass, k=2)
+        with pytest.raises(DegenerateBasisError):
+            canonical_basis(at_crossing, ref, [1], fam.mass)
+        with pytest.raises(ClusterCrossingError, match=re.escape(f"at point {pts[384]}")):
+            collocate(fam, [1], self.A)
+
+    @pytest.mark.parametrize(
+        "failing, expected", [(300, SolverError), (500, DegenerateBasisError)]
+    )
+    def test_failed_solve_against_a_degenerate_point(self, monkeypatch, failing, expected):
+        # a failed solve before the degenerate point raises; one after it,
+        # in the same chunk, does not hide it
+        pts = self.points()
+        fam = switching_family(0.5 * (pts[383][0] + pts[384][0]))
+        real = ReducedFamily._eigh
+        bad = ReducedFamily(fam).at(pts[failing])
+
+        def fails_at_one_point(self, A, k):
+            if np.array_equal(A, bad):
+                raise SolverError("synthetic failure")
+            return real(self, A, k)
+
+        monkeypatch.setattr(ReducedFamily, "_eigh", fails_at_one_point)
+        with pytest.raises(expected) as err:
+            collocate(fam, [1], self.A)
+        if expected is SolverError:
+            assert f"synthetic failure at point {pts[failing]}" in str(err.value)
+        else:
+            assert err.value.point == pts[384]
 
 
 class TestEvaluate:
@@ -284,18 +376,23 @@ class TestCarriedSolves:
         # the reference solve comes first and is dense; the grid's origin
         # point is served from the memo and every other point is reduced
         fam = model_diffusion_1d(14, 0.3, 2.0, 3)
-        real = eigensolver.solve_gevp
-        dense = []
+        real, real_eigh = eigensolver.solve_gevp, ReducedFamily._eigh
+        calls = []
 
         def record(K, M=None, k=None):
-            dense.append(M is not None)
+            calls.append("dense" if M is not None else "reduced")
             return real(K, M, k=k)
 
+        def record_eigh(self, A, k):
+            calls.append("reduced")
+            return real_eigh(self, A, k)
+
         monkeypatch.setattr(eigensolver, "solve_gevp", record)
+        monkeypatch.setattr(ReducedFamily, "_eigh", record_eigh)
         A = anisotropic_set([1.5, 3.0, 3.0], 1.2)
         cb = collocate(fam, [1, 2], A)
         assert (0.0, 0.0, 0.0) in cb.point_data
-        assert dense == [True] + [False] * (len(cb.point_data) - 1)
+        assert calls == ["dense"] + ["reduced"] * (len(cb.point_data) - 1)
         origin = real(fam.B0, fam.mass, k=3)
         assert np.array_equal(cb.ref_vectors, origin.vectors[:, :2])
         assert np.array_equal(cb.ref_values, origin.values[:2])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,7 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc import eigensolver
-from eigcolloc.eigensolver import ReducedFamily, _fix_signs
+from eigcolloc.eigensolver import CHUNK, ReducedFamily, _fix_signs
 
 
 def random_pencil(n, seed):
@@ -204,12 +205,98 @@ class TestReducedFamilySolve:
         assert (solver.solves, solver.reused) == (3, 1)
 
     def test_failure_names_the_point(self, monkeypatch):
-        def broken(K, M=None, k=None):
+        def broken(self, A, k):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(eigensolver, "solve_gevp", broken)
+        monkeypatch.setattr(ReducedFamily, "_eigh", broken)
         with pytest.raises(SolverError, match=r"synthetic failure at point \(0.5, -0.25\)"):
             ReducedFamily(spd_family(6, 2, 7)).solve((0.5, -0.25), 2)
+
+
+@st.composite
+def family_batch(draw):
+    # batches of one point, of a full chunk and across one or two chunk ends
+    n = draw(st.integers(4, 16))
+    n_terms = draw(st.integers(1, 3))
+    fam = spd_family(n, n_terms, draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([1, 3, CHUNK, CHUNK + 1, 2 * CHUNK + 3]))
+    Y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 1.0, size=(size, n_terms)
+    )
+    lo = draw(st.integers(1, n - 1))
+    hi = draw(st.integers(lo, min(lo + 2, n - 1)))
+    return fam, Y, list(range(lo, hi + 1))
+
+
+class TestSolveMany:
+    # the dense solve of the assembled pencil is the oracle, with the
+    # tolerances of TestReducedFamily: eigenvalues 1e-10 relative, cluster
+    # span 1e-8 rad; a point solved alone and inside a batch agree to 1e-13
+    @settings(max_examples=30)
+    @given(family_batch())
+    def test_matches_dense_solve_and_single_solves(self, case):
+        fam, Y, J = case
+        k = J[-1] + 1
+        cols = [j - 1 for j in J]
+        batch = ReducedFamily(fam, carry=False).solve_many(Y, k)
+        assert len(batch) == len(Y)
+        alone = ReducedFamily(fam, carry=False)
+        for y, got in zip(Y, batch):
+            dense = solve_gevp(assemble_at(fam, y), fam.mass, k=k)
+            assert np.all(np.abs(got.values - dense.values) <= 1e-10 * np.abs(dense.values))
+            angles = principal_angles(got.vectors[:, cols], dense.vectors[:, cols], fam.mass)
+            assert angles.max() <= 1e-8
+            one = alone.solve(y, k)
+            assert np.array_equal(one.values, got.values)
+            assert np.abs(one.vectors - got.vectors).max() <= 1e-13 * np.abs(got.vectors).max()
+
+    @settings(max_examples=10)
+    @given(family_batch())
+    def test_reruns_are_bit_identical(self, case):
+        fam, Y, J = case
+        first = ReducedFamily(fam).solve_many(Y, J[-1] + 1)
+        again = ReducedFamily(fam).solve_many(Y, J[-1] + 1)
+        for a, b in zip(first, again):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.vectors, b.vectors)
+
+    def test_memo_keys_and_counts(self):
+        fam = spd_family(8, 2, 3)
+        solver = ReducedFamily(fam)
+        a = solver.solve((0.3,), 3)
+        # the padded point is the memo entry of a; a repeated point is solved once
+        batch = solver.solve_many([(0.3, 0.0), (0.1, 0.2), (), (0.1, 0.2)], 3)
+        assert batch[0] is a and batch[1] is batch[3]
+        assert (solver.solves, solver.reused) == (3, 2)
+        assert solver.solve((0.1, 0.2), 3) is batch[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_names_it(self, bad):
+        fam = spd_family(6, 2, 8)
+        with pytest.raises(SolverError, match=r"not finite at point \(0.5, " + str(bad)):
+            ReducedFamily(fam).solve((0.5, bad), 2)
+        with pytest.raises(SolverError, match=r"at point \(" + str(bad)):
+            ReducedFamily(fam).solve_many([(0.1, 0.2), (bad,), (0.3,)], 2)
+
+    def test_failure_stops_at_the_first_failing_point(self, monkeypatch):
+        fam = spd_family(6, 1, 9)
+        real = ReducedFamily._eigh
+        seen = []
+
+        def fails_at_third(self, A, k):
+            seen.append(A)
+            if len(seen) == 3:
+                raise SolverError("synthetic failure")
+            return real(self, A, k)
+
+        monkeypatch.setattr(ReducedFamily, "_eigh", fails_at_third)
+        solver = ReducedFamily(fam)
+        Y = [(0.1 * i,) for i in range(1, 6)]
+        with pytest.raises(SolverError, match=r"synthetic failure at point \(0.30"):
+            solver.solve_many(Y, 2)
+        # counted and not kept: the chunk of the failing point is dropped
+        assert (solver.solves, solver.reused) == (3, 0)
+        assert len(seen) == 3 and solver._memo == {}
 
 
 def loop_fix_signs(U):

@@ -26,7 +26,8 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc import eigensolver, study
+from eigcolloc import study
+from eigcolloc.eigensolver import ReducedFamily
 from eigcolloc.families import family_hash, save_family
 from eigcolloc.sparse_grid import ORIGIN, MultiIndex
 from eigcolloc.study import build_family, load_config, resolve_weights, _write_csv
@@ -365,16 +366,16 @@ class TestEstimateError:
     def test_isolated_failures_are_recorded(self, monkeypatch):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
-        real = eigensolver.solve_gevp
-        calls = {"n": 0}
+        real = ReducedFamily._eigh
+        third = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, fam.n_terms))[2]
 
-        def flaky(K, M, k=None):
-            calls["n"] += 1
-            if calls["n"] == 3:
+        def flaky(self, A, k):
+            # the solve at the third sample fails, each time it is made
+            if np.array_equal(A, self.at(third)):
                 raise SolverError("synthetic failure")
-            return real(K, M, k=k)
+            return real(self, A, k)
 
-        monkeypatch.setattr(eigensolver, "solve_gevp", flaky)
+        monkeypatch.setattr(ReducedFamily, "_eigh", flaky)
         est = study.estimate_error(cb, "vector-l2", 20, seed=0)
         assert est.n_failures == 1
         assert est.n_samples == 19
@@ -383,10 +384,10 @@ class TestEstimateError:
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
 
-        def broken(K, M, k=None):
+        def broken(self, A, k):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(eigensolver, "solve_gevp", broken)
+        monkeypatch.setattr(ReducedFamily, "_eigh", broken)
         with pytest.raises(SolverError):
             study.estimate_error(cb, "vector-l2", 10, seed=0)
 
@@ -546,14 +547,11 @@ class TestConvergenceStudy:
 
     def test_point_solve_failure_names_stage_budget_and_point(self, monkeypatch):
         cfg = study_config(budgets=[0.3], n_mc=2)
-        real = eigensolver.solve_gevp
 
-        def fails_off_origin(K, M, k=None):
-            if M is None:
-                raise SolverError("synthetic failure")
-            return real(K, M, k=k)
+        def fails_off_origin(self, A, k):
+            raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(eigensolver, "solve_gevp", fails_off_origin)
+        monkeypatch.setattr(ReducedFamily, "_eigh", fails_off_origin)
         with pytest.raises(StageError) as excinfo:
             run_convergence_study(cfg)
         assert excinfo.value.stage == "collocate"
@@ -617,6 +615,25 @@ class TestCrossingDemo:
             assert np.array_equal(raw.point_data[pt].basis.vectors, sol.basis.vectors)
             assert raw.point_data[pt].basis.gram_sigma_min == sol.basis.gram_sigma_min
             assert np.array_equal(raw.point_data[pt].cluster_values, sol.cluster_values)
+
+    def test_each_truth_is_projected_once_per_target(self, monkeypatch):
+        # the projected Monte Carlo truths are kept for the sweep, per sample
+        # and target; the memo still counts every sample's solve
+        cfg = dataclasses.replace(self.config(), budgets=(1.0, 2.0, 3.0))
+        real = study._target_bases
+        projected = {"canonical": 0, "raw": 0}
+
+        def count(decomps, ref_vectors, cluster, mass, target):
+            projected[target] += len(decomps)
+            return real(decomps, ref_vectors, cluster, mass, target)
+
+        monkeypatch.setattr(study, "_target_bases", count)
+        budgets = list(study._sweep(cfg, ("canonical", "raw")))
+        assert len(budgets) == 3
+        for _, _, card_X, _, runs, _, counts in budgets:
+            assert all(est.n_failures == 0 for _, est in runs.values())
+            assert counts["solves"] + counts["reused_solves"] == 2 * (1 + card_X + cfg.n_mc)
+        assert projected == {"canonical": cfg.n_mc, "raw": cfg.n_mc}
 
     @pytest.mark.parametrize("failing", ["canonical", "raw"])
     def test_estimate_failure_names_the_target(self, monkeypatch, failing):
