@@ -13,14 +13,13 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .eigensolver import CHUNK, ReducedFamily, m_orthonormalize
+from .eigensolver import ReducedFamily, m_orthonormalize
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
     EigenspaceBasis,
     _as_cluster,
     _project_clusters,
-    canonical_basis,
     exterior_gap,
 )
 from .errors import (
@@ -133,36 +132,34 @@ def _target_bases(decomps, ref_vectors, cluster, mass, target):
     return (projected if target == "canonical" else U), sigma
 
 
-def _target_basis(decomp, ref_vectors, cluster, mass, target) -> EigenspaceBasis:
-    """``_target_bases`` of one decomposition; 'canonical' is ``canonical_basis``."""
-    if target == "canonical":
-        return canonical_basis(decomp, ref_vectors, cluster, mass)
-    bases, sigma = _target_bases([decomp], ref_vectors, cluster, mass, target)
-    return EigenspaceBasis(bases[0], float(sigma[0]))
+def _nodes(decomps, points, ref_vectors, cluster, mass, target):
+    """Check and project one chunk of solved grid points.
 
-
-def _nodes(cache, points, ref_vectors, cluster, mass, target):
-    """Solve, check and project the grid points, stopping at the first fault.
-
-    Returns the eigenvalues (P x k), target bases and Gram sigmas of the
-    points.  A ``ClusterCrossingError`` or, for the canonical target, a
-    ``DegenerateBasisError`` names the first point, in the order given, where
-    the check fails; at one point the gap is checked first.
+    Returns the eigenvalues (P x k), exterior gaps, target bases and Gram
+    sigmas of the points.  Raises the first fault in the order given: the
+    ``SolverError`` a failed solve holds, a ``ClusterCrossingError`` or, for
+    the canonical target, a ``DegenerateBasisError`` naming the point; at one
+    point the gap is checked before the basis.
     """
-    decomps = cache.solve_many(points, cluster.hi + 1)
-    values = np.stack([d.values for d in decomps])
-    crossed = exterior_gap(values, cluster) <= 0.0
-    bases, sigma = _target_bases(decomps, ref_vectors, cluster, mass, target)
-    weak = sigma < GRAM_SIGMA_THRESHOLD if target == "canonical" else False
-    bad = np.flatnonzero(crossed | weak)
-    if bad.size:
-        i = bad[0]
-        if crossed[i]:
-            raise ClusterCrossingError(
-                f"cluster touches exterior spectrum at point {points[i]}"
-            )
-        raise DegenerateBasisError(float(sigma[i]), point=points[i])
-    return values, bases, sigma
+    solved = next(
+        (i for i, d in enumerate(decomps) if isinstance(d, SolverError)), len(decomps)
+    )
+    if solved:
+        values = np.stack([d.values for d in decomps[:solved]])
+        gaps = exterior_gap(values, cluster)
+        bases, sigma = _target_bases(decomps[:solved], ref_vectors, cluster, mass, target)
+        weak = sigma < GRAM_SIGMA_THRESHOLD if target == "canonical" else False
+        bad = np.flatnonzero((gaps <= 0.0) | weak)
+        if bad.size:
+            i = bad[0]
+            if gaps[i] <= 0.0:
+                raise ClusterCrossingError(
+                    f"cluster touches exterior spectrum at point {points[i]}"
+                )
+            raise DegenerateBasisError(float(sigma[i]), point=points[i])
+    if solved < len(decomps):
+        raise decomps[solved]
+    return values, gaps, bases, sigma
 
 
 def collocate(
@@ -176,10 +173,10 @@ def collocate(
     """Solve at every grid point of A and assemble the interpolant's data.
 
     The reference vectors are fixed by the solve at the origin first, a dense
-    one.  The grid points are then taken in grid order, CHUNK at a time: each
-    chunk is solved by ``ReducedFamily.solve_many``, which reduces the family
-    to standard form at the first point away from the origin, and its gaps
-    and Gram matrices are checked and its bases projected in one step
+    one.  The grid points are then solved in grid order by
+    ``ReducedFamily.solve_many``, which reduces the family to standard form
+    at the first point away from the origin, and each chunk it yields has its
+    gaps and Gram matrices checked and its bases projected in one step
     (``_nodes``).  ``_cache`` is internal: a budget sweep passes its
     ``ReducedFamily`` to carry the solves, the origin's included, from budget
     to budget and from target to target.  Each point stores the basis that
@@ -219,21 +216,14 @@ def collocate(
     points = grid_points(A)
     args = (ref_vectors, cluster, family.mass, target)
     values = np.empty((len(points), cluster.hi + 1))
+    gaps = np.empty(len(points))
     bases = np.empty((len(points), n, cluster.S))
     sigma = np.empty(len(points))
-    for start in range(0, len(points), CHUNK):
-        chunk = points[start:start + CHUNK]
-        try:
-            rows = _nodes(cache, chunk, *args)
-        except SolverError:
-            # the failed solve stopped the chunk before it was checked: point
-            # by point, the first offending point in grid order raises
-            for pt in chunk:
-                _nodes(cache, [pt], *args)
-            raise
-        for out, part in zip((values, bases, sigma), rows):
-            out[start:start + len(chunk)] = part
-    gaps = exterior_gap(values, cluster) / values[:, cluster.hi - 1]
+    for start, decomps in cache.solve_many(points, cluster.hi + 1):
+        stop = start + len(decomps)
+        rows = _nodes(decomps, points[start:stop], *args)
+        for out, part in zip((values, gaps, bases, sigma), rows):
+            out[start:stop] = part
     cluster_values = values[:, cols]
     point_data = {
         pt: PointSolution(
@@ -251,7 +241,7 @@ def collocate(
         target=target,
         diagnostics={
             "min_gram_sigma_min": float(sigma.min()),
-            "min_relative_exterior_gap": float(gaps.min()),
+            "min_relative_exterior_gap": float((gaps / values[:, cluster.hi - 1]).min()),
             "n_points": len(points),
         },
         _stack=(bases.reshape(len(points), -1), cluster_values),

@@ -61,8 +61,8 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
     K must be symmetric, M symmetric positive definite.  Eigenvalues come back
     ascending; eigenvectors satisfy U' M U = I to machine precision.  With
     ``M=None`` K is taken as an already reduced standard symmetric problem
-    (M = I): no factorisation, no back-transform.  ``ReducedFamily`` supplies
-    such K for every point of an affine family.
+    (M = I): no factorisation, no back-transform; with ``ReducedFamily.lift``
+    it is the reference the reduced point solves are tested against.
 
     Raises
     ------
@@ -105,17 +105,20 @@ CHUNK = 256
 class ReducedFamily:
     """Every eigensolve of an affine pencil (B0 + sum_m y_m B_m, M), memoised.
 
-    ``solve_many(Y, k)`` is the one path of every point solve, and ``solve(y,
-    k)`` is its one-point case.  The origin is the dense ``solve_gevp(B0, M,
-    k)``.  The first point away from it factors M = L L' and reduces every
-    affine term, A_m = inv(L) B_m inv(L)'; each other point then costs its
-    affine sum ``at(y)`` and one LAPACK ``dsyevr`` call.  Points go CHUNK at a
-    time, and the eigenvectors of a chunk are lifted by one triangular solve
-    and sign-fixed together, as ``lift`` does for one point; at the origin
-    that is bit for bit the dense solve.  Solves are keyed by the point
-    padded with zeros and k; with ``carry=False`` only the origin's are kept.
-    ``solves`` counts the eigensolves made, ``reused`` those served again.
-    The reduced terms take as much memory as the family.
+    ``solve_many(Y, k)`` is the one path of every point solve and the only
+    code that knows CHUNK: it yields the solves chunk by chunk, with a
+    ``SolverError`` in place of each failed one.  ``solve(y, k)`` is its
+    one-point case and raises that error.  The origin is the dense
+    ``solve_gevp(B0, M, k)``.  The first point away from it factors M = L L'
+    and reduces every affine term, A_m = inv(L) B_m inv(L)'; each other
+    point then costs its affine sum ``at(y)`` and one LAPACK ``dsyevr`` call.
+    The eigenvectors of a chunk are lifted by one triangular solve and
+    sign-fixed together, as ``lift`` does for one point; at the origin that
+    is bit for bit the dense solve.  Solves are keyed by the point padded
+    with zeros and k; with ``carry=False`` only the origin's are kept, and a
+    failed solve is never kept.  ``solves`` counts the eigensolves made,
+    failed ones included, and ``reused`` those served again.  The reduced
+    terms take as much memory as the family.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -168,54 +171,59 @@ class ReducedFamily:
         )
 
     def solve(self, y, k: int) -> SpectralDecomposition:
-        """The k lowest eigenpairs at y: ``solve_many`` of the one point."""
-        return self.solve_many([y], k)[0]
+        """The k lowest eigenpairs at y: ``solve_many`` of the one point.
 
-    def solve_many(self, Y, k: int) -> list[SpectralDecomposition]:
-        """The k lowest eigenpairs at every point of Y, in the order of Y.
-
-        A point given twice is solved once.  A ``SolverError`` names the first
-        point, in the order of Y, that is not finite or whose solve fails;
-        the solves of its chunk are not kept.
+        Raises the ``SolverError`` that ``solve_many`` holds for a fault.
         """
-        out = []
-        for start in range(0, len(Y), CHUNK):
-            out += self._solve_chunk(Y[start:start + CHUNK], k)
-        return out
+        [(_, [decomp])] = self.solve_many([y], k)
+        if isinstance(decomp, SolverError):
+            raise decomp
+        return decomp
 
-    def _solve_chunk(self, Y, k: int) -> list[SpectralDecomposition]:
-        keys = [(tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k) for y in Y]
-        fresh = {}  # key -> its point, for the keys the memo lacks
-        for y, key in zip(Y, keys):
-            if key in self._memo or key in fresh:
-                self.reused += 1
-            else:
-                fresh[key] = y
-        made = {}
-        reduced = []  # (key, values); the reduced eigenvectors go to W
-        W = np.empty((self.family.dim, k * len(fresh)), order="F")
-        for key, y in fresh.items():
-            self.solves += 1
-            try:
-                if not all(map(math.isfinite, key[0])):
-                    raise SolverError("parameter point is not finite")
-                if any(key[0]):
-                    values, z = self._eigh(self.at(y), k)
-                    W[:, k * len(reduced):k * (len(reduced) + 1)] = z
-                    reduced.append((key, values))
+    def solve_many(self, Y, k: int):
+        """The k lowest eigenpairs at every point of Y, CHUNK points at a time.
+
+        Yields ``(start, decomps)`` per chunk, where ``decomps[i]`` belongs to
+        ``Y[start + i]``.  A point that is not finite, or whose solve fails,
+        holds a ``SolverError`` naming it where its decomposition would be; a
+        fault is counted as a solve and never kept, and the rest of its chunk
+        is solved as usual.  A point given twice is solved once.
+        """
+        for start in range(0, len(Y), CHUNK):
+            Yc = Y[start:start + CHUNK]
+            keys = [(tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k) for y in Yc]
+            fresh = {}  # key -> its point, for the keys the memo lacks
+            for y, key in zip(Yc, keys):
+                if key in self._memo or key in fresh:
+                    self.reused += 1
                 else:
-                    made[key] = solve_gevp(self.family.B0, self.family.mass, k=k)
-            except SolverError as exc:
-                raise SolverError(f"{exc} at point {tuple(map(float, y))}") from exc
-        if reduced:
-            U = self._lift(W[:, :k * len(reduced)])
-            for p, (key, values) in enumerate(reduced):
-                made[key] = SpectralDecomposition(values, U[:, p * k:(p + 1) * k])
-        for key, decomp in made.items():
-            # the origin is the reference of every caller and a grid point as well
-            if self.carry or not any(key[0]):
-                self._memo[key] = decomp
-        return [made[key] if key in made else self._memo[key] for key in keys]
+                    fresh[key] = y
+            made = {}
+            reduced = []  # (key, values); the reduced eigenvectors go to W
+            W = np.empty((self.family.dim, k * len(fresh)), order="F")
+            for key, y in fresh.items():
+                self.solves += 1
+                try:
+                    if not all(map(math.isfinite, key[0])):
+                        raise SolverError("parameter point is not finite")
+                    if any(key[0]):
+                        values, z = self._eigh(self.at(y), k)
+                        W[:, k * len(reduced):k * (len(reduced) + 1)] = z
+                        reduced.append((key, values))
+                    else:
+                        made[key] = solve_gevp(self.family.B0, self.family.mass, k=k)
+                except SolverError as exc:
+                    made[key] = SolverError(f"{exc} at point {tuple(map(float, y))}")
+                    made[key].__cause__ = exc
+            if reduced:
+                U = self._lift(W[:, :k * len(reduced)])
+                for p, (key, values) in enumerate(reduced):
+                    made[key] = SpectralDecomposition(values, U[:, p * k:(p + 1) * k])
+            for key, decomp in made.items():
+                # the origin is the reference of every caller and a grid point as well
+                if not isinstance(decomp, SolverError) and (self.carry or not any(key[0])):
+                    self._memo[key] = decomp
+            yield start, [made[key] if key in made else self._memo[key] for key in keys]
 
 
 def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateBasisError,
     FamilyValidationError,
     IsolationPreconditionError,
+    SolverError,
 )
 from .families import AffineOperatorFamily
 
@@ -185,12 +186,15 @@ def check_isolation(
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_samples, family.n_terms))
     samples = []
     worst = math.inf
-    for y, decomp in zip(Y, solver.solve_many(Y, k)):
-        vals = decomp.values
-        gap = exterior_gap(vals, cluster)
-        mx = float(vals[cluster.hi - 1])
-        worst = min(worst, gap / mx)
-        samples.append((tuple(y), gap, mx))
+    for start, decomps in solver.solve_many(Y, k):
+        for y, decomp in zip(Y[start:], decomps):
+            if isinstance(decomp, SolverError):
+                raise decomp
+            vals = decomp.values
+            gap = exterior_gap(vals, cluster)
+            mx = float(vals[cluster.hi - 1])
+            worst = min(worst, gap / mx)
+            samples.append((tuple(y), gap, mx))
     return IsolationReport(
         delta_observed=worst,
         samples=tuple(samples),
@@ -236,7 +240,6 @@ def canonical_basis(
     ref_vectors: np.ndarray,
     J,
     M: np.ndarray,
-    sigma_threshold: float = GRAM_SIGMA_THRESHOLD,
 ) -> EigenspaceBasis:
     """Project the reference cluster vectors onto the cluster subspace at y.
 
@@ -249,8 +252,9 @@ def canonical_basis(
     Raises
     ------
     DegenerateBasisError
-        If the Gram matrix's smallest singular value falls below the threshold,
-        i.e. the subspace at y has turned too far from the reference one.
+        If the Gram matrix's smallest singular value falls below
+        ``GRAM_SIGMA_THRESHOLD``, i.e. the subspace at y has turned too far
+        from the reference one.
     """
     cluster = _as_cluster(J)
     if cluster.hi > decomp_at_y.k:
@@ -262,7 +266,7 @@ def canonical_basis(
         raise FamilyValidationError("reference block must have one column per cluster index")
     U = decomp_at_y.vectors[:, [j - 1 for j in cluster.J]]
     projected, sigma = _project_clusters(U[None], ref, M)
-    if sigma[0] < sigma_threshold:
+    if sigma[0] < GRAM_SIGMA_THRESHOLD:
         raise DegenerateBasisError(float(sigma[0]))
     return EigenspaceBasis(vectors=projected[0], gram_sigma_min=float(sigma[0]))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
-from .eigensolver import CHUNK, ReducedFamily
+from .eigensolver import ReducedFamily
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     _as_cluster,
@@ -254,7 +254,7 @@ def estimate_error(
     """Root-mean-square interpolation error over seeded uniform samples.
 
     Each sample gets a direct eigensolve of the family reduced once to
-    standard form (``ReducedFamily.solve_many``, CHUNK samples at a time); the
+    standard form (``ReducedFamily.solve_many``, one chunk at a time); the
     reference is the basis of the interpolant's own target, made from the
     same origin vectors by the rule that made its grid nodes
     (``_target_bases``), so both sides target the identical object.  The
@@ -279,9 +279,9 @@ def estimate_error(
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_mc, family.n_terms))
     total = 0.0
     used = 0
-    for start in range(0, n_mc, CHUNK):
-        chunk = Y[start:start + CHUNK]
-        truth_bases = _truth_bases(cb, cache, chunk, truths)
+    for start, decomps in cache.solve_many(Y, cb.cluster.hi):
+        chunk = Y[start:start + len(decomps)]
+        truth_bases = _truth_bases(cb, chunk, decomps, truths)
         for approx, truth in zip(evaluate_many(cb, chunk), truth_bases):
             if truth is None:
                 continue
@@ -303,28 +303,17 @@ def estimate_error(
     return ErrorEstimate(value=value, n_samples=used, n_failures=failures)
 
 
-def _truth_bases(cb, cache: ReducedFamily, Y, truths: dict) -> list:
-    """The target basis of the direct solve at each row of Y, or None.
+def _truth_bases(cb, Y, decomps, truths: dict) -> list:
+    """The target basis of the direct solve ``decomps[i]`` at each row of Y, or None.
 
-    None stands for a sample whose solve fails or, for the canonical target,
-    whose Gram sigma falls below the threshold.  Every sample is read from
-    ``cache``, so the memo counts it; a basis is projected only if ``truths``
-    lacks its (sample, target) key, and then kept there.
+    None stands for a sample whose solve failed (a ``SolverError`` entry) or,
+    for the canonical target, whose Gram sigma falls below the threshold.  A
+    basis is projected only if ``truths`` lacks its (sample, target) key, and
+    then kept there.
     """
-    k = cb.cluster.hi
-    try:
-        decomps = cache.solve_many(Y, k)
-    except SolverError:
-        # the failed solve stopped the chunk: point by point, skipping failures
-        decomps = []
-        for y in Y:
-            try:
-                decomps.append(cache.solve(y, k))
-            except SolverError:
-                decomps.append(None)
     keys = [(tuple(y), cb.target) for y in Y]
     new = [i for i, (key, d) in enumerate(zip(keys, decomps))
-           if d is not None and key not in truths]
+           if not isinstance(d, SolverError) and key not in truths]
     if new:
         bases, sigma = _target_bases(
             [decomps[i] for i in new], cb.ref_vectors, cb.cluster, cb.family.mass, cb.target

@@ -43,7 +43,7 @@ from eigcolloc import (
 from eigcolloc import collocation, eigensolver
 from eigcolloc.collocation import (
     PointSolution,
-    _target_basis,
+    _target_bases,
     collocated_from_dict,
     collocated_to_dict,
 )
@@ -172,9 +172,9 @@ class TestCollocate:
         cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5), target, _cache=cache)
         for pt, sol in cb.point_data.items():
             decomp = cache.solve(pt, 3)
-            basis = _target_basis(decomp, cb.ref_vectors, cb.cluster, fam.mass, target)
-            assert np.array_equal(basis.vectors, sol.basis.vectors)
-            assert basis.gram_sigma_min == sol.basis.gram_sigma_min
+            bases, sigma = _target_bases([decomp], cb.ref_vectors, cb.cluster, fam.mass, target)
+            assert np.array_equal(bases[0], sol.basis.vectors)
+            assert sigma[0] == sol.basis.gram_sigma_min
 
 
 def switching_family(c):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from eigcolloc import (
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc.eigensolver import CHUNK, ReducedFamily, _fix_signs
+from eigcolloc.eigensolver import CHUNK, ReducedFamily, SpectralDecomposition, _fix_signs
 
 
 def random_pencil(n, seed):
@@ -228,6 +229,29 @@ def family_batch(draw):
     return fam, Y, list(range(lo, hi + 1))
 
 
+def solved(chunks):
+    """The entries of the chunks ``solve_many`` yields, in order, with their
+    starts checked: consecutive and at most CHUNK points apart."""
+    out = []
+    for start, decomps in chunks:
+        assert start == len(out) and 1 <= len(decomps) <= CHUNK
+        out += decomps
+    return out
+
+
+class FlakyFamily(ReducedFamily):
+    """A ``ReducedFamily`` whose reduced solve fails at each point of ``bad``."""
+
+    def __init__(self, family, bad, carry=True):
+        super().__init__(family, carry)
+        self.bad = [self.at(y) for y in bad]
+
+    def _eigh(self, A, k):
+        if any(np.array_equal(A, B) for B in self.bad):
+            raise SolverError("synthetic failure")
+        return super()._eigh(A, k)
+
+
 class TestSolveMany:
     # the dense solve of the assembled pencil is the oracle, with the
     # tolerances of TestReducedFamily: eigenvalues 1e-10 relative, cluster
@@ -238,7 +262,7 @@ class TestSolveMany:
         fam, Y, J = case
         k = J[-1] + 1
         cols = [j - 1 for j in J]
-        batch = ReducedFamily(fam, carry=False).solve_many(Y, k)
+        batch = solved(ReducedFamily(fam, carry=False).solve_many(Y, k))
         assert len(batch) == len(Y)
         alone = ReducedFamily(fam, carry=False)
         for y, got in zip(Y, batch):
@@ -254,8 +278,8 @@ class TestSolveMany:
     @given(family_batch())
     def test_reruns_are_bit_identical(self, case):
         fam, Y, J = case
-        first = ReducedFamily(fam).solve_many(Y, J[-1] + 1)
-        again = ReducedFamily(fam).solve_many(Y, J[-1] + 1)
+        first = solved(ReducedFamily(fam).solve_many(Y, J[-1] + 1))
+        again = solved(ReducedFamily(fam).solve_many(Y, J[-1] + 1))
         for a, b in zip(first, again):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.vectors, b.vectors)
@@ -265,7 +289,7 @@ class TestSolveMany:
         solver = ReducedFamily(fam)
         a = solver.solve((0.3,), 3)
         # the padded point is the memo entry of a; a repeated point is solved once
-        batch = solver.solve_many([(0.3, 0.0), (0.1, 0.2), (), (0.1, 0.2)], 3)
+        batch = solved(solver.solve_many([(0.3, 0.0), (0.1, 0.2), (), (0.1, 0.2)], 3))
         assert batch[0] is a and batch[1] is batch[3]
         assert (solver.solves, solver.reused) == (3, 2)
         assert solver.solve((0.1, 0.2), 3) is batch[1]
@@ -275,10 +299,18 @@ class TestSolveMany:
         fam = spd_family(6, 2, 8)
         with pytest.raises(SolverError, match=r"not finite at point \(0.5, " + str(bad)):
             ReducedFamily(fam).solve((0.5, bad), 2)
-        with pytest.raises(SolverError, match=r"at point \(" + str(bad)):
-            ReducedFamily(fam).solve_many([(0.1, 0.2), (bad,), (0.3,)], 2)
+        # in a batch the point holds its error; its neighbours are solved
+        solver = ReducedFamily(fam)
+        Y = [(0.1, 0.2), (bad,), (0.3,)]
+        batch = solved(solver.solve_many(Y, 2))
+        assert isinstance(batch[1], SolverError)
+        assert f"not finite at point ({bad},)" in str(batch[1])
+        for y, got in zip(Y[::2], batch[::2]):
+            assert np.array_equal(got.vectors, ReducedFamily(fam).solve(y, 2).vectors)
+        assert (solver.solves, solver.reused) == (3, 0)
+        assert set(solver._memo) == {((0.1, 0.2), 2), ((0.3, 0.0), 2)}
 
-    def test_failure_stops_at_the_first_failing_point(self, monkeypatch):
+    def test_failure_is_held_in_place_and_not_kept(self, monkeypatch):
         fam = spd_family(6, 1, 9)
         real = ReducedFamily._eigh
         seen = []
@@ -292,11 +324,50 @@ class TestSolveMany:
         monkeypatch.setattr(ReducedFamily, "_eigh", fails_at_third)
         solver = ReducedFamily(fam)
         Y = [(0.1 * i,) for i in range(1, 6)]
-        with pytest.raises(SolverError, match=r"synthetic failure at point \(0.30"):
-            solver.solve_many(Y, 2)
-        # counted and not kept: the chunk of the failing point is dropped
-        assert (solver.solves, solver.reused) == (3, 0)
-        assert len(seen) == 3 and solver._memo == {}
+        batch = solved(solver.solve_many(Y, 2))
+        assert re.fullmatch(r"synthetic failure at point \(0.30*4?,\)", str(batch[2]))
+        assert str(batch[2].__cause__) == "synthetic failure"
+        # the rest of the chunk is solved and kept; the failure is counted once
+        assert all(isinstance(d, SpectralDecomposition) for i, d in enumerate(batch) if i != 2)
+        assert (solver.solves, solver.reused) == (5, 0) and len(seen) == 5
+        assert set(solver._memo) == {(y, 2) for i, y in enumerate(Y) if i != 2}
+        # not kept: asked again, the point is solved again, and this time passes
+        assert isinstance(solver.solve(Y[2], 2), SpectralDecomposition)
+        assert (solver.solves, solver.reused) == (6, 0)
+
+    @settings(max_examples=20)
+    @given(family_batch(), st.data())
+    def test_faults_sit_at_their_points(self, case, data):
+        # failed solves and non-finite points, at random indices, across
+        # chunk ends: each holds its point's error, and nothing else moves
+        fam, Y, J = case
+        k = J[-1] + 1
+        failing = data.draw(
+            st.lists(st.integers(0, len(Y) - 1), max_size=6, unique=True), label="failing"
+        )
+        kinds = data.draw(
+            st.lists(st.sampled_from(["solve", "nan"]), min_size=len(failing),
+                     max_size=len(failing)),
+            label="kinds",
+        )
+        bad_Y = Y.copy()
+        for i, kind in zip(failing, kinds):
+            if kind == "nan":
+                bad_Y[i, 0] = math.nan
+        solver = FlakyFamily(fam, [Y[i] for i, kind in zip(failing, kinds) if kind == "solve"])
+        batch = solved(solver.solve_many(bad_Y, k))
+        clean = solved(ReducedFamily(fam).solve_many(Y, k))
+        assert len(batch) == len(Y)
+        for i, (got, want) in enumerate(zip(batch, clean)):
+            if i in failing:
+                assert isinstance(got, SolverError)
+                assert f"at point {tuple(map(float, bad_Y[i]))}" in str(got)
+            else:
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.vectors, want.vectors)
+        assert (solver.solves, solver.reused) == (len(Y), 0)
+        assert not any(isinstance(d, SolverError) for d in solver._memo.values())
+        assert len(solver._memo) == len(Y) - len(failing)
 
 
 def loop_fix_signs(U):

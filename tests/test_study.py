@@ -380,6 +380,29 @@ class TestEstimateError:
         assert est.n_failures == 1
         assert est.n_samples == 19
 
+    def test_a_failed_sample_is_solved_once(self, monkeypatch):
+        # one failing sample among 40 in one chunk: every sample is solved
+        # once, the failure included, and the rest of the chunk is kept
+        fam = model_diffusion_1d(10, 0.2, 2.0, 1)
+        cb = collocate(fam, [1], line_set(2))
+        failing = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, fam.n_terms))[30]
+        real = ReducedFamily._eigh
+        calls = []
+
+        def flaky(self, A, k):
+            calls.append(A)
+            if np.array_equal(A, self.at(failing)):
+                raise SolverError("synthetic failure")
+            return real(self, A, k)
+
+        monkeypatch.setattr(ReducedFamily, "_eigh", flaky)
+        cache = ReducedFamily(fam)
+        est = study.estimate_error(cb, "vector-l2", 40, seed=0, _cache=cache)
+        assert (cache.solves, cache.reused) == (40, 0)
+        assert len(calls) == 40
+        assert (est.n_failures, est.n_samples) == (1, 39)
+        assert len(cache._memo) == 39
+
     def test_too_many_failures_abort(self, monkeypatch):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
@@ -512,6 +535,28 @@ class TestConvergenceStudy:
             carried = 1 if previous == 0 else 1 + previous + cfg.n_mc
             assert diag["reused_solves"] == carried
             previous = rec.card_X
+
+    def test_solve_counts_add_up_when_a_sample_fails(self, monkeypatch):
+        # the solve of sample 30 fails at the first budget only: the failure
+        # is counted once there and, never kept, solved again at the next
+        cfg = study_config(budgets=[0.3, 0.8, 1.4], n_mc=40)
+        failing = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, size=(40, 2))[30]
+        real = ReducedFamily._eigh
+        failed = []
+
+        def fails_once(self, A, k):
+            if not failed and np.array_equal(A, self.at(failing)):
+                failed.append(A)
+                raise SolverError("synthetic failure")
+            return real(self, A, k)
+
+        monkeypatch.setattr(ReducedFamily, "_eigh", fails_once)
+        result = run_convergence_study(cfg)
+        assert [d["mc_failures"] for d in result.diagnostics] == [1, 0, 0]
+        for rec, diag in zip(result.records, result.diagnostics):
+            assert diag["solves"] + diag["reused_solves"] == 1 + rec.card_X + cfg.n_mc
+        # the second budget solves the failed sample again
+        assert result.diagnostics[1]["reused_solves"] == 1 + result.records[0].card_X + 39
 
     def test_no_output_dir_writes_nothing(self):
         cfg = study_config(budgets=[0.3], n_mc=5)
