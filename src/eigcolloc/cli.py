@@ -132,10 +132,11 @@ def _cmd_collocate(args) -> int:
 def _cmd_study(args) -> int:
     config = _load_study_config(args)
     result = run_convergence_study(config, out_dir=args.out)
-    for rec in result.records:
+    for rec, diag in zip(result.records, result.diagnostics):
         print(
             f"L={rec.budget:g} #A={rec.card_A} #X={rec.card_X} "
-            f"error={rec.error:.6e} ({rec.seconds:.2f}s)"
+            f"error={rec.error:.6e} solves: grid={diag['grid_solves']} "
+            f"mc={diag['mc_solves']} ({rec.seconds:.2f}s)"
         )
     if result.r_hat is not None:
         print(f"fitted rate: {result.r_hat:.3f}")

@@ -9,9 +9,14 @@ call, and it lifts the eigenvectors of many points by one triangular solve.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -100,6 +105,77 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
 # points per batch of solves: a chunk's reduced eigenvectors are lifted by one
 # triangular solve, and the chunk bounds the memory a batch holds at once
 CHUNK = 256
+# family dimension below which a chunk's solves run on one OpenBLAS thread: on
+# a 2-vCPU machine one reduced solve was as fast or faster on one thread at
+# n = 400, and 10-20% slower at n = 576 (CHANGES.md has the table)
+SERIAL_BLAS_DIM = 500
+
+# (set, get) thread-count symbols of the OpenBLAS copies numpy and scipy bundle
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@cache
+def _openblas_copies() -> tuple:
+    """(file name, set, get) of each bundled OpenBLAS copy this process has loaded."""
+    copies = []
+    for pkg in (np, scipy):
+        # the wheels keep the bundled libraries in numpy.libs and scipy.libs
+        libs = os.path.dirname(pkg.__file__) + ".libs"
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:  # not loaded
+                continue
+            for set_name, get_name in _OPENBLAS_SYMBOLS:
+                set_, get = getattr(lib, set_name, None), getattr(lib, get_name, None)
+                if set_ is not None and get is not None:
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    copies.append((os.path.basename(path), set_, get))
+                    break
+    return tuple(copies)
+
+
+_cap_lock = threading.Lock()
+_cap_depth = 0  # blocks of _serial_blas open in the process
+_cap_saved = ()  # the thread counts the outermost block restores
+
+
+@contextmanager
+def _serial_blas():
+    """Every bundled OpenBLAS copy on one thread while the block runs.
+
+    The counts are process-global: the outermost open block, in any thread,
+    sets them to 1 and restores the old counts when it closes.
+    """
+    global _cap_depth, _cap_saved
+    copies = _openblas_copies()
+    with _cap_lock:
+        if not _cap_depth:
+            _cap_saved = tuple(get() for _, _, get in copies)
+            for _, set_, _ in copies:
+                set_(1)
+        _cap_depth += 1
+    try:
+        yield
+    finally:
+        with _cap_lock:
+            _cap_depth -= 1
+            if not _cap_depth:
+                for (_, set_, _), count in zip(copies, _cap_saved):
+                    set_(count)
+
+
+def _blas_environment(dim: int) -> dict:
+    """The OpenBLAS copies found, with their thread counts, and the count a
+    point solve of a ``dim``-dimensional family runs with (None if unknown)."""
+    found = [{"file": name, "threads": get()} for name, _, get in _openblas_copies()]
+    counts = [c["threads"] for c in found]
+    point = (1 if dim < SERIAL_BLAS_DIM else max(counts)) if counts else None
+    return {"openblas": found, "point_solve_threads": point}
 
 
 class ReducedFamily:
@@ -118,7 +194,11 @@ class ReducedFamily:
     with zeros and k; with ``carry=False`` only the origin's are kept, and a
     failed solve is never kept.  ``solves`` counts the eigensolves made,
     failed ones included, and ``reused`` those served again.  The reduced
-    terms take as much memory as the family.
+    terms take as much memory as the family.  Below ``SERIAL_BLAS_DIM`` the
+    work of each chunk, the reduction and the origin's solve included, runs
+    with every bundled OpenBLAS copy on one thread (``_serial_blas``), which
+    is faster at that size and makes the results independent of the thread
+    settings; above it the BLAS threads are left as they are.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -187,8 +267,11 @@ class ReducedFamily:
         ``Y[start + i]``.  A point that is not finite, or whose solve fails,
         holds a ``SolverError`` naming it where its decomposition would be; a
         fault is counted as a solve and never kept, and the rest of its chunk
-        is solved as usual.  A point given twice is solved once.
+        is solved as usual.  A point given twice is solved once.  Below
+        ``SERIAL_BLAS_DIM`` each chunk is solved on one OpenBLAS thread; the
+        old counts are back before the chunk is yielded.
         """
+        serial = _serial_blas if self.family.dim < SERIAL_BLAS_DIM else nullcontext
         for start in range(0, len(Y), CHUNK):
             Yc = Y[start:start + CHUNK]
             keys = [(tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k) for y in Yc]
@@ -201,24 +284,27 @@ class ReducedFamily:
             made = {}
             reduced = []  # (key, values); the reduced eigenvectors go to W
             W = np.empty((self.family.dim, k * len(fresh)), order="F")
-            for key, y in fresh.items():
-                self.solves += 1
-                try:
-                    if not all(map(math.isfinite, key[0])):
-                        raise SolverError("parameter point is not finite")
-                    if any(key[0]):
-                        values, z = self._eigh(self.at(y), k)
-                        W[:, k * len(reduced):k * (len(reduced) + 1)] = z
-                        reduced.append((key, values))
-                    else:
-                        made[key] = solve_gevp(self.family.B0, self.family.mass, k=k)
-                except SolverError as exc:
-                    made[key] = SolverError(f"{exc} at point {tuple(map(float, y))}")
-                    made[key].__cause__ = exc
-            if reduced:
-                U = self._lift(W[:, :k * len(reduced)])
-                for p, (key, values) in enumerate(reduced):
-                    made[key] = SpectralDecomposition(values, U[:, p * k:(p + 1) * k])
+            # the cap closes before the yield, so that a caller that raises or
+            # drops the generator never leaves the counts at one
+            with serial():
+                for key, y in fresh.items():
+                    self.solves += 1
+                    try:
+                        if not all(map(math.isfinite, key[0])):
+                            raise SolverError("parameter point is not finite")
+                        if any(key[0]):
+                            values, z = self._eigh(self.at(y), k)
+                            W[:, k * len(reduced):k * (len(reduced) + 1)] = z
+                            reduced.append((key, values))
+                        else:
+                            made[key] = solve_gevp(self.family.B0, self.family.mass, k=k)
+                    except SolverError as exc:
+                        made[key] = SolverError(f"{exc} at point {tuple(map(float, y))}")
+                        made[key].__cause__ = exc
+                if reduced:
+                    U = self._lift(W[:, :k * len(reduced)])
+                    for p, (key, values) in enumerate(reduced):
+                        made[key] = SpectralDecomposition(values, U[:, p * k:(p + 1) * k])
             for key, decomp in made.items():
                 # the origin is the reference of every caller and a grid point as well
                 if not isinstance(decomp, SolverError) and (self.carry or not any(key[0])):

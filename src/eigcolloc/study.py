@@ -12,13 +12,15 @@ import json
 import logging
 import math
 import os
+import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
-from .eigensolver import ReducedFamily
+from .eigensolver import ReducedFamily, _blas_environment
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     _as_cluster,
@@ -395,7 +397,10 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     Yields ``(budget, card_A, card_X, card_X_formula, runs, seconds, counts)``
     per budget, where ``runs`` maps each target to its ``(basis,
     ErrorEstimate)`` and ``counts`` holds the budget's eigensolves made
-    (``solves``) and served again from the memo (``reused_solves``).  One
+    (``solves``) and served again from the memo (``reused_solves``), the
+    solves made by the collocate and the estimate stages (``grid_solves``,
+    ``mc_solves``, which add up to ``solves``) and the seconds of those two
+    stages (``collocate_s``, ``estimate_s``), summed over the targets.  One
     ``ReducedFamily`` carries the reduction, the origin solve, the grid point
     solves and the Monte Carlo solves across the budgets and the targets, and
     one dict the projected Monte Carlo truths, per sample and target.
@@ -416,20 +421,28 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
             A = anisotropic_set(rho, L)
             card_X_formula = point_count_bound(A) if is_monotone(A) else None
         runs = {}
+        stages = dict.fromkeys(("grid_solves", "mc_solves", "collocate_s", "estimate_s"), 0)
         for target in targets:
             tag = f"-{target}" if len(targets) > 1 else ""
+            t, made = time.perf_counter(), cache.solves
             with _stage("collocate" + tag, i):
                 cb = collocate(family, config.cluster, A, target=target, _cache=cache)
+            stages["collocate_s"] += time.perf_counter() - t
+            stages["grid_solves"] += cache.solves - made
+            t, made = time.perf_counter(), cache.solves
             with _stage("estimate" + tag, i):
                 est = estimate_error(
                     cb, config.metric, config.n_mc, config.seed,
                     _cache=cache, _truths=truths,
                 )
+            stages["estimate_s"] += time.perf_counter() - t
+            stages["mc_solves"] += cache.solves - made
             runs[target] = (cb, est)
         seconds = time.perf_counter() - t0
         counts = {
             "solves": cache.solves - before[0],
             "reused_solves": cache.reused - before[1],
+            **stages,
         }
         card_A = len(A)
         card_X = len(cb.point_data)
@@ -444,18 +457,41 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
         yield float(L), card_A, card_X, card_X_formula, runs, seconds, counts
 
 
+def _environment(dim: int) -> dict:
+    """Versions, processors and BLAS threads of this process, for a summary."""
+    from . import __version__
+
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "eigcolloc": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": nproc,
+        **_blas_environment(dim),
+    }
+
+
 def _write_outputs(
     config: StudyConfig, out_dir, csv_name: str, json_name: str,
-    header: list[str], records: list, **summary,
+    header: list[str], records: list, dim: int, **summary,
 ) -> tuple[str | None, str | None]:
-    """One CSV row per record (its fields, in order) and a JSON summary; both paths."""
+    """One CSV row per record (its fields, in order) and a JSON summary; both paths.
+
+    The summary holds the environment in which the family of dimension
+    ``dim`` was solved.
+    """
     if out_dir is None:
         return None, None
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, csv_name)
     _write_csv(csv_path, header, [list(vars(r).values()) for r in records])
     summary_path = os.path.join(out_dir, json_name)
-    doc = {"config": config.to_dict(), "records": [vars(r) for r in records]}
+    doc = {
+        "config": config.to_dict(),
+        "environment": _environment(dim),
+        "records": [vars(r) for r in records],
+    }
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump({**doc, **summary}, fh, indent=2)
     return csv_path, summary_path
@@ -489,7 +525,7 @@ def run_convergence_study(
     r_hat, reason = fit_rate([r.card_A for r in records], [r.error for r in records])
     csv_path, summary_path = _write_outputs(
         config, out_dir, csv_name, "study.json",
-        ["L", "card_A", "card_X", "error", "seconds"], records,
+        ["L", "card_A", "card_X", "error", "seconds"], records, cb.family.dim,
         r_hat=r_hat, r_hat_reason=reason, diagnostics=diagnostics,
     )
     return StudyResult(
@@ -529,18 +565,16 @@ def run_crossing_demo(
     crossings inside the cluster; the projected basis does not.  Both error
     columns use the same metric, samples, and seed, so rows are comparable.
     """
-    records = [
-        CrossingRecord(
-            L, card_A, card_X, runs["canonical"][1].value, runs["raw"][1].value, seconds
-        )
-        for L, card_A, card_X, _, runs, seconds, _ in _sweep(config, ("canonical", "raw"))
-    ]
+    records = []
+    for L, card_A, card_X, _, runs, seconds, _ in _sweep(config, ("canonical", "raw")):
+        (cb, canonical), (_, raw) = runs["canonical"], runs["raw"]
+        records.append(CrossingRecord(L, card_A, card_X, canonical.value, raw.value, seconds))
     last = records[-1]
     ratio = last.error_raw / last.error_canonical if last.error_canonical > 0 else None
     csv_path, summary_path = _write_outputs(
         config, out_dir, csv_name, "crossing.json",
         ["L", "card_A", "card_X", "error_canonical", "error_raw", "seconds"], records,
-        final_error_ratio_raw_over_canonical=ratio,
+        cb.family.dim, final_error_ratio_raw_over_canonical=ratio,
     )
     return CrossingResult(
         records=tuple(records),

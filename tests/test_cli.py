@@ -134,6 +134,9 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "fitted rate" in text
+        diagnostics = json.loads((out / "study.json").read_text(encoding="utf-8"))["diagnostics"]
+        for diag in diagnostics:
+            assert f"solves: grid={diag['grid_solves']} mc={diag['mc_solves']} " in text
         assert (out / "study.csv").exists()
         assert (out / "study.json").exists()
         lines = (out / "study.csv").read_text(encoding="utf-8").splitlines()

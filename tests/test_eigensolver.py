@@ -1,22 +1,39 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eigcolloc
 from eigcolloc import (
     DecaySequence,
     ParameterDimensionError,
     RankDeficiencyError,
     SolverError,
+    anisotropic_set,
     assemble_at,
+    check_isolation,
+    collocate,
+    estimate_error,
     m_orthonormalize,
+    model_diffusion_1d,
     principal_angles,
     solve_gevp,
     synthetic_family,
 )
-from eigcolloc.eigensolver import CHUNK, ReducedFamily, SpectralDecomposition, _fix_signs
+from eigcolloc import eigensolver
+from eigcolloc.eigensolver import (
+    CHUNK,
+    ReducedFamily,
+    SpectralDecomposition,
+    _fix_signs,
+    _openblas_copies,
+)
 
 
 def random_pencil(n, seed):
@@ -368,6 +385,144 @@ class TestSolveMany:
         assert (solver.solves, solver.reused) == (len(Y), 0)
         assert not any(isinstance(d, SolverError) for d in solver._memo.values())
         assert len(solver._memo) == len(Y) - len(failing)
+
+
+def blas_counts():
+    return [get() for _, _, get in _openblas_copies()]
+
+
+@pytest.fixture
+def two_threads():
+    """Every bundled OpenBLAS copy on two threads during the test, so that a
+    cap to one thread shows; the earlier counts are put back afterwards."""
+    copies = _openblas_copies()
+    if not copies:
+        pytest.skip("no bundled OpenBLAS with thread-count symbols is loaded")
+    earlier = blas_counts()
+    for _, set_threads, _ in copies:
+        set_threads(2)
+    try:
+        yield [2] * len(copies)
+    finally:
+        for (_, set_threads, _), count in zip(copies, earlier):
+            set_threads(count)
+
+
+class TestSerialBlas:
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_chunk_work_runs_on_one_thread_below_the_threshold(
+        self, monkeypatch, two_threads, serial
+    ):
+        fam = spd_family(6, 2, 11)
+        if not serial:
+            monkeypatch.setattr(eigensolver, "SERIAL_BLAS_DIM", fam.dim)
+        seen = []
+
+        def recording(real):
+            def record(*args, **kwargs):
+                seen.append(blas_counts())
+                return real(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(ReducedFamily, "_eigh", recording(ReducedFamily._eigh))
+        monkeypatch.setattr(eigensolver, "solve_gevp", recording(solve_gevp))
+        monkeypatch.setattr(eigensolver, "_reduce", recording(eigensolver._reduce))
+        # the origin's dense solve and its reduction, the reduction of B0 and
+        # the 2 terms, and 2 reduced solves
+        solved(ReducedFamily(fam).solve_many([(), (0.1, 0.2), (0.3,)], 2))
+        inside = [1] * len(two_threads) if serial else two_threads
+        assert seen == [inside] * 7
+        assert blas_counts() == two_threads
+
+    def test_counts_are_restored(self, two_threads):
+        fam = model_diffusion_1d(n_elements=20, decay_scale=0.3, n_terms=2)
+        cb = collocate(fam, [1], anisotropic_set([2.0, 3.0], 1.0))
+        assert blas_counts() == two_threads
+        estimate_error(cb, "vector-l2", 20, 0)
+        assert blas_counts() == two_threads
+        check_isolation(fam, [1], 0.1, n_samples=20)
+        assert blas_counts() == two_threads
+        # a failed solve held in its chunk, and raised by solve
+        batch = solved(ReducedFamily(fam).solve_many([(0.1,), (math.nan,)], 2))
+        assert isinstance(batch[1], SolverError)
+        assert blas_counts() == two_threads
+        with pytest.raises(SolverError, match="not finite"):
+            ReducedFamily(fam).solve((math.nan,), 2)
+        assert blas_counts() == two_threads
+        # a generator dropped after its first chunk holds no cap
+        chunks = ReducedFamily(fam).solve_many(np.full((CHUNK + 1, 2), 0.5), 2)
+        next(chunks)
+        assert blas_counts() == two_threads
+        chunks.close()
+        assert blas_counts() == two_threads
+
+    def test_counts_are_restored_when_a_chunk_raises(self, monkeypatch, two_threads):
+        def broken(self, W):
+            raise SolverError("synthetic failure")
+
+        monkeypatch.setattr(ReducedFamily, "_lift", broken)
+        with pytest.raises(SolverError, match="synthetic failure"):
+            ReducedFamily(spd_family(6, 1, 12)).solve((0.5,), 2)
+        assert blas_counts() == two_threads
+
+    def test_counts_are_restored_after_threads_overlap(self, two_threads):
+        # the cap is process-global: with solves overlapping in 4 threads, the
+        # last block to close puts back the counts the first one found
+        fam = spd_family(6, 2, 13)
+        Y = np.random.default_rng(13).uniform(-1.0, 1.0, size=(4, 2))
+        errors = []
+
+        def work():
+            try:
+                for _ in range(200):
+                    solved(ReducedFamily(fam, carry=False).solve_many(Y, 2))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and not errors
+        assert blas_counts() == two_threads
+
+
+COLLOCATE_TO_FILE = """
+import sys
+from eigcolloc import (
+    anisotropic_set, collocate, compute_tau_weights, model_diffusion_1d, save_collocated,
+)
+fam = model_diffusion_1d(n_elements=200, decay_scale=0.3, decay_rate=3.0, n_terms=6,
+                         p_exponent=0.5)
+A = anisotropic_set(compute_tau_weights(fam.kappa, delta=0.5, epsilon=0.5), 0.8)
+save_collocated(collocate(fam, [1], A), sys.argv[1])
+"""
+
+
+def test_collocated_file_does_not_depend_on_the_thread_variables(tmp_path):
+    # n = 199 and 113 grid points: with default threading the chunk's lift
+    # used to run threaded, and the stored bases differed in their last bits
+    src = os.path.dirname(os.path.dirname(eigcolloc.__file__))
+    env = {
+        key: value for key, value in os.environ.items()
+        if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    files = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        path = tmp_path / f"basis{len(files)}.json"
+        subprocess.run(
+            [sys.executable, "-c", COLLOCATE_TO_FILE, str(path)],
+            env={**env, **threads}, check=True, timeout=300,
+        )
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
 
 
 def loop_fix_signs(U):

@@ -490,6 +490,13 @@ class TestConvergenceStudy:
         summary = json.loads((tmp_path / "study.json").read_text(encoding="utf-8"))
         assert summary["config"] == cfg.to_dict()
         assert summary["r_hat"] == result.r_hat
+        env = summary["environment"]
+        assert {"eigcolloc", "python", "numpy", "scipy", "nproc"} <= env.keys()
+        assert env["numpy"] == np.__version__ and env["nproc"] >= 1
+        for copy in env["openblas"]:
+            assert "openblas" in copy["file"] and copy["threads"] >= 1
+        # a 1D family is far below SERIAL_BLAS_DIM: its point solves run serial
+        assert env["point_solve_threads"] == (1 if env["openblas"] else None)
         assert len(summary["diagnostics"]) == 2
         for diag in summary["diagnostics"]:
             assert diag["mc_failures"] == 0
@@ -534,6 +541,11 @@ class TestConvergenceStudy:
             assert diag["solves"] + diag["reused_solves"] == 1 + rec.card_X + cfg.n_mc
             carried = 1 if previous == 0 else 1 + previous + cfg.n_mc
             assert diag["reused_solves"] == carried
+            # the samples are solved at the first budget, the new grid points at each
+            assert diag["grid_solves"] + diag["mc_solves"] == diag["solves"]
+            assert diag["grid_solves"] == rec.card_X - previous
+            assert diag["mc_solves"] == (cfg.n_mc if previous == 0 else 0)
+            assert diag["collocate_s"] > 0.0 and diag["estimate_s"] > 0.0
             previous = rec.card_X
 
     def test_solve_counts_add_up_when_a_sample_fails(self, monkeypatch):
@@ -555,8 +567,10 @@ class TestConvergenceStudy:
         assert [d["mc_failures"] for d in result.diagnostics] == [1, 0, 0]
         for rec, diag in zip(result.records, result.diagnostics):
             assert diag["solves"] + diag["reused_solves"] == 1 + rec.card_X + cfg.n_mc
+            assert diag["grid_solves"] + diag["mc_solves"] == diag["solves"]
         # the second budget solves the failed sample again
         assert result.diagnostics[1]["reused_solves"] == 1 + result.records[0].card_X + 39
+        assert [d["mc_solves"] for d in result.diagnostics] == [40, 1, 0]
 
     def test_no_output_dir_writes_nothing(self):
         cfg = study_config(budgets=[0.3], n_mc=5)
@@ -631,6 +645,7 @@ class TestCrossingDemo:
         assert len(lines) == 3
         summary = json.loads((tmp_path / "crossing.json").read_text(encoding="utf-8"))
         assert summary["final_error_ratio_raw_over_canonical"] == result.final_ratio
+        assert summary["environment"] == study._environment(4)
 
     def test_error_columns_equal_single_target_studies(self):
         # one sweep serves both entry points: each demo column is, bit for
@@ -651,8 +666,11 @@ class TestCrossingDemo:
         cfg = self.config()
         sweep = study._sweep(cfg, ("canonical", "raw"))
         _, _, card_X, _, runs, _, counts = next(sweep)
+        seconds = [counts.pop(key) for key in ("collocate_s", "estimate_s")]
         assert counts == {"solves": card_X + cfg.n_mc,
-                          "reused_solves": 2 + card_X + cfg.n_mc}
+                          "reused_solves": 2 + card_X + cfg.n_mc,
+                          "grid_solves": card_X, "mc_solves": cfg.n_mc}
+        assert all(s > 0.0 for s in seconds)
         raw = runs["raw"][0]
         fresh = collocate(raw.family, cfg.cluster, raw.A, target="raw")
         assert raw.point_data.keys() == fresh.point_data.keys()
