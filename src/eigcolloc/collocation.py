@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .eigensolver import ReducedFamily, m_orthonormalize
+from .eigensolver import ReducedFamily, _point_blas, m_orthonormalize
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
@@ -65,8 +65,11 @@ class CollocatedEigenbasis:
     cluster values views of its row of the stack, and builds the combination
     operator over the stack, so that every evaluation is one weight table and
     one matrix product.  ``terms`` is derived from ``A`` there, not passed
-    in.  ``_stack`` is internal: ``collocate`` passes the stacked bases and
-    cluster values its point data are already views of.
+    in.  ``_stack`` is internal: ``collocate`` passes its grid points and the
+    stacked bases and cluster values its point data are already views of.
+    Point data from elsewhere (a load, ``dataclasses.replace``) is checked
+    against ``grid_points(A)`` and the shapes of the family and the cluster,
+    then stacked.
     """
 
     family: AffineOperatorFamily
@@ -86,33 +89,64 @@ class CollocatedEigenbasis:
     def __post_init__(self, _stack):
         if self.target not in TARGETS:
             raise ConfigError(f"unknown interpolation target {self.target!r}")
+        if _stack is None:
+            _stack = self._stack_point_data()
+        points, vectors, values = _stack
+        object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
+        op = CombinationOperator(self.terms, self.A.M_active, points)
+        object.__setattr__(self, "_operator", op)
+        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_values", values)
+
+    def _stack_point_data(self) -> tuple:
+        """Check data given from outside ``collocate`` and stack it as ``_stack``.
+
+        Every array must have its shape for the family and the cluster, and the
+        points must be the grid of ``A``; a fault is a ``FamilyValidationError``
+        that names the field, and the point where there is one.
+        """
+        n, S = self.family.dim, self.S
+        if self.cluster.hi + 1 > n:
+            raise FamilyValidationError(
+                f"J: eigenpair {self.cluster.hi + 1} is needed for the gap, dimension is {n}"
+            )
+        M = self.family.n_terms
+        if self.A.M_active > M:
+            raise FamilyValidationError(
+                f"A: activates dimension {self.A.M_active}, family has {M} terms"
+            )
+        _check_shape("ref_vectors", self.ref_vectors, (n, S))
+        _check_shape("ref_values", self.ref_values, (S,))
         points = grid_points(self.A)
         if set(self.point_data) != set(points):
             raise FamilyValidationError(
                 "stored point data does not cover the collocation grid"
             )
-        if _stack is None:
-            shape = (self.family.dim, self.S)
-            vectors = np.empty((len(points), shape[0] * shape[1]))
-            values = np.empty((len(points), self.S))
-            point_data = {}
-            for i, pt in enumerate(points):
-                sol = self.point_data[pt]
-                vectors[i] = sol.basis.vectors.ravel()
-                values[i] = sol.cluster_values
-                basis = EigenspaceBasis(vectors[i].reshape(shape), sol.basis.gram_sigma_min)
-                point_data[pt] = PointSolution(basis=basis, cluster_values=values[i])
-            object.__setattr__(self, "point_data", point_data)
-            _stack = (vectors, values)
-        object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
-        op = CombinationOperator(self.terms, self.A.M_active, points)
-        object.__setattr__(self, "_operator", op)
-        object.__setattr__(self, "_vectors", _stack[0])
-        object.__setattr__(self, "_values", _stack[1])
+        vectors = np.empty((len(points), n * S))
+        values = np.empty((len(points), S))
+        point_data = {}
+        for i, pt in enumerate(points):
+            sol = self.point_data[pt]
+            _check_shape("vectors", sol.basis.vectors, (n, S), pt)
+            _check_shape("cluster_values", sol.cluster_values, (S,), pt)
+            vectors[i] = sol.basis.vectors.ravel()
+            values[i] = sol.cluster_values
+            basis = EigenspaceBasis(vectors[i].reshape(n, S), sol.basis.gram_sigma_min)
+            point_data[pt] = PointSolution(basis=basis, cluster_values=values[i])
+        object.__setattr__(self, "point_data", point_data)
+        return points, vectors, values
 
     @property
     def S(self) -> int:
         return self.cluster.S
+
+
+def _check_shape(name: str, array: np.ndarray, shape: tuple, point=None) -> None:
+    if np.shape(array) != shape:
+        where = f" at point {point}" if point is not None else ""
+        raise FamilyValidationError(
+            f"{name}{where} has shape {np.shape(array)}, expected {shape}"
+        )
 
 
 def _target_bases(decomps, ref_vectors, cluster, mass, target):
@@ -122,14 +156,17 @@ def _target_bases(decomps, ref_vectors, cluster, mass, target):
     error compares like with like.  For each decomposition the cluster
     eigenvectors U are projected by ``_project_clusters``: 'canonical' is the
     projected block, as ``canonical_basis`` makes it, and 'raw' the sorted
-    cluster eigenvectors themselves.  Returns the stacked bases (P x n x S)
-    and the smallest singular value of each Gram matrix against the reference
-    vectors (P,), unchecked.
+    cluster eigenvectors themselves.  Returns the stacked bases (P x n x S),
+    the smallest singular value of each Gram matrix against the reference
+    vectors (P,) and which bases the target accepts (P,): every raw one, and
+    a canonical one whose sigma is at least ``GRAM_SIGMA_THRESHOLD``.
     """
     cols = [j - 1 for j in cluster.J]
     U = np.stack([d.vectors[:, cols] for d in decomps])
     projected, sigma = _project_clusters(U, ref_vectors, mass)
-    return (projected if target == "canonical" else U), sigma
+    if target == "raw":
+        return U, sigma, np.ones(len(U), dtype=bool)
+    return projected, sigma, sigma >= GRAM_SIGMA_THRESHOLD
 
 
 def _nodes(decomps, points, ref_vectors, cluster, mass, target):
@@ -147,9 +184,8 @@ def _nodes(decomps, points, ref_vectors, cluster, mass, target):
     if solved:
         values = np.stack([d.values for d in decomps[:solved]])
         gaps = exterior_gap(values, cluster)
-        bases, sigma = _target_bases(decomps[:solved], ref_vectors, cluster, mass, target)
-        weak = sigma < GRAM_SIGMA_THRESHOLD if target == "canonical" else False
-        bad = np.flatnonzero((gaps <= 0.0) | weak)
+        bases, sigma, ok = _target_bases(decomps[:solved], ref_vectors, cluster, mass, target)
+        bad = np.flatnonzero((gaps <= 0.0) | ~ok)
         if bad.size:
             i = bad[0]
             if gaps[i] <= 0.0:
@@ -244,7 +280,7 @@ def collocate(
             "min_relative_exterior_gap": float((gaps / values[:, cluster.hi - 1]).min()),
             "n_points": len(points),
         },
-        _stack=(bases.reshape(len(points), -1), cluster_values),
+        _stack=(points, bases.reshape(len(points), -1), cluster_values),
     )
 
 
@@ -253,10 +289,15 @@ def evaluate_many(cb: CollocatedEigenbasis, Y) -> np.ndarray:
 
     Row q of the result is ``evaluate(cb, Y[q])`` up to the summation order of
     one matrix product; coordinates beyond the active dimensions of the index
-    set do not influence it, and active coordinates must lie in [-1, 1].
+    set do not influence it, and active coordinates must lie in [-1, 1].  The
+    product runs under the BLAS thread setting of the point solves
+    (``_point_blas``), so its bits do not depend on the thread variables
+    either.
     """
     W = cb._operator.weights_at(Y)
-    return (W @ cb._vectors).reshape(len(W), cb.family.dim, cb.S)
+    with _point_blas(cb.family.dim):
+        V = W @ cb._vectors
+    return V.reshape(len(W), cb.family.dim, cb.S)
 
 
 def evaluate(cb: CollocatedEigenbasis, y) -> np.ndarray:
@@ -274,7 +315,9 @@ def evaluate_cluster_values(cb: CollocatedEigenbasis, y) -> np.ndarray:
     Symmetric functions of these (sum, mean) vary smoothly in y; the
     individually sorted values themselves may kink where branches cross.
     """
-    return (cb._operator.weights_at([y]) @ cb._values)[0]
+    w = cb._operator.weights_at([y])
+    with _point_blas(cb.family.dim):
+        return (w @ cb._values)[0]
 
 
 def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:
@@ -320,7 +363,34 @@ def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
     }
 
 
+def _field(record, key: str, convert, where: str = ""):
+    """``convert(record[key])``; a missing or malformed value names the field."""
+    try:
+        value = record[key]
+    except (KeyError, TypeError):
+        raise ConfigError(f"basis document lacks {key!r}{where}") from None
+    try:
+        return convert(value)
+    except (AttributeError, TypeError, ValueError, FamilyValidationError) as exc:
+        raise FamilyValidationError(f"{key}{where} is malformed: {exc}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
+    """The basis a document written by ``collocated_to_dict`` holds.
+
+    Raises
+    ------
+    ConfigError
+        If the document is of another format or version, lacks a key, or its
+        family block does not match its hash.
+    FamilyValidationError
+        If a field is malformed or of the wrong shape; the message names the
+        field, and the point where there is one.
+    """
     if doc.get("format") != FORMAT_NAME:
         raise ConfigError("not a collocated-eigenbasis document")
     # exact ints only: True == 1 and 1.0 == 1 in Python
@@ -328,29 +398,32 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
         raise ConfigError(f"unsupported document version {doc.get('version')!r}")
     # the stored block's digest is the hash collocated_to_dict wrote, so any
     # edit of the block fails here, before the block is parsed
-    if doc.get("family_hash") != _family_digest(doc["family"]):
+    if doc.get("family_hash") != _field(doc, "family", _family_digest):
         raise ConfigError("family hash mismatch: document is inconsistent")
     family = family_from_dict(doc["family"])
-    A = MultiIndexSet.from_json_list(doc["A"])
+    records = _field(doc, "points", list)
     point_data = {}
-    for rec in doc["points"]:
-        pt = tuple(float(v) for v in rec["y"])
+    for i, rec in enumerate(records):
+        pt = _field(rec, "y", lambda y: tuple(map(float, y)), f" in points[{i}]")
+        where = f" at point {pt}"
         point_data[pt] = PointSolution(
             basis=EigenspaceBasis(
-                vectors=np.asarray(rec["vectors"], dtype=float),
-                gram_sigma_min=float(rec["gram_sigma_min"]),
+                vectors=_field(rec, "vectors", _floats, where),
+                gram_sigma_min=_field(rec, "gram_sigma_min", float, where),
             ),
-            cluster_values=np.asarray(rec["cluster_values"], dtype=float),
+            cluster_values=_field(rec, "cluster_values", _floats, where),
         )
+    if len(point_data) != len(records):
+        raise FamilyValidationError("points: a point is stored twice")
     return CollocatedEigenbasis(
         family=family,
-        cluster=ClusterSelection(tuple(doc["J"])),
-        A=A,
+        cluster=_field(doc, "J", lambda J: ClusterSelection(tuple(J))),
+        A=_field(doc, "A", MultiIndexSet.from_json_list),
         point_data=point_data,
-        ref_vectors=np.asarray(doc["ref_vectors"], dtype=float),
-        ref_values=np.asarray(doc["ref_values"], dtype=float),
+        ref_vectors=_field(doc, "ref_vectors", _floats),
+        ref_values=_field(doc, "ref_values", _floats),
         target=doc.get("target", "canonical"),
-        diagnostics=dict(doc.get("diagnostics", {})),
+        diagnostics=_field(doc, "diagnostics", dict) if "diagnostics" in doc else {},
     )
 
 

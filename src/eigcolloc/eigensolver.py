@@ -169,12 +169,23 @@ def _serial_blas():
                     set_(count)
 
 
+def _point_blas(dim: int):
+    """The BLAS thread setting of the point work on a ``dim``-dimensional family.
+
+    A context manager: ``_serial_blas()`` below ``SERIAL_BLAS_DIM``, where one
+    thread is faster and makes the results independent of the thread
+    settings; above it the threads are left as they are.
+    """
+    return _serial_blas() if dim < SERIAL_BLAS_DIM else nullcontext()
+
+
 def _blas_environment(dim: int) -> dict:
     """The OpenBLAS copies found, with their thread counts, and the count a
     point solve of a ``dim``-dimensional family runs with (None if unknown)."""
-    found = [{"file": name, "threads": get()} for name, _, get in _openblas_copies()]
-    counts = [c["threads"] for c in found]
-    point = (1 if dim < SERIAL_BLAS_DIM else max(counts)) if counts else None
+    copies = _openblas_copies()
+    found = [{"file": name, "threads": get()} for name, _, get in copies]
+    with _point_blas(dim):
+        point = max((get() for _, _, get in copies), default=None)
     return {"openblas": found, "point_solve_threads": point}
 
 
@@ -194,11 +205,9 @@ class ReducedFamily:
     with zeros and k; with ``carry=False`` only the origin's are kept, and a
     failed solve is never kept.  ``solves`` counts the eigensolves made,
     failed ones included, and ``reused`` those served again.  The reduced
-    terms take as much memory as the family.  Below ``SERIAL_BLAS_DIM`` the
-    work of each chunk, the reduction and the origin's solve included, runs
-    with every bundled OpenBLAS copy on one thread (``_serial_blas``), which
-    is faster at that size and makes the results independent of the thread
-    settings; above it the BLAS threads are left as they are.
+    terms take as much memory as the family.  The work of each chunk, the
+    reduction and the origin's solve included, runs under ``_point_blas``:
+    on one OpenBLAS thread below ``SERIAL_BLAS_DIM``.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -271,7 +280,6 @@ class ReducedFamily:
         ``SERIAL_BLAS_DIM`` each chunk is solved on one OpenBLAS thread; the
         old counts are back before the chunk is yielded.
         """
-        serial = _serial_blas if self.family.dim < SERIAL_BLAS_DIM else nullcontext
         for start in range(0, len(Y), CHUNK):
             Yc = Y[start:start + CHUNK]
             keys = [(tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k) for y in Yc]
@@ -286,7 +294,7 @@ class ReducedFamily:
             W = np.empty((self.family.dim, k * len(fresh)), order="F")
             # the cap closes before the yield, so that a caller that raises or
             # drops the generator never leaves the counts at one
-            with serial():
+            with _point_blas(self.family.dim):
                 for key, y in fresh.items():
                     self.solves += 1
                     try:

@@ -111,9 +111,14 @@ class MultiIndexSet:
 
     @classmethod
     def from_json_list(cls, doc) -> "MultiIndexSet":
+        # exact ints only: int() would truncate 1.5 and take true for 1
+        for d in doc:
+            for m, l in d.items():
+                if type(l) is not int:
+                    raise ValueError(f"level {l!r} of dimension {m} is not an integer")
         return cls(
             frozenset(
-                MultiIndex(tuple((int(m), int(l)) for m, l in d.items())) for d in doc
+                MultiIndex(tuple((int(m), l) for m, l in d.items())) for d in doc
             )
         )
 
@@ -371,13 +376,12 @@ class CombinationOperator:
             sizes = [l + 1 for _, l in t.gamma.entries]
             node = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
             idx = np.full((n_factors, node.shape[1]), one, dtype=np.intp)
-            xy = np.zeros((node.shape[1], M_active))
             for k, e in enumerate(t.gamma.entries):
                 idx[k] = slot[e] * L1 + node[k]
-                xy[:, e[0] - 1] = self.nodes[slot[e], node[k]]
             coef.append(np.full(node.shape[1], float(t.coefficient)))
             flat.append(idx)
-            rows.append([row_of[tuple(pt)] for pt in xy.tolist()])
+            # both enumerate the products with the last dimension fastest
+            rows.append([row_of[pt] for pt in _tensor_points(t.gamma, M_active)])
         self.coef = np.concatenate(coef)
         self.flat = np.concatenate(flat, axis=1)
         self.rows = np.concatenate(rows).astype(np.intp)

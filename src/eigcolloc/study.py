@@ -21,12 +21,7 @@ import scipy
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
 from .eigensolver import ReducedFamily, _blas_environment
-from .eigenspace import (
-    GRAM_SIGMA_THRESHOLD,
-    _as_cluster,
-    _check_sampling,
-    _euclidean_angles,
-)
+from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles
 from .errors import ConfigError, SolverError, StageError
 from .families import (
     AffineOperatorFamily,
@@ -36,7 +31,7 @@ from .families import (
     model_diffusion_1d,
     model_diffusion_2d,
 )
-from .sparse_grid import anisotropic_set, is_monotone, point_count_bound
+from .sparse_grid import anisotropic_set, point_count_bound
 
 logger = logging.getLogger("eigcolloc")
 
@@ -251,7 +246,7 @@ class ErrorEstimate:
 
 def estimate_error(
     cb: CollocatedEigenbasis, metric: str, n_mc: int, seed: int,
-    *, _cache: ReducedFamily | None = None, _truths: dict | None = None,
+    *, _cache: ReducedFamily | None = None,
 ) -> ErrorEstimate:
     """Root-mean-square interpolation error over seeded uniform samples.
 
@@ -263,10 +258,9 @@ def estimate_error(
     interpolant is evaluated at a chunk of samples in one batch
     (``evaluate_many``).  Metric 'vector-l2' sums squared energy norms of the
     columnwise differences; 'subspace-angle' uses the largest principal angle
-    between the interpolated and the true cluster span.  ``_cache`` and
-    ``_truths`` are internal: a budget sweep passes one of each, so that the
-    direct solves of the samples, which every budget shares, are made once,
-    and the truth of each sample is projected once per target.
+    between the interpolated and the true cluster span.  ``_cache`` is
+    internal: a budget sweep passes its ``ReducedFamily``, so that the direct
+    solves of the samples, which every budget shares, are made once.
 
     Samples whose direct solve or reference construction fails are skipped and
     counted; more than 10% failures aborts.
@@ -276,15 +270,13 @@ def estimate_error(
     _check_sampling(n_mc, seed, "n_mc")
     family = cb.family
     cache = ReducedFamily(family, carry=False) if _cache is None else _cache
-    truths = {} if _truths is None else _truths
     # one (n_mc, n_terms) draw is the stream of n_mc draws of n_terms each
     Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_mc, family.n_terms))
     total = 0.0
     used = 0
     for start, decomps in cache.solve_many(Y, cb.cluster.hi):
         chunk = Y[start:start + len(decomps)]
-        truth_bases = _truth_bases(cb, chunk, decomps, truths)
-        for approx, truth in zip(evaluate_many(cb, chunk), truth_bases):
+        for approx, truth in zip(evaluate_many(cb, chunk), _truth_bases(cb, decomps)):
             if truth is None:
                 continue
             if metric == "vector-l2":
@@ -305,26 +297,22 @@ def estimate_error(
     return ErrorEstimate(value=value, n_samples=used, n_failures=failures)
 
 
-def _truth_bases(cb, Y, decomps, truths: dict) -> list:
-    """The target basis of the direct solve ``decomps[i]`` at each row of Y, or None.
+def _truth_bases(cb, decomps) -> list:
+    """The target basis of each direct solve in ``decomps``, or None.
 
-    None stands for a sample whose solve failed (a ``SolverError`` entry) or,
-    for the canonical target, whose Gram sigma falls below the threshold.  A
-    basis is projected only if ``truths`` lacks its (sample, target) key, and
-    then kept there.
+    None stands for a sample whose solve failed (a ``SolverError`` entry) or
+    whose basis the target does not accept (``_target_bases``).
     """
-    keys = [(tuple(y), cb.target) for y in Y]
-    new = [i for i, (key, d) in enumerate(zip(keys, decomps))
-           if not isinstance(d, SolverError) and key not in truths]
-    if new:
-        bases, sigma = _target_bases(
-            [decomps[i] for i in new], cb.ref_vectors, cb.cluster, cb.family.mass, cb.target
+    truths = [None] * len(decomps)
+    solved = [i for i, d in enumerate(decomps) if not isinstance(d, SolverError)]
+    if solved:
+        bases, _, ok = _target_bases(
+            [decomps[i] for i in solved], cb.ref_vectors, cb.cluster, cb.family.mass, cb.target
         )
-        ok = (sigma >= GRAM_SIGMA_THRESHOLD) | (cb.target == "raw")
-        for i, basis, keep in zip(new, bases, ok):
+        for i, basis, keep in zip(solved, bases, ok):
             if keep:
-                truths[keys[i]] = basis
-    return [truths.get(key) for key in keys]
+                truths[i] = basis
+    return truths
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +390,8 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     ``mc_solves``, which add up to ``solves``) and the seconds of those two
     stages (``collocate_s``, ``estimate_s``), summed over the targets.  One
     ``ReducedFamily`` carries the reduction, the origin solve, the grid point
-    solves and the Monte Carlo solves across the budgets and the targets, and
-    one dict the projected Monte Carlo truths, per sample and target.
+    solves and the Monte Carlo solves across the budgets and the targets; it
+    is the only state the sweep carries.
     Failures are tagged with the stages 'model', 'weights', 'index-set',
     'collocate' and 'estimate'; with more than one target the last two carry
     the target, as in 'collocate-raw'.
@@ -413,13 +401,12 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
     with _stage("weights"):
         rho = resolve_weights(config, family)
     cache = ReducedFamily(family)
-    truths = {}
     for i, L in enumerate(config.budgets):
         t0 = time.perf_counter()
         before = (cache.solves, cache.reused)
         with _stage("index-set", i):
             A = anisotropic_set(rho, L)
-            card_X_formula = point_count_bound(A) if is_monotone(A) else None
+            card_X_formula = point_count_bound(A)
         runs = {}
         stages = dict.fromkeys(("grid_solves", "mc_solves", "collocate_s", "estimate_s"), 0)
         for target in targets:
@@ -431,10 +418,7 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
             stages["grid_solves"] += cache.solves - made
             t, made = time.perf_counter(), cache.solves
             with _stage("estimate" + tag, i):
-                est = estimate_error(
-                    cb, config.metric, config.n_mc, config.seed,
-                    _cache=cache, _truths=truths,
-                )
+                est = estimate_error(cb, config.metric, config.n_mc, config.seed, _cache=cache)
             stages["estimate_s"] += time.perf_counter() - t
             stages["mc_solves"] += cache.solves - made
             runs[target] = (cb, est)

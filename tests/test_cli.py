@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +146,34 @@ class TestStudy:
         lines = (out / "study.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "L,card_A,card_X,error,seconds"
         assert len(lines) == 3
+
+    def test_errors_do_not_depend_on_the_thread_variables(self, tmp_path):
+        # n = 199 lies below SERIAL_BLAS_DIM: the solves and the products of
+        # the interpolant run on one OpenBLAS thread whatever the environment
+        # says, so the error column is the same with the variable set to 1
+        # and unset; each run is a fresh process, which reads it at start-up
+        cfg = write_config(
+            tmp_path,
+            model_params={"n_elements": 200, "decay_scale": 0.3, "decay_rate": 3.0,
+                          "n_terms": 6, "p_exponent": 0.5},
+            budgets=[0.5, 1.25], n_mc=70, seed=7,
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = "import sys; from eigcolloc.cli import main; sys.exit(main(sys.argv[1:]))"
+        columns = []
+        for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-c", script, "study", "--config", cfg, "--out", str(out)],
+                env={**env, **threads}, check=True, capture_output=True,
+            )
+            lines = (out / "study.csv").read_text(encoding="utf-8").splitlines()
+            columns.append([line.split(",")[:4] for line in lines])
+        assert len(columns[0]) == 3
+        assert columns[0] == columns[1]
 
     def test_requires_config(self, capsys):
         assert main(["study"]) == 1

@@ -165,16 +165,26 @@ class TestCollocate:
             collocate(constant_family(), [1], multi_index_set([]))
 
     @pytest.mark.parametrize("target", ["canonical", "raw"])
-    def test_nodes_store_the_target_basis(self, target):
+    def test_nodes_store_the_target_basis(self, target, monkeypatch):
         # the nodes and the Monte Carlo truths share one rule per target
         fam = model_diffusion_1d(14, 0.3, 2.0, 2)
         cache = ReducedFamily(fam)
         cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5), target, _cache=cache)
         for pt, sol in cb.point_data.items():
             decomp = cache.solve(pt, 3)
-            bases, sigma = _target_bases([decomp], cb.ref_vectors, cb.cluster, fam.mass, target)
+            bases, sigma, _ = _target_bases(
+                [decomp], cb.ref_vectors, cb.cluster, fam.mass, target
+            )
             assert np.array_equal(bases[0], sol.basis.vectors)
             assert sigma[0] == sol.basis.gram_sigma_min
+        # the acceptance rule: every raw basis, a canonical one above the threshold
+        decomps = [cache.solve(pt, 3) for pt in cb.point_data]
+        sigma = _target_bases(decomps, cb.ref_vectors, cb.cluster, fam.mass, target)[1]
+        for threshold in (collocation.GRAM_SIGMA_THRESHOLD, float(np.median(sigma)), 2.0):
+            monkeypatch.setattr(collocation, "GRAM_SIGMA_THRESHOLD", threshold)
+            _, _, ok = _target_bases(decomps, cb.ref_vectors, cb.cluster, fam.mass, target)
+            expected = sigma >= threshold if target == "canonical" else np.ones_like(ok)
+            assert ok.dtype == bool and np.array_equal(ok, expected)
 
 
 def switching_family(c):

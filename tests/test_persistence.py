@@ -1,4 +1,5 @@
 """Family and basis files: the CSR layout of version 2 and the dense one of version 1."""
+import dataclasses
 import json
 import pathlib
 import re
@@ -11,6 +12,8 @@ from eigcolloc import (
     ConfigError,
     DecaySequence,
     FamilyValidationError,
+    anisotropic_set,
+    collocate,
     evaluate,
     evaluate_many,
     family_from_dict,
@@ -22,7 +25,7 @@ from eigcolloc import (
     save_collocated,
     synthetic_family,
 )
-from eigcolloc.collocation import FORMAT_VERSION, collocated_from_dict
+from eigcolloc.collocation import FORMAT_VERSION, collocated_from_dict, collocated_to_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
 # Both written by the version-1 (dense) writer: the family is
@@ -207,3 +210,92 @@ class TestMalformedCsr:
         doc["B0"] = {"indptr": [], "indices": [], "data": []}
         with pytest.raises(FamilyValidationError, match="dim"):
             family_from_dict(doc)
+
+
+def _at_last_point(edit):
+    return lambda doc: edit(doc["points"][-1])
+
+
+def _transpose(rec):
+    rec["vectors"] = np.asarray(rec["vectors"]).T.tolist()
+
+
+def _ragged(rec):
+    rec["vectors"][0] = rec["vectors"][0][:1]
+
+
+# edits of a basis document: (edit, error, field it must name, whether the
+# message names the last point as well)
+BASIS_EDITS = {
+    "transposed-basis": (
+        _at_last_point(_transpose), FamilyValidationError, "vectors", True,
+    ),
+    "ragged-basis": (_at_last_point(_ragged), FamilyValidationError, "vectors", True),
+    "short-cluster-values": (
+        _at_last_point(lambda rec: rec.update(cluster_values=rec["cluster_values"][:1])),
+        FamilyValidationError, "cluster_values", True,
+    ),
+    "one-column-ref-vectors": (
+        lambda doc: doc.update(ref_vectors=[row[:1] for row in doc["ref_vectors"]]),
+        FamilyValidationError, "ref_vectors", False,
+    ),
+    "short-ref-values": (
+        lambda doc: doc.update(ref_values=doc["ref_values"][:1]),
+        FamilyValidationError, "ref_values", False,
+    ),
+    "cluster-beyond-dimension": (
+        lambda doc: doc.update(J=[1, 40]), FamilyValidationError, "J:", False,
+    ),
+    "missing-points": (lambda doc: doc.pop("points"), ConfigError, "'points'", False),
+    "point-stored-twice": (
+        lambda doc: doc["points"].insert(0, doc["points"][-1]),
+        FamilyValidationError, "points: a point is stored twice", False,
+    ),
+    "dimension-beyond-terms": (
+        lambda doc: doc["A"].append({"3": 1}), FamilyValidationError, "A: activates", False,
+    ),
+    "fractional-level": (
+        lambda doc: doc["A"][-1].update({"1": 1.5}), FamilyValidationError,
+        "A is malformed: level 1.5", False,
+    ),
+    "negative-level": (
+        lambda doc: doc["A"].append({"1": -1}), FamilyValidationError, "A is malformed", False,
+    ),
+}
+
+
+class TestMalformedBasis:
+    @pytest.fixture(scope="class")
+    def basis(self):
+        # dimension 19, cluster [1, 2]
+        fam = model_diffusion_1d(20, 0.3, 2.0, 2)
+        return collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.0))
+
+    @pytest.mark.parametrize("case", sorted(BASIS_EDITS))
+    def test_names_the_field(self, basis, case):
+        edit, error, field, at_point = BASIS_EDITS[case]
+        doc = json.loads(json.dumps(collocated_to_dict(basis)))
+        if at_point:
+            field += f" at point {tuple(doc['points'][-1]['y'])}"
+        edit(doc)
+        with pytest.raises(error, match=re.escape(field)):
+            collocated_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["vectors", "cluster_values", "ref_vectors", "ref_values"])
+    def test_replace_checks_shapes(self, basis, field):
+        # point data given by dataclasses.replace is checked the same way
+        pt = max(basis.point_data)
+        sol = basis.point_data[pt]
+        if field == "vectors":
+            bad = dataclasses.replace(
+                sol, basis=dataclasses.replace(sol.basis, vectors=sol.basis.vectors.T.copy())
+            )
+        elif field == "cluster_values":
+            bad = dataclasses.replace(sol, cluster_values=sol.cluster_values[:1])
+        if field in ("vectors", "cluster_values"):
+            changes = {"point_data": {**basis.point_data, pt: bad}}
+            field += f" at point {pt}"
+        else:
+            changes = {field: getattr(basis, field)[..., :1]}
+        with pytest.raises(FamilyValidationError, match=re.escape(field)):
+            dataclasses.replace(basis, **changes)

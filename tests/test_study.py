@@ -662,10 +662,15 @@ class TestCrossingDemo:
     def test_both_targets_share_each_solve(self):
         # a fresh budget makes the origin solve (which the grid's origin point
         # reuses), one per other grid point and one per sample; the raw target
-        # reads them all from the canonical one's memo
-        cfg = self.config()
-        sweep = study._sweep(cfg, ("canonical", "raw"))
-        _, _, card_X, _, runs, _, counts = next(sweep)
+        # reads them all from the canonical one's memo, and so does every
+        # later budget for the points and samples it shares
+        cfg = dataclasses.replace(self.config(), budgets=(1.0, 2.0, 3.0))
+        budgets = list(study._sweep(cfg, ("canonical", "raw")))
+        assert len(budgets) == 3
+        for _, _, card_X, _, runs, _, counts in budgets:
+            assert all(est.n_failures == 0 for _, est in runs.values())
+            assert counts["solves"] + counts["reused_solves"] == 2 * (1 + card_X + cfg.n_mc)
+        _, _, card_X, _, runs, _, counts = budgets[0]
         seconds = [counts.pop(key) for key in ("collocate_s", "estimate_s")]
         assert counts == {"solves": card_X + cfg.n_mc,
                           "reused_solves": 2 + card_X + cfg.n_mc,
@@ -678,25 +683,6 @@ class TestCrossingDemo:
             assert np.array_equal(raw.point_data[pt].basis.vectors, sol.basis.vectors)
             assert raw.point_data[pt].basis.gram_sigma_min == sol.basis.gram_sigma_min
             assert np.array_equal(raw.point_data[pt].cluster_values, sol.cluster_values)
-
-    def test_each_truth_is_projected_once_per_target(self, monkeypatch):
-        # the projected Monte Carlo truths are kept for the sweep, per sample
-        # and target; the memo still counts every sample's solve
-        cfg = dataclasses.replace(self.config(), budgets=(1.0, 2.0, 3.0))
-        real = study._target_bases
-        projected = {"canonical": 0, "raw": 0}
-
-        def count(decomps, ref_vectors, cluster, mass, target):
-            projected[target] += len(decomps)
-            return real(decomps, ref_vectors, cluster, mass, target)
-
-        monkeypatch.setattr(study, "_target_bases", count)
-        budgets = list(study._sweep(cfg, ("canonical", "raw")))
-        assert len(budgets) == 3
-        for _, _, card_X, _, runs, _, counts in budgets:
-            assert all(est.n_failures == 0 for _, est in runs.values())
-            assert counts["solves"] + counts["reused_solves"] == 2 * (1 + card_X + cfg.n_mc)
-        assert projected == {"canonical": cfg.n_mc, "raw": cfg.n_mc}
 
     @pytest.mark.parametrize("failing", ["canonical", "raw"])
     def test_estimate_failure_names_the_target(self, monkeypatch, failing):
