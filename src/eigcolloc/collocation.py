@@ -213,7 +213,8 @@ def collocate(
     ``ReducedFamily.solve_many``, which reduces the family to standard form
     at the first point away from the origin, and each chunk it yields has its
     gaps and Gram matrices checked and its bases projected in one step
-    (``_nodes``).  ``_cache`` is internal: a budget sweep passes its
+    (``_nodes``), under the BLAS thread setting of the solves
+    (``_point_blas``).  ``_cache`` is internal: a budget sweep passes its
     ``ReducedFamily`` to carry the solves, the origin's included, from budget
     to budget and from target to target.  Each point stores the basis that
     ``_target_bases`` makes for the target.  An error names the first
@@ -257,7 +258,8 @@ def collocate(
     sigma = np.empty(len(points))
     for start, decomps in cache.solve_many(points, cluster.hi + 1):
         stop = start + len(decomps)
-        rows = _nodes(decomps, points[start:stop], *args)
+        with _point_blas(n):
+            rows = _nodes(decomps, points[start:stop], *args)
         for out, part in zip((values, gaps, bases, sigma), rows):
             out[start:stop] = part
     cluster_values = values[:, cols]

@@ -21,7 +21,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 import scipy.linalg
 
-from .errors import RankDeficiencyError, SolverError
+from .errors import ParameterDimensionError, RankDeficiencyError, SolverError
 from .families import affine_sum
 
 
@@ -278,11 +278,20 @@ class ReducedFamily:
         fault is counted as a solve and never kept, and the rest of its chunk
         is solved as usual.  A point given twice is solved once.  Below
         ``SERIAL_BLAS_DIM`` each chunk is solved on one OpenBLAS thread; the
-        old counts are back before the chunk is yielded.
+        old counts are back before the chunk is yielded.  A point with more
+        components than the family has terms raises a
+        ``ParameterDimensionError`` naming it before any point is solved.
         """
+        n_terms = self.family.n_terms
+        for y in Y:
+            if len(y) > n_terms:
+                raise ParameterDimensionError(
+                    f"parameter point {tuple(map(float, y))} has {len(y)} components, "
+                    f"family has {n_terms} terms"
+                )
         for start in range(0, len(Y), CHUNK):
             Yc = Y[start:start + CHUNK]
-            keys = [(tuple(y) + (0.0,) * (self.family.n_terms - len(y)), k) for y in Yc]
+            keys = [(tuple(y) + (0.0,) * (n_terms - len(y)), k) for y in Yc]
             fresh = {}  # key -> its point, for the keys the memo lacks
             for y, key in zip(Yc, keys):
                 if key in self._memo or key in fresh:
@@ -320,14 +329,18 @@ class ReducedFamily:
             yield start, [made[key] if key in made else self._memo[key] for key in keys]
 
 
-def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:
+# relative M-norm left after projection at which a column counts as dependent
+DEPENDENCE_RTOL = 1e-10
+
+
+def m_orthonormalize(V, M) -> np.ndarray:
     """Orthonormalize the columns of V in the M inner product.
 
     CholeskyQR2: twice, factor the M-Gram matrix G = R'R of the columns and
     replace them by V inv(R).  The diagonal of the product of both factors
     holds the M-norm of each column after projection onto the previous ones;
-    the first column where it drops to ``rel_tol`` times the column's own
-    M-norm, or where a factorisation breaks down, is reported as dependent.
+    the first column where it drops to ``DEPENDENCE_RTOL`` times the column's
+    own M-norm, or where a factorisation breaks down, is reported as dependent.
     Column signs follow the first-nonzero-component-positive convention.
 
     Raises
@@ -352,7 +365,7 @@ def m_orthonormalize(V, M, rel_tol: float = 1e-10) -> np.ndarray:
             R, V = R[:done, :done], V[:, :done]
         diag[:done] *= np.diag(R)
         V = scipy.linalg.solve_triangular(R, V.T, trans="T", lower=False).T
-    small = np.flatnonzero(diag[:done] <= rel_tol * norms[:done])
+    small = np.flatnonzero(diag[:done] <= DEPENDENCE_RTOL * norms[:done])
     if small.size or done < s:
         raise RankDeficiencyError(int(small[0]) if small.size else done)
     V = np.ascontiguousarray(V)

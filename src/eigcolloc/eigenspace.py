@@ -70,6 +70,15 @@ def _check_sampling(count, seed, name: str) -> None:
         raise ConfigError(f"seed must be at least 0 and an integer, got {seed!r}")
 
 
+def _box_samples(count, seed, n_terms: int, name: str) -> np.ndarray:
+    """The checked Monte Carlo stream: ``count`` uniform points of [-1, 1]^n_terms.
+
+    One (count, n_terms) draw from ``seed`` is the stream of per-sample draws.
+    """
+    _check_sampling(count, seed, name)
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, n_terms))
+
+
 def exterior_gap(values, J):
     """Distance from the cluster to the nearest eigenvalue outside it.
 
@@ -173,7 +182,7 @@ def check_isolation(
     missing neighbor (cluster at the spectrum edge) counts as +inf.  Reports
     the minimum of gap / max(sigma_J) over the samples.
     """
-    _check_sampling(n_samples, seed, "n_samples")
+    Y = _box_samples(n_samples, seed, family.n_terms, "n_samples")
     cluster = _as_cluster(J)
     n = family.dim
     k = min(cluster.hi + 1, n)
@@ -182,8 +191,6 @@ def check_isolation(
             f"cluster index {cluster.hi} exceeds dimension {n}"
         )
     solver = ReducedFamily(family, carry=False)
-    # one (n_samples, n_terms) draw is the stream of per-sample draws
-    Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_samples, family.n_terms))
     samples = []
     worst = math.inf
     for start, decomps in solver.solve_many(Y, k):

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 _SYMMETRY_RTOL = 1e-12
+DECAY_TOLERANCE = 1e-8  # slack of a measured decay bound over the claimed one
 
 
 def _check_symmetric(A: np.ndarray, name: str) -> None:
@@ -65,9 +66,9 @@ class DecaySequence:
         """l1 norm of the decay sequence."""
         return float(sum(self.kappa))
 
-    def lp_norm(self, p: float | None = None) -> float:
-        """Quasi-norm (sum kappa_m^p)^(1/p); defaults to the stored exponent."""
-        p = self.p_exponent if p is None else p
+    def lp_norm(self) -> float:
+        """Quasi-norm (sum kappa_m^p)^(1/p) with the stored exponent p."""
+        p = self.p_exponent
         if not self.kappa:
             return 0.0
         return float(sum(k**p for k in self.kappa) ** (1.0 / p))
@@ -80,8 +81,8 @@ class DecaySequence:
 class AffineOperatorFamily:
     """Finite-dimensional affine operator family with its discrete inner product.
 
-    The V-norm is the B0-energy norm, so the coercivity constant is 1 unless
-    overridden.  Instances are immutable and safe to share across threads.
+    The V-norm is the B0-energy norm, so the coercivity constant is 1.
+    Instances are immutable and safe to share across threads.
     """
 
     dim: int
@@ -89,7 +90,6 @@ class AffineOperatorFamily:
     B_terms: tuple[np.ndarray, ...]
     mass: np.ndarray
     kappa: DecaySequence
-    alpha0: float = 1.0
 
     def __post_init__(self):
         n = int(self.dim)
@@ -112,8 +112,6 @@ class AffineOperatorFamily:
             raise FamilyValidationError(
                 f"{len(terms)} terms but {len(self.kappa)} decay bounds"
             )
-        if self.alpha0 <= 0.0:
-            raise FamilyValidationError("alpha0 must be positive")
 
     @property
     def n_terms(self) -> int:
@@ -193,7 +191,7 @@ class DecayReport:
         }
 
 
-def verify_decay(family: AffineOperatorFamily, tolerance: float = 1e-8) -> DecayReport:
+def verify_decay(family: AffineOperatorFamily) -> DecayReport:
     """Measure each term's B0-relative norm and compare against the claimed bound.
 
     The measured value is the largest |lambda| of the pencil (B_m, B0), i.e. the
@@ -207,7 +205,7 @@ def verify_decay(family: AffineOperatorFamily, tolerance: float = 1e-8) -> Decay
         vals = scipy.linalg.eigvalsh(B, family.B0)
         measured.append(float(np.abs(vals).max()))
     return DecayReport(
-        claimed=family.kappa.kappa, measured=tuple(measured), tolerance=tolerance
+        claimed=family.kappa.kappa, measured=tuple(measured), tolerance=DECAY_TOLERANCE
     )
 
 
@@ -472,15 +470,15 @@ def family_to_dict(family: AffineOperatorFamily) -> dict:
         "terms": [_matrix_to_csr(B) for B in family.B_terms],
         "kappa": list(family.kappa.kappa),
         "p": family.kappa.p_exponent,
-        "alpha0": family.alpha0,
     }
 
 
 def family_from_dict(doc: dict) -> AffineOperatorFamily:
-    """Inverse of :func:`family_to_dict`; 'p' and 'alpha0' default to 1.0.
+    """Inverse of :func:`family_to_dict`; 'p' defaults to 1.0.
 
     Each matrix may be a CSR object or, as version-1 documents wrote it, a
-    dense nested list; both give the same array.
+    dense nested list; both give the same array.  An 'alpha0' key, which
+    older documents hold, is ignored.
     """
     try:
         dim = int(doc["dim"])
@@ -499,7 +497,6 @@ def family_from_dict(doc: dict) -> AffineOperatorFamily:
         ),
         mass=_matrix_from_doc(mass, dim, "mass"),
         kappa=DecaySequence(kappa, float(doc.get("p", 1.0))),
-        alpha0=float(doc.get("alpha0", 1.0)),
     )
 
 

@@ -8,6 +8,7 @@ bit-exact across levels.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -240,9 +241,7 @@ def _barycentric(t, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.where(on_node, hit, v / np.where(on_node, 1.0, v.sum(axis=-1, keepdims=True)))
 
 
-_NODE_CACHE: dict[int, NodeSet] = {}
-
-
+@functools.cache
 def gauss_legendre_nodes(p: int) -> NodeSet:
     """Nodes of level p: all p+1 zeros of the Legendre polynomial of degree p+1.
 
@@ -251,9 +250,6 @@ def gauss_legendre_nodes(p: int) -> NodeSet:
     """
     if p < 0:
         raise ValueError("level must be nonnegative")
-    cached = _NODE_CACHE.get(p)
-    if cached is not None:
-        return cached
     n = p + 1
     roots = []
     for i in range(n):
@@ -280,9 +276,7 @@ def gauss_legendre_nodes(p: int) -> NodeSet:
             if j != k:
                 prod *= roots[k] - roots[j]
         weights.append(1.0 / prod)
-    ns = NodeSet(level=p, nodes=tuple(roots), weights=tuple(weights))
-    _NODE_CACHE[p] = ns
-    return ns
+    return NodeSet(level=p, nodes=tuple(roots), weights=tuple(weights))
 
 
 def lagrange_basis_eval(node_set: NodeSet, k: int, t: float) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 import scipy
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
-from .eigensolver import ReducedFamily, _blas_environment
-from .eigenspace import _as_cluster, _check_sampling, _euclidean_angles
+from .eigensolver import ReducedFamily, _blas_environment, _point_blas
+from .eigenspace import _as_cluster, _box_samples, _check_sampling, _euclidean_angles
 from .errors import ConfigError, SolverError, StageError
 from .families import (
     AffineOperatorFamily,
@@ -256,38 +256,39 @@ def estimate_error(
     same origin vectors by the rule that made its grid nodes
     (``_target_bases``), so both sides target the identical object.  The
     interpolant is evaluated at a chunk of samples in one batch
-    (``evaluate_many``).  Metric 'vector-l2' sums squared energy norms of the
-    columnwise differences; 'subspace-angle' uses the largest principal angle
-    between the interpolated and the true cluster span.  ``_cache`` is
-    internal: a budget sweep passes its ``ReducedFamily``, so that the direct
-    solves of the samples, which every budget shares, are made once.
+    (``evaluate_many``); a chunk's truths and metric run under the BLAS
+    thread setting of the solves (``_point_blas``).  Metric 'vector-l2' sums
+    squared energy norms of the columnwise differences; 'subspace-angle' uses
+    the largest principal angle between the interpolated and the true cluster
+    span.  ``_cache`` is internal: a budget sweep passes its
+    ``ReducedFamily``, so that the direct solves of the samples, which every
+    budget shares, are made once.
 
     Samples whose direct solve or reference construction fails are skipped and
     counted; more than 10% failures aborts.
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
-    _check_sampling(n_mc, seed, "n_mc")
     family = cb.family
+    Y = _box_samples(n_mc, seed, family.n_terms, "n_mc")
     cache = ReducedFamily(family, carry=False) if _cache is None else _cache
-    # one (n_mc, n_terms) draw is the stream of n_mc draws of n_terms each
-    Y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_mc, family.n_terms))
     total = 0.0
     used = 0
     for start, decomps in cache.solve_many(Y, cb.cluster.hi):
         chunk = Y[start:start + len(decomps)]
-        for approx, truth in zip(evaluate_many(cb, chunk), _truth_bases(cb, decomps)):
-            if truth is None:
-                continue
-            if metric == "vector-l2":
-                diff = approx - truth
-                total += float(np.sum(diff * (family.B0 @ diff)))
-            else:
-                # principal_angles with the mass factor the reduction already holds
-                LT = cache.LT
-                angle = _euclidean_angles(LT @ approx, LT @ truth)[-1]
-                total += angle * angle
-            used += 1
+        with _point_blas(family.dim):
+            for approx, truth in zip(evaluate_many(cb, chunk), _truth_bases(cb, decomps)):
+                if truth is None:
+                    continue
+                if metric == "vector-l2":
+                    diff = approx - truth
+                    total += float(np.sum(diff * (family.B0 @ diff)))
+                else:
+                    # principal_angles with the mass factor the reduction already holds
+                    LT = cache.LT
+                    angle = _euclidean_angles(LT @ approx, LT @ truth)[-1]
+                    total += angle * angle
+                used += 1
     failures = len(Y) - used
     if failures > 0.1 * n_mc:
         raise SolverError(
@@ -457,10 +458,11 @@ def _environment(dim: int) -> dict:
 
 
 def _write_outputs(
-    config: StudyConfig, out_dir, csv_name: str, json_name: str,
+    config: StudyConfig, out_dir, name: str,
     header: list[str], records: list, dim: int, **summary,
 ) -> tuple[str | None, str | None]:
-    """One CSV row per record (its fields, in order) and a JSON summary; both paths.
+    """``name``.csv, one row per record (its fields, in order), and a JSON
+    summary ``name``.json; both paths.
 
     The summary holds the environment in which the family of dimension
     ``dim`` was solved.
@@ -468,9 +470,9 @@ def _write_outputs(
     if out_dir is None:
         return None, None
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, csv_name)
+    csv_path = os.path.join(out_dir, name + ".csv")
     _write_csv(csv_path, header, [list(vars(r).values()) for r in records])
-    summary_path = os.path.join(out_dir, json_name)
+    summary_path = os.path.join(out_dir, name + ".json")
     doc = {
         "config": config.to_dict(),
         "environment": _environment(dim),
@@ -481,12 +483,10 @@ def _write_outputs(
     return csv_path, summary_path
 
 
-def run_convergence_study(
-    config: StudyConfig, out_dir=None, csv_name: str = "study.csv"
-) -> StudyResult:
+def run_convergence_study(config: StudyConfig, out_dir=None) -> StudyResult:
     """Sweep the budget schedule, estimate errors, fit the rate, write outputs.
 
-    Writes ``csv_name`` (columns L,card_A,card_X,error,seconds) and
+    Writes ``study.csv`` (columns L,card_A,card_X,error,seconds) and
     ``study.json`` (config echo, per-budget diagnostics, fitted rate) when
     ``out_dir`` is given.
     """
@@ -508,7 +508,7 @@ def run_convergence_study(
         )
     r_hat, reason = fit_rate([r.card_A for r in records], [r.error for r in records])
     csv_path, summary_path = _write_outputs(
-        config, out_dir, csv_name, "study.json",
+        config, out_dir, "study",
         ["L", "card_A", "card_X", "error", "seconds"], records, cb.family.dim,
         r_hat=r_hat, r_hat_reason=reason, diagnostics=diagnostics,
     )
@@ -540,14 +540,13 @@ class CrossingResult:
     summary_path: str | None
 
 
-def run_crossing_demo(
-    config: StudyConfig, out_dir=None, csv_name: str = "crossing.csv"
-) -> CrossingResult:
+def run_crossing_demo(config: StudyConfig, out_dir=None) -> CrossingResult:
     """Interpolate the same cluster twice per budget: projected basis vs raw.
 
     Raw means individually sorted eigenvectors, which jump at eigenvalue
     crossings inside the cluster; the projected basis does not.  Both error
     columns use the same metric, samples, and seed, so rows are comparable.
+    Writes ``crossing.csv`` and ``crossing.json`` when ``out_dir`` is given.
     """
     records = []
     for L, card_A, card_X, _, runs, seconds, _ in _sweep(config, ("canonical", "raw")):
@@ -556,7 +555,7 @@ def run_crossing_demo(
     last = records[-1]
     ratio = last.error_raw / last.error_canonical if last.error_canonical > 0 else None
     csv_path, summary_path = _write_outputs(
-        config, out_dir, csv_name, "crossing.json",
+        config, out_dir, "crossing",
         ["L", "card_A", "card_X", "error_canonical", "error_raw", "seconds"], records,
         cb.family.dim, final_error_ratio_raw_over_canonical=ratio,
     )

@@ -28,6 +28,31 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def run_under_both_thread_settings(tmp_path, *args) -> list:
+    """The output directories of ``eigcolloc *args --out DIR``, run in a fresh
+    process, which reads the thread variables at start-up, with
+    OPENBLAS_NUM_THREADS=1 and with the thread variables unset."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from eigcolloc.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = []
+    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        outs.append(tmp_path / name)
+        subprocess.run(
+            [sys.executable, "-c", script, *args, "--out", str(outs[-1])],
+            env={**env, **threads}, check=True, capture_output=True,
+        )
+    return outs
+
+
+def study_columns(out) -> list:
+    """The columns of ``study.csv`` in ``out`` up to the error, row by row."""
+    lines = (out / "study.csv").read_text(encoding="utf-8").splitlines()
+    return [line.split(",")[:4] for line in lines]
+
+
 class TestParser:
     def test_prog_name(self):
         assert build_parser().prog == "eigcolloc"
@@ -151,28 +176,36 @@ class TestStudy:
         # n = 199 lies below SERIAL_BLAS_DIM: the solves and the products of
         # the interpolant run on one OpenBLAS thread whatever the environment
         # says, so the error column is the same with the variable set to 1
-        # and unset; each run is a fresh process, which reads it at start-up
+        # and unset
         cfg = write_config(
             tmp_path,
             model_params={"n_elements": 200, "decay_scale": 0.3, "decay_rate": 3.0,
                           "n_terms": 6, "p_exponent": 0.5},
             budgets=[0.5, 1.25], n_mc=70, seed=7,
         )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        script = "import sys; from eigcolloc.cli import main; sys.exit(main(sys.argv[1:]))"
-        columns = []
-        for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
-            out = tmp_path / name
-            subprocess.run(
-                [sys.executable, "-c", script, "study", "--config", cfg, "--out", str(out)],
-                env={**env, **threads}, check=True, capture_output=True,
-            )
-            lines = (out / "study.csv").read_text(encoding="utf-8").splitlines()
-            columns.append([line.split(",")[:4] for line in lines])
+        columns = [study_columns(out) for out in run_under_both_thread_settings(
+            tmp_path, "study", "--config", cfg)]
         assert len(columns[0]) == 3
+        assert columns[0] == columns[1]
+
+    def test_projections_and_metric_share_the_thread_setting(self, tmp_path):
+        # n = 459 with three cluster vectors: below SERIAL_BLAS_DIM the
+        # projection of each chunk of grid nodes and the truths and metric of
+        # each chunk of samples run on one OpenBLAS thread too, so the basis
+        # file and the error are the same with the variable set to 1 and unset
+        cfg = write_config(
+            tmp_path,
+            model_params={"n_elements": 460, "decay_scale": 0.3, "decay_rate": 3.0,
+                          "n_terms": 4, "p_exponent": 0.5},
+            cluster=[1, 2, 3], budgets=[0.3], n_mc=30, seed=0,
+            weights={"mode": "tau", "delta": 0.2},
+        )
+        bases = [(out / "basis.json").read_bytes() for out in run_under_both_thread_settings(
+            tmp_path / "collocate", "collocate", "--config", cfg)]
+        assert bases[0] == bases[1]
+        columns = [study_columns(out) for out in run_under_both_thread_settings(
+            tmp_path / "study", "study", "--config", cfg)]
+        assert len(columns[0]) == 2
         assert columns[0] == columns[1]
 
     def test_requires_config(self, capsys):

@@ -184,6 +184,17 @@ class TestReducedFamily:
 
 
 class TestReducedFamilySolve:
+    def test_long_point_is_named_before_any_solve(self):
+        solver = ReducedFamily(model_diffusion_1d(10, 0.3, 2.0, 2))
+        solver.solve((), 2)
+        with pytest.raises(
+            ParameterDimensionError,
+            match=re.escape("parameter point (0.1, 0.2, 0.3) has 3 components, family has 2"),
+        ):
+            solved(solver.solve_many([[0.1], [0.1, 0.2, 0.3], [0.2]], 2))
+        assert (solver.solves, solver.reused) == (1, 0)
+        assert list(solver._memo) == [((0.0, 0.0), 2)]
+
     def test_origin_is_the_dense_solve_memoised(self):
         fam = spd_family(9, 3, 4)
         solver = ReducedFamily(fam)
@@ -505,24 +516,71 @@ save_collocated(collocate(fam, [1], A), sys.argv[1])
 """
 
 
-def test_collocated_file_does_not_depend_on_the_thread_variables(tmp_path):
-    # n = 199 and 113 grid points: with default threading the chunk's lift
-    # used to run threaded, and the stored bases differed in their last bits
+# n = 459 with random node data on the 1323 points of budget 1.5: a 1 x 1323
+# times 1323 x 459 product that OpenBLAS splits differently on two threads
+EVALUATE_ONE_ROW_TO_FILE = """
+import sys
+import numpy as np
+from eigcolloc import (
+    ClusterSelection, CollocatedEigenbasis, EigenspaceBasis, anisotropic_set,
+    compute_tau_weights, evaluate, grid_points, model_diffusion_1d,
+)
+from eigcolloc.collocation import PointSolution
+fam = model_diffusion_1d(n_elements=460, decay_scale=0.3, decay_rate=3.0, n_terms=6,
+                         p_exponent=0.5)
+A = anisotropic_set(compute_tau_weights(fam.kappa, delta=0.5, epsilon=0.5), 1.5)
+rng = np.random.default_rng(0)
+cb = CollocatedEigenbasis(
+    family=fam, cluster=ClusterSelection((1,)), A=A,
+    point_data={
+        pt: PointSolution(EigenspaceBasis(rng.standard_normal((fam.dim, 1)), 1.0),
+                          rng.standard_normal(1))
+        for pt in grid_points(A)
+    },
+    ref_vectors=rng.standard_normal((fam.dim, 1)), ref_values=np.ones(1),
+    target="canonical", diagnostics={},
+)
+assert len(cb.point_data) == 1323
+Y = rng.uniform(-1.0, 1.0, size=(20, fam.n_terms))
+with open(sys.argv[1], "wb") as fh:
+    fh.write(b"".join(evaluate(cb, y).tobytes() for y in Y))
+"""
+
+
+def outputs_under_both_thread_settings(script, tmp_path) -> list:
+    """The bytes ``script`` writes to the file named by its first argument,
+    run in a fresh process, which reads the thread variables at start-up,
+    with OPENBLAS_NUM_THREADS=1 and with the thread variables unset."""
     src = os.path.dirname(os.path.dirname(eigcolloc.__file__))
     env = {
         key: value for key, value in os.environ.items()
         if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
     }
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    files = []
+    outputs = []
     for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
-        path = tmp_path / f"basis{len(files)}.json"
+        path = tmp_path / f"out{len(outputs)}"
         subprocess.run(
-            [sys.executable, "-c", COLLOCATE_TO_FILE, str(path)],
+            [sys.executable, "-c", script, str(path)],
             env={**env, **threads}, check=True, timeout=300,
         )
-        files.append(path.read_bytes())
+        outputs.append(path.read_bytes())
+    return outputs
+
+
+def test_collocated_file_does_not_depend_on_the_thread_variables(tmp_path):
+    # n = 199 and 113 grid points: with default threading the chunk's lift
+    # used to run threaded, and the stored bases differed in their last bits
+    files = outputs_under_both_thread_settings(COLLOCATE_TO_FILE, tmp_path)
     assert files[0] == files[1]
+
+
+def test_single_row_evaluate_does_not_depend_on_the_thread_variables(tmp_path):
+    # a one-row product is no exception to the cap: without it, the bits of
+    # this evaluate differ between one and two OpenBLAS threads
+    values = outputs_under_both_thread_settings(EVALUATE_ONE_ROW_TO_FILE, tmp_path)
+    assert len(values[0]) == 20 * 459 * 8
+    assert values[0] == values[1]
 
 
 def loop_fix_signs(U):

@@ -61,7 +61,6 @@ class TestDecaySequence:
         assert ks.total == pytest.approx(0.4)
         # (0.3^0.5 + 0.1^0.5)^2
         assert ks.lp_norm() == pytest.approx((0.3**0.5 + 0.1**0.5) ** 2)
-        assert ks.lp_norm(1.0) == pytest.approx(0.4)
 
 
 class TestFamilyValidation:
@@ -222,7 +221,14 @@ class TestSerialization:
         }
         fam = family_from_dict(doc)
         assert fam.kappa.p_exponent == 1.0
-        assert fam.alpha0 == 1.0
+
+    def test_alpha0_key_is_ignored_and_not_written(self):
+        # older documents carry an alpha0 key that no computation read
+        fam = model_diffusion_1d(6, 0.2, 2.0, 2)
+        doc = family_to_dict(fam)
+        assert "alpha0" not in doc
+        back = family_from_dict({**doc, "alpha0": 2.0})
+        assert family_to_dict(back) == doc
 
     def test_malformed_document(self):
         with pytest.raises(FamilyValidationError):
