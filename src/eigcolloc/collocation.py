@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .eigensolver import ReducedFamily, _point_blas, m_orthonormalize
+from .eigensolver import ReducedFamily, _long_point, _point_blas, m_orthonormalize
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
@@ -62,11 +62,13 @@ class CollocatedEigenbasis:
     Immutable after construction; ``evaluate`` is pure, so instances may be
     shared freely across threads.  Construction stacks the stored bases and
     cluster values once, in sorted-point order, makes each point's basis and
-    cluster values views of its row of the stack, and builds the combination
-    operator over the stack, so that every evaluation is one weight table and
-    one matrix product.  ``terms`` is derived from ``A`` there, not passed
-    in.  ``_stack`` is internal: ``collocate`` passes its grid points and the
-    stacked bases and cluster values its point data are already views of.
+    cluster values views of its row of the stack, and turns the stack into
+    the interpolant's Chebyshev coefficients (``CombinationOperator``), one
+    row per multi-index of ``A``, so that every evaluation is one table of
+    Chebyshev values and one product with those rows.  ``terms`` is derived
+    from ``A`` there, not passed in.  ``_stack`` is internal: ``collocate``
+    passes its grid points and the stacked bases and cluster values its
+    point data are already views of.
     Point data from elsewhere (a load, ``dataclasses.replace``) is checked
     against ``grid_points(A)`` and the shapes of the family and the cluster,
     then stacked.
@@ -84,6 +86,8 @@ class CollocatedEigenbasis:
     _operator: CombinationOperator = field(init=False, repr=False, compare=False)
     _vectors: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _vector_coefs: np.ndarray = field(init=False, repr=False, compare=False)
+    _value_coefs: np.ndarray = field(init=False, repr=False, compare=False)
     _stack: InitVar[tuple | None] = None
 
     def __post_init__(self, _stack):
@@ -94,9 +98,15 @@ class CollocatedEigenbasis:
         points, vectors, values = _stack
         object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
         op = CombinationOperator(self.terms, self.A.M_active, points)
+        # the point work's thread setting, so that the bits of the
+        # coefficients do not depend on the thread variables
+        with _point_blas(self.family.dim):
+            vector_coefs, value_coefs = op.coefficients(vectors), op.coefficients(values)
         object.__setattr__(self, "_operator", op)
         object.__setattr__(self, "_vectors", vectors)
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_vector_coefs", vector_coefs)
+        object.__setattr__(self, "_value_coefs", value_coefs)
 
     def _stack_point_data(self) -> tuple:
         """Check data given from outside ``collocate`` and stack it as ``_stack``.
@@ -286,27 +296,40 @@ def collocate(
     )
 
 
+def _basis_at(cb: CollocatedEigenbasis, Y) -> np.ndarray:
+    """The Chebyshev rows of the points in the rows of Y, checked against the family."""
+    Y = np.asarray(Y, dtype=float)
+    # an empty batch has no point to name
+    if Y.ndim == 2 and len(Y) and Y.shape[1] > cb.family.n_terms:
+        raise _long_point(Y[0], cb.family.n_terms)
+    return cb._operator.basis_at(Y)
+
+
 def evaluate_many(cb: CollocatedEigenbasis, Y) -> np.ndarray:
     """Interpolated basis columns at each row of Y (Q x n x S array).
 
     Row q of the result is ``evaluate(cb, Y[q])`` up to the summation order of
     one matrix product; coordinates beyond the active dimensions of the index
-    set do not influence it, and active coordinates must lie in [-1, 1].  The
-    product runs under the BLAS thread setting of the point solves
-    (``_point_blas``), so its bits do not depend on the thread variables
-    either.
+    set do not influence it, and active coordinates must lie in [-1, 1].  A
+    point with more components than the family has terms raises a
+    ``ParameterDimensionError`` naming it.  A query costs one table of
+    Chebyshev values and a product with one coefficient row per multi-index
+    of ``A``, whatever the number of grid points.  The product runs under the
+    BLAS thread setting of the point solves (``_point_blas``), so its bits do
+    not depend on the thread variables either.
     """
-    W = cb._operator.weights_at(Y)
+    B = _basis_at(cb, Y)
     with _point_blas(cb.family.dim):
-        V = W @ cb._vectors
-    return V.reshape(len(W), cb.family.dim, cb.S)
+        V = B @ cb._vector_coefs
+    return V.reshape(len(B), cb.family.dim, cb.S)
 
 
 def evaluate(cb: CollocatedEigenbasis, y) -> np.ndarray:
     """Interpolated basis columns at parameter point y (n x S matrix).
 
     Coordinates beyond the active dimensions of the index set do not influence
-    the result; active coordinates must lie in [-1, 1].
+    the result; active coordinates must lie in [-1, 1], and y may not have
+    more components than the family has terms.
     """
     return evaluate_many(cb, [y])[0]
 
@@ -317,9 +340,9 @@ def evaluate_cluster_values(cb: CollocatedEigenbasis, y) -> np.ndarray:
     Symmetric functions of these (sum, mean) vary smoothly in y; the
     individually sorted values themselves may kink where branches cross.
     """
-    w = cb._operator.weights_at([y])
+    B = _basis_at(cb, [y])
     with _point_blas(cb.family.dim):
-        return (w @ cb._values)[0]
+        return (B @ cb._value_coefs)[0]
 
 
 def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:

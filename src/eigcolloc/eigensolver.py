@@ -14,7 +14,7 @@ import glob
 import math
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
@@ -139,34 +139,44 @@ def _openblas_copies() -> tuple:
     return tuple(copies)
 
 
-_cap_lock = threading.Lock()
-_cap_depth = 0  # blocks of _serial_blas open in the process
-_cap_saved = ()  # the thread counts the outermost block restores
+class _SerialBlas:
+    """Every bundled OpenBLAS copy on one thread while a block runs.
 
-
-@contextmanager
-def _serial_blas():
-    """Every bundled OpenBLAS copy on one thread while the block runs.
-
-    The counts are process-global: the outermost open block, in any thread,
-    sets them to 1 and restores the old counts when it closes.
+    One re-entrant object for the process (``_serial_blas()``): the counts
+    are process-global, so the outermost open block, in any thread, sets
+    them to 1 and restores the old counts when it closes, also when the
+    block raises.
     """
-    global _cap_depth, _cap_saved
-    copies = _openblas_copies()
-    with _cap_lock:
-        if not _cap_depth:
-            _cap_saved = tuple(get() for _, _, get in copies)
-            for _, set_, _ in copies:
-                set_(1)
-        _cap_depth += 1
-    try:
-        yield
-    finally:
-        with _cap_lock:
-            _cap_depth -= 1
-            if not _cap_depth:
-                for (_, set_, _), count in zip(copies, _cap_saved):
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0  # blocks open in the process
+        self._saved = ()  # the thread counts the outermost block restores
+
+    def __enter__(self):
+        copies = _openblas_copies()
+        with self._lock:
+            if not self._depth:
+                self._saved = tuple(get() for _, _, get in copies)
+                for _, set_, _ in copies:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                for (_, set_, _), count in zip(_openblas_copies(), self._saved):
                     set_(count)
+
+
+_SERIAL_BLAS = _SerialBlas()
+_NO_CAP = nullcontext()
+
+
+def _serial_blas() -> _SerialBlas:
+    """The process's one cap of every bundled OpenBLAS copy to one thread."""
+    return _SERIAL_BLAS
 
 
 def _point_blas(dim: int):
@@ -176,7 +186,7 @@ def _point_blas(dim: int):
     thread is faster and makes the results independent of the thread
     settings; above it the threads are left as they are.
     """
-    return _serial_blas() if dim < SERIAL_BLAS_DIM else nullcontext()
+    return _SERIAL_BLAS if dim < SERIAL_BLAS_DIM else _NO_CAP
 
 
 def _blas_environment(dim: int) -> dict:
@@ -187,6 +197,14 @@ def _blas_environment(dim: int) -> dict:
     with _point_blas(dim):
         point = max((get() for _, _, get in copies), default=None)
     return {"openblas": found, "point_solve_threads": point}
+
+
+def _long_point(y, n_terms: int) -> ParameterDimensionError:
+    """The error for a parameter point y with more components than n_terms."""
+    return ParameterDimensionError(
+        f"parameter point {tuple(map(float, y))} has {len(y)} components, "
+        f"family has {n_terms} terms"
+    )
 
 
 class ReducedFamily:
@@ -285,10 +303,7 @@ class ReducedFamily:
         n_terms = self.family.n_terms
         for y in Y:
             if len(y) > n_terms:
-                raise ParameterDimensionError(
-                    f"parameter point {tuple(map(float, y))} has {len(y)} components, "
-                    f"family has {n_terms} terms"
-                )
+                raise _long_point(y, n_terms)
         for start in range(0, len(Y), CHUNK):
             Yc = Y[start:start + CHUNK]
             keys = [(tuple(y) + (0.0,) * (n_terms - len(y)), k) for y in Yc]

@@ -4,7 +4,8 @@ Multi-indices are stored sparsely (dimension -> level, 1-based dimensions,
 absent means level 0), so sets over a countable parameter sequence stay cheap.
 Interpolation grids are unions of tensor Gauss-Legendre grids; node values are
 computed once per level and cached, which makes the union deduplication
-bit-exact across levels.
+bit-exact across levels.  The combination interpolant is held as Chebyshev
+coefficients over the span of the set's multi-degrees.
 """
 from __future__ import annotations
 
@@ -221,24 +222,17 @@ class NodeSet:
         return len(self.nodes)
 
     def basis_all(self, t: float) -> np.ndarray:
-        """All Lagrange basis values at t; exact unit vector when t is a node."""
-        return _barycentric(t, np.asarray(self.nodes), np.asarray(self.weights))
+        """All Lagrange basis values at t; exact unit vector when t is a node.
 
-
-def _barycentric(t, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Lagrange basis values at every entry of t, one row per entry.
-
-    The last axis of ``nodes`` and ``weights`` runs over a node set; a shorter
-    set is padded with node ``inf`` and weight 0.  At a node the row is the
-    exact unit vector.  Off the nodes the second barycentric form is scaled by
-    the distance to the nearest node, so no term overflows close to a node.
-    """
-    d = np.asarray(t, dtype=float)[..., None] - nodes
-    hit = d == 0.0
-    on_node = hit.any(axis=-1, keepdims=True)
-    dmin = np.abs(d).min(axis=-1, keepdims=True)
-    v = weights * (dmin / np.where(hit, 1.0, d))
-    return np.where(on_node, hit, v / np.where(on_node, 1.0, v.sum(axis=-1, keepdims=True)))
+        Off the nodes the second barycentric form is scaled by the distance to
+        the nearest node, so no term overflows close to a node.
+        """
+        d = float(t) - np.asarray(self.nodes)
+        hit = d == 0.0
+        if hit.any():
+            return hit.astype(float)
+        v = np.asarray(self.weights) * (np.abs(d).min() / d)
+        return v / v.sum()
 
 
 @functools.cache
@@ -330,18 +324,48 @@ def point_count_bound(A: MultiIndexSet) -> int:
     return total
 
 
-class CombinationOperator:
-    """The combination-technique interpolant as one linear map of nodal data.
+@functools.cache
+def chebyshev_transform(p: int) -> np.ndarray:
+    """Level-p map from values at the nodes to Chebyshev coefficients.
 
-    For data stacked in ``points`` order as the rows of D, the interpolant at
-    y is ``w(y) @ D``; ``points`` must hold every tensor point of every term,
-    as tuples of length M_active.  The weight vector w(y) sums, over every tensor-point
-    product of every term, the signed term coefficient times the 1D Lagrange
-    basis values of the product's nodes.  Level 0 has the single node 0.0,
-    whose basis value is exactly 1, so only the dimensions where a term's
-    level is positive enter its products.  The products are tabulated once
-    here; a batch of queries then costs one table of 1D basis values, one
-    gather-and-multiply per factor and one ``np.bincount``.
+    The inverse of the Vandermonde matrix V[i, k] = T_k(x_i) of the level-p
+    nodes, with T_k(t) = cos(k arccos t) as the operator tabulates it; the
+    condition number of V stays below 3.2 up to level 60.  Cached per level
+    and read-only.
+    """
+    x = np.asarray(gauss_legendre_nodes(p).nodes)
+    T = np.linalg.inv(np.cos(np.arccos(x)[:, None] * np.arange(p + 1)))
+    T.setflags(write=False)
+    return T
+
+
+def _tensor_transform(levels) -> np.ndarray:
+    """Kronecker product of the 1D transforms of the levels, first level slowest."""
+    K = np.ones((1, 1))
+    for l in levels:
+        T = chebyshev_transform(l)
+        K = (K[:, None, :, None] * T[None, :, None, :]).reshape(len(K) * len(T), -1)
+    return K
+
+
+class CombinationOperator:
+    """The combination-technique interpolant as Chebyshev coefficients.
+
+    Each term's tensor interpolant has degree at most gamma_m in dimension m,
+    so the interpolant lies in the span of the products T_nu(y) = prod_m
+    T_{nu_m}(y_m) over the multi-indices nu <= gamma of the terms' boxes;
+    for a downward-closed set these are exactly the set's indices.
+    ``indices`` holds these nu, and ``coefficients(D)``, for data stacked in
+    ``points`` order as the rows of D, one row per nu, so that the
+    interpolant at y is ``basis_at([y])[0] @ coefficients(D)``.  ``points``
+    must hold every tensor point of every term, as tuples of length
+    M_active.  A term adds its signed coefficient times the Kronecker
+    product of the 1D transforms (``chebyshev_transform``) of its levels,
+    applied to its rows of D, into the rows of its box.  A query then costs
+    one table of cos(k arccos y_m), one gather-and-multiply per factor and
+    the product with one row per nu, whatever the number of points.  Level 0
+    has the single node 0.0 and degree 0, whose T_0 = cos(0) = 1 exactly, so
+    only the dimensions where nu is positive enter its product.
     """
 
     def __init__(self, terms, M_active: int, points):
@@ -349,39 +373,52 @@ class CombinationOperator:
             raise ConfigError("no combination terms to evaluate")
         self.M_active = M_active
         self.n_points = len(points)
-        # one row of the 1D basis table per (dimension, level) some term uses
-        pairs = sorted({e for t in terms for e in t.gamma.entries})
-        slot = {e: i for i, e in enumerate(pairs)}
-        L1 = 1 + max((l for _, l in pairs), default=0)
-        self.dims = np.array([m - 1 for m, _ in pairs], dtype=np.intp)
-        self.nodes = np.full((len(pairs), L1), np.inf)
-        self.weights = np.zeros((len(pairs), L1))
-        for i, (_, l) in enumerate(pairs):
-            ns = gauss_legendre_nodes(l)
-            self.nodes[i, : l + 1] = ns.nodes
-            self.weights[i, : l + 1] = ns.weights
-        # factors past a term's support point at a column of ones appended to
-        # the flattened table
-        one = len(pairs) * L1
-        n_factors = max(len(t.gamma.entries) for t in terms)
         row_of = {pt: i for i, pt in enumerate(points)}
-        coef, flat, rows = [], [], []
+        slot = {}  # the entries of each nu -> its coefficient row
+        self._terms = []
         for t in terms:
-            sizes = [l + 1 for _, l in t.gamma.entries]
-            node = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
-            idx = np.full((n_factors, node.shape[1]), one, dtype=np.intp)
-            for k, e in enumerate(t.gamma.entries):
-                idx[k] = slot[e] * L1 + node[k]
-            coef.append(np.full(node.shape[1], float(t.coefficient)))
-            flat.append(idx)
-            # both enumerate the products with the last dimension fastest
-            rows.append([row_of[pt] for pt in _tensor_points(t.gamma, M_active)])
-        self.coef = np.concatenate(coef)
-        self.flat = np.concatenate(flat, axis=1)
-        self.rows = np.concatenate(rows).astype(np.intp)
+            supp = t.gamma.support
+            levels = [l for _, l in t.gamma.entries]
+            # both enumerate with the last dimension fastest, as a Kronecker
+            # product does
+            rows = [row_of[pt] for pt in _tensor_points(t.gamma, M_active)]
+            out = [
+                slot.setdefault(tuple((m, l) for m, l in zip(supp, nu) if l), len(slot))
+                for nu in itertools.product(*(range(l + 1) for l in levels))
+            ]
+            self._terms.append((
+                t.coefficient, levels,
+                np.array(rows, dtype=np.intp), np.array(out, dtype=np.intp),
+            ))
+        self.indices = tuple(MultiIndex(nu) for nu in slot)
+        # factor k of nu points at T_{nu_m}(y_m) of its k-th entry in the
+        # flattened (dimension, order) table, and past its entries at T_0 = 1
+        width = 1 + max((l for nu in slot for _, l in nu), default=0)
+        self._orders = np.arange(width)
+        n_factors = max(map(len, slot))
+        self._flat = np.array(
+            [[(m - 1) * width + l for m, l in nu] + [0] * (n_factors - len(nu)) for nu in slot],
+            dtype=np.intp,
+        ).reshape(len(slot), n_factors).T
 
-    def weights_at(self, Y) -> np.ndarray:
-        """Rows w(y) for the points y in the rows of Y, shape (len(Y), n_points).
+    def coefficients(self, D) -> np.ndarray:
+        """Chebyshev coefficients of the interpolant of the rows of D.
+
+        D holds the data at ``points`` as its rows (n_points x N); the result
+        has one row per multi-index of ``indices`` (#indices x N).
+        """
+        D = np.asarray(D, dtype=float)
+        if D.ndim != 2 or len(D) != self.n_points:
+            raise ConfigError(
+                f"data has shape {D.shape}, expected {self.n_points} rows of a 2-D array"
+            )
+        C = np.zeros((len(self.indices), D.shape[1]))
+        for coefficient, levels, rows, out in self._terms:
+            C[out] += (coefficient * _tensor_transform(levels)) @ D[rows]
+        return C
+
+    def basis_at(self, Y) -> np.ndarray:
+        """Rows T_nu(y) for the points y in the rows of Y, shape (len(Y), #indices).
 
         Columns of Y beyond M_active are ignored and missing ones count as 0;
         active coordinates must lie in [-1, 1].
@@ -399,17 +436,15 @@ class CombinationOperator:
             raise ExtrapolationError(
                 f"coordinate {m + 1} = {Y[q, m]:.6g} lies outside [-1, 1]"
             )
+        if not len(self._flat):
+            return np.ones((Q, len(self.indices)))
         # the width is explicit: reshape cannot infer it for an empty batch
-        table = _barycentric(Y[:, self.dims], self.nodes, self.weights)
-        table = table.reshape(Q, self.nodes.size)
-        table = np.concatenate([table, np.ones((Q, 1))], axis=1)
-        w = np.broadcast_to(self.coef, (Q, len(self.coef)))
-        for idx in self.flat:
-            w = w * table[:, idx]
-        index = (np.arange(Q)[:, None] * self.n_points + self.rows).ravel()
-        return np.bincount(
-            index, weights=w.ravel(), minlength=Q * self.n_points
-        ).reshape(Q, self.n_points)
+        table = np.cos(np.arccos(Y)[:, :, None] * self._orders)
+        table = table.reshape(Q, self.M_active * len(self._orders))
+        B = table[:, self._flat[0]]
+        for idx in self._flat[1:]:
+            B *= table[:, idx]
+        return B
 
 
 def combination_interpolate(
@@ -424,11 +459,12 @@ def combination_interpolate(
     shape; the result is the signed sum of tensor-product Lagrange interpolants.
     ``y`` may be longer than M_active (the interpolant is constant in inactive
     dimensions) or shorter (missing coordinates are 0).  A throwaway
-    ``CombinationOperator`` does the work; build one directly to evaluate the
-    same data at many points.
+    ``CombinationOperator`` does the work, as ``basis_at([y])[0] @
+    coefficients(D)``; build one directly to evaluate the same data at many
+    points.
     """
     points = sorted(data)
     shape = np.shape(data[points[0]])
     D = np.stack([np.asarray(data[pt], dtype=float).ravel() for pt in points])
-    w = CombinationOperator(terms, M_active, points).weights_at([y])
-    return (w @ D).reshape(shape)
+    op = CombinationOperator(terms, M_active, points)
+    return (op.basis_at([y])[0] @ op.coefficients(D)).reshape(shape)

@@ -18,6 +18,7 @@ from eigcolloc import (
     EigenspaceBasis,
     FamilyValidationError,
     MultiIndex,
+    ParameterDimensionError,
     assemble_at,
     canonical_basis,
     collocate,
@@ -342,6 +343,20 @@ class TestEvaluateMany:
         fam = model_diffusion_1d(16, 0.3, 2.0, 3)
         cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0, 4.0], 2.0))
         assert evaluate_many(cb, np.empty((0, columns))).shape == (0, fam.dim, 2)
+
+    def test_point_longer_than_the_family_is_named(self):
+        # the third coordinate belongs to no term of the family; solve_many
+        # refuses the same point with the same message
+        fam = model_diffusion_1d(10, 0.3, 2.0, 2)
+        cb = collocate(fam, [1], anisotropic_set([2.0, 3.0], 1.0))
+        message = re.escape("parameter point (0.5, 0.5, 7.0) has 3 components, family has 2 terms")
+        for call in (evaluate, evaluate_cluster_values):
+            with pytest.raises(ParameterDimensionError, match=message):
+                call(cb, [0.5, 0.5, 7.0])
+        with pytest.raises(ParameterDimensionError, match=message):
+            evaluate_many(cb, [[0.5, 0.5, 7.0], [0.1, 0.2, 0.3]])
+        with pytest.raises(ParameterDimensionError, match=message):
+            ReducedFamily(fam).solve((0.5, 0.5, 7.0), 2)
 
 
 class TestCarriedSolves:

@@ -476,6 +476,26 @@ class TestSerialBlas:
             ReducedFamily(spd_family(6, 1, 12)).solve((0.5,), 2)
         assert blas_counts() == two_threads
 
+    def test_nested_blocks_that_raise_restore_the_counts_at_the_outermost(
+        self, two_threads
+    ):
+        # the one cap object is re-entrant: an inner block that raises leaves
+        # the cap to the blocks still open, and the outermost one restores
+        cap = eigensolver._serial_blas()
+        assert eigensolver._serial_blas() is cap
+        with pytest.raises(KeyError):
+            with cap:
+                with pytest.raises(ValueError):
+                    with cap:
+                        with cap:
+                            raise ValueError("inner")
+                assert blas_counts() == [1] * len(two_threads)
+                raise KeyError("outer")
+        assert blas_counts() == two_threads
+        with cap:
+            assert blas_counts() == [1] * len(two_threads)
+        assert blas_counts() == two_threads
+
     def test_counts_are_restored_after_threads_overlap(self, two_threads):
         # the cap is process-global: with solves overlapping in 4 threads, the
         # last block to close puts back the counts the first one found

@@ -453,7 +453,7 @@ class TestCombinationOperator:
         pts = grid_points(A)
         op = CombinationOperator(combination_terms(A), M, pts)
         D = np.stack([poly(pt) for pt in pts])
-        got = op.weights_at(np.array(queries).reshape(len(queries), M)) @ D
+        got = op.basis_at(np.array(queries).reshape(len(queries), M)) @ op.coefficients(D)
         want = np.stack([poly(y) for y in queries])
         scale = max(1.0, float(np.abs(D).max()))
         assert np.abs(got - want).max() <= 1e-10 * scale
@@ -470,10 +470,10 @@ class TestCombinationOperator:
         rng = np.random.default_rng(len(pts))
         data = {pt: rng.standard_normal(3) for pt in pts}
         op = CombinationOperator(terms, M, pts)
-        D = np.stack([data[pt] for pt in pts])
+        C = op.coefficients(np.stack([data[pt] for pt in pts]))
         for y in queries:
             want = loop_interpolate(terms, M, data, y)
-            got = op.weights_at([y])[0] @ D
+            got = op.basis_at([y])[0] @ C
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.array_equal(combination_interpolate(terms, M, data, y), got)
 
@@ -482,9 +482,20 @@ class TestCombinationOperator:
         pts = grid_points(A)
         op = CombinationOperator(combination_terms(A), A.M_active, pts)
         Y = np.random.default_rng(9).uniform(-1.0, 1.0, size=(7, A.M_active))
-        batch = op.weights_at(Y)
+        batch = op.basis_at(Y)
+        assert batch.shape == (7, len(A))
         for y, row in zip(Y, batch):
-            assert np.array_equal(op.weights_at([y])[0], row)
+            assert np.array_equal(op.basis_at([y])[0], row)
+
+    @given(monotone_set_with_points())
+    def test_one_coefficient_row_per_index_of_a_monotone_set(self, case):
+        # every nu <= gamma of a term lies in a downward-closed set, and every
+        # index of the set is some term's gamma or lies below one
+        A, _, _ = case
+        pts = grid_points(A)
+        op = CombinationOperator(combination_terms(A), A.M_active, pts)
+        assert len(op.indices) == len(A) and set(op.indices) == A.indices
+        assert op.coefficients(np.ones((len(pts), 2))).shape == (len(A), 2)
 
     @given(st.integers(0, 6), st.floats(-1.0, 1.0))
     def test_basis_values_are_finite_next_to_a_node(self, level, t):
@@ -501,8 +512,8 @@ class TestCombinationOperator:
         A = multi_index_set([ORIGIN, mi(1), mi(0, 1)])
         op = CombinationOperator(combination_terms(A), 2, grid_points(A))
         with pytest.raises(ExtrapolationError, match="coordinate 2 = 1.5"):
-            op.weights_at([[0.0, 0.0], [0.2, 1.5]])
+            op.basis_at([[0.0, 0.0], [0.2, 1.5]])
         with pytest.raises(ExtrapolationError, match="coordinate 1 = nan"):
-            op.weights_at([[math.nan]])
+            op.basis_at([[math.nan]])
         with pytest.raises(ParameterDimensionError):
-            op.weights_at([0.1, 0.2])
+            op.basis_at([0.1, 0.2])
