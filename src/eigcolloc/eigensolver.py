@@ -6,6 +6,7 @@ deterministic sign convention so that repeated solves are bit-reproducible.
 ``ReducedFamily`` makes and memoises every point solve of an affine family;
 it reduces the family once, so that a solve costs an affine sum and one LAPACK
 call, and it lifts the eigenvectors of many points by one triangular solve.
+Below ``SERIAL_BLAS_DIM`` the solves of a batch run on one thread per CPU.
 """
 from __future__ import annotations
 
@@ -14,12 +15,14 @@ import glob
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .errors import ParameterDimensionError, RankDeficiencyError, SolverError
 from .families import affine_sum
@@ -189,14 +192,83 @@ def _point_blas(dim: int):
     return _SERIAL_BLAS if dim < SERIAL_BLAS_DIM else _NO_CAP
 
 
+def _nproc() -> int:
+    """The processors this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _point_workers(dim: int) -> int:
+    """The threads that share a chunk's point solves on a ``dim``-dimensional
+    family: one per processor below ``SERIAL_BLAS_DIM``, where each solve
+    runs on one BLAS thread; above it the BLAS threads use the processors."""
+    return _nproc() if dim < SERIAL_BLAS_DIM else 1
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    # the helpers of the calling thread, made at the first parallel chunk
+    return ThreadPoolExecutor(max(1, _nproc() - 1), thread_name_prefix="eigcolloc-solve")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's pool threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _in_slices(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, with the sequence ``items`` cut into at
+    most ``workers`` contiguous slices that run at once: the calling thread
+    takes the first one and the pool the others.  Returns when every slice
+    is done, also when one raises."""
+    parts = min(workers, len(items))
+    if parts < 2:
+        return [fn(x) for x in items]
+    bounds = [len(items) * i // parts for i in range(parts + 1)]
+
+    def run(lo, hi):
+        return [fn(x) for x in items[lo:hi]]
+
+    futures = [_pool().submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        out = run(0, bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        out += future.result()
+    return out
+
+
+@cache
+def _dsyevr():
+    """scipy's own LAPACK ``dsyevr``, called through ctypes, which releases
+    the GIL for the call (scipy's f2py wrapper holds it)."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    # 21 arguments, each a pointer: jobz, range, uplo, n, a, lda, vl, vu, il,
+    # iu, abstol, m, w, z, ldz, isuppz, work, lwork, iwork, liwork, info
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a writable array's first element."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 def _blas_environment(dim: int) -> dict:
-    """The OpenBLAS copies found, with their thread counts, and the count a
-    point solve of a ``dim``-dimensional family runs with (None if unknown)."""
+    """The OpenBLAS copies found, with their thread counts, the count a point
+    solve of a ``dim``-dimensional family runs with (None if unknown) and the
+    threads that share a chunk's point solves."""
     copies = _openblas_copies()
     found = [{"file": name, "threads": get()} for name, _, get in copies]
     with _point_blas(dim):
         point = max((get() for _, _, get in copies), default=None)
-    return {"openblas": found, "point_solve_threads": point}
+    return {
+        "openblas": found, "point_solve_threads": point,
+        "point_solve_workers": _point_workers(dim),
+    }
 
 
 def _long_point(y, n_terms: int) -> ParameterDimensionError:
@@ -225,7 +297,11 @@ class ReducedFamily:
     failed ones included, and ``reused`` those served again.  The reduced
     terms take as much memory as the family.  The work of each chunk, the
     reduction and the origin's solve included, runs under ``_point_blas``:
-    on one OpenBLAS thread below ``SERIAL_BLAS_DIM``.
+    on one OpenBLAS thread below ``SERIAL_BLAS_DIM``.  There the fresh points
+    of a chunk are also solved in ``_point_workers`` contiguous slices at
+    once, each on its own thread, with results, memo and counts bit for bit
+    those of one thread: ``_eigh`` calls LAPACK through ctypes, which lets
+    the other threads run.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -234,6 +310,7 @@ class ReducedFamily:
         self.solves = 0
         self.reused = 0
         self._memo = {}
+        self._local = threading.local()
 
     @cached_property
     def LT(self) -> np.ndarray:
@@ -245,24 +322,58 @@ class ReducedFamily:
         return tuple(_reduce(L, B) for B in (self.family.B0, *self.family.B_terms))
 
     @cached_property
-    def _syevr(self):
-        # dsyevr with the arguments and workspace scipy's eigh(driver="evr")
-        # passes, so that a reduced solve is the one solve_gevp(at(y)) makes
-        drv, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), (self.LT,))
-        lwork, liwork, _ = query(self.family.dim, lower=1)
-        return partial(
-            drv, compute_v=1, range="I", lower=1, il=1, lwork=int(lwork), liwork=liwork
+    def _syevr(self) -> tuple:
+        # dsyevr's constant arguments, with the workspace sizes scipy's
+        # eigh(driver="evr") passes, so that a reduced solve is the one
+        # solve_gevp(at(y)) makes, and their addresses; read-only, so every
+        # thread shares them
+        n = self.family.dim
+        lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
+        args = (
+            ctypes.c_char(b"V"), ctypes.c_char(b"I"), ctypes.c_char(b"L"), ctypes.c_int(n),
+            ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1),
+            ctypes.c_int(int(lwork)), ctypes.c_int(liwork),
         )
+        return args, tuple(map(ctypes.addressof, args))
+
+    def _workspace(self) -> tuple:
+        # the calling thread's dsyevr outputs and workspace, made at its first
+        # solve and kept for the next: the arrays w, work and iwork + isuppz,
+        # the ints iu, m and info, and the address of each
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            n, lwork, liwork = (self._syevr[0][i].value for i in (3, 7, 8))
+            w, work, ints = np.empty(n), np.empty(lwork), np.empty(liwork + 2 * n, np.intc)
+            iu, m, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+            addresses = (*map(_address, (w, work, ints, ints[liwork:])),
+                         *map(ctypes.addressof, (iu, m, info)))
+            ws = self._local.ws = (w, work, ints, iu, m, info), addresses
+        return ws
 
     def at(self, y) -> np.ndarray:
         """inv(L) B(y) inv(L)'; missing trailing components of y count as zero."""
         return affine_sum(self.terms[0], self.terms[1:], y)
 
     def _eigh(self, A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest eigenvalues and orthonormal eigenvectors of symmetric A."""
-        w, z, _, _, info = self._syevr(A, iu=k)
-        if info:
-            raise SolverError(f"dense eigensolver failed: dsyevr returned info={info}")
+        """The k lowest eigenvalues and orthonormal eigenvectors of A.
+
+        A must be exactly symmetric, as ``at(y)`` is; ``dsyevr`` overwrites it.
+        """
+        jobz, range_, uplo, n, zero, vu, il, lwork, liwork = self._syevr[1]
+        (w, _, _, iu, _, info), addresses = self._workspace()
+        w_at, work, iwork, isuppz, iu_at, m, info_at = addresses
+        iu.value = k
+        dim = self.family.dim
+        A = np.require(A, np.float64, ("C", "W"))  # its own transpose: no copy
+        if A.shape != (dim, dim):
+            raise ValueError(f"expected a {dim} x {dim} matrix, got shape {A.shape}")
+        z = np.empty((dim, k), order="F")
+        _dsyevr()(
+            jobz, range_, uplo, n, _address(A), n, zero, vu, il, iu_at, zero, m, w_at,
+            _address(z.T), n, isuppz, work, lwork, iwork, liwork, info_at,  # z.T: C order
+        )
+        if info.value:
+            raise SolverError(f"dense eigensolver failed: dsyevr returned info={info.value}")
         return w[:k].copy(), z
 
     def lift(self, decomp: SpectralDecomposition) -> SpectralDecomposition:
@@ -295,9 +406,10 @@ class ReducedFamily:
         holds a ``SolverError`` naming it where its decomposition would be; a
         fault is counted as a solve and never kept, and the rest of its chunk
         is solved as usual.  A point given twice is solved once.  Below
-        ``SERIAL_BLAS_DIM`` each chunk is solved on one OpenBLAS thread; the
-        old counts are back before the chunk is yielded.  A point with more
-        components than the family has terms raises a
+        ``SERIAL_BLAS_DIM`` each chunk is solved on one OpenBLAS thread per
+        worker thread; the old counts are back before the chunk is yielded.
+        Only the calling thread touches the memo and the counters.  A point
+        with more components than the family has terms raises a
         ``ParameterDimensionError`` naming it before any point is solved.
         """
         n_terms = self.family.n_terms
@@ -313,30 +425,47 @@ class ReducedFamily:
                     self.reused += 1
                 else:
                     fresh[key] = y
-            made = {}
-            reduced = []  # (key, values); the reduced eigenvectors go to W
-            W = np.empty((self.family.dim, k * len(fresh)), order="F")
+            points = list(fresh.items())
+            W = np.empty((self.family.dim, k * len(points)), order="F")
+
+            def solve(i):
+                # the origin's decomposition, the values at another point, whose
+                # reduced eigenvectors go to the i-th block of W, or the error
+                key, y = points[i]
+                try:
+                    if not all(map(math.isfinite, key[0])):
+                        raise SolverError("parameter point is not finite")
+                    if not any(key[0]):
+                        return solve_gevp(self.family.B0, self.family.mass, k=k)
+                    values, z = self._eigh(self.at(y), k)
+                    W[:, k * i:k * (i + 1)] = z
+                    return values
+                except SolverError as exc:
+                    err = SolverError(f"{exc} at point {tuple(map(float, y))}")
+                    err.__cause__ = exc
+                    return err
+
             # the cap closes before the yield, so that a caller that raises or
             # drops the generator never leaves the counts at one
             with _point_blas(self.family.dim):
-                for key, y in fresh.items():
-                    self.solves += 1
+                workers = _point_workers(self.family.dim)
+                if any(any(key[0]) and all(map(math.isfinite, key[0])) for key in fresh):
                     try:
-                        if not all(map(math.isfinite, key[0])):
-                            raise SolverError("parameter point is not finite")
-                        if any(key[0]):
-                            values, z = self._eigh(self.at(y), k)
-                            W[:, k * len(reduced):k * (len(reduced) + 1)] = z
-                            reduced.append((key, values))
-                        else:
-                            made[key] = solve_gevp(self.family.B0, self.family.mass, k=k)
-                    except SolverError as exc:
-                        made[key] = SolverError(f"{exc} at point {tuple(map(float, y))}")
-                        made[key].__cause__ = exc
+                        # made before the threads start: cached_property takes no lock
+                        self.terms, self._syevr
+                    except SolverError:
+                        workers = 1  # every point meets the error again, in place
+                out = _in_slices(solve, range(len(points)), workers)
+                self.solves += len(points)
+                reduced = [i for i, got in enumerate(out) if isinstance(got, np.ndarray)]
+                for p, i in enumerate(reduced):
+                    if p != i:  # close the blocks of the other points up
+                        W[:, k * p:k * (p + 1)] = W[:, k * i:k * (i + 1)]
                 if reduced:
                     U = self._lift(W[:, :k * len(reduced)])
-                    for p, (key, values) in enumerate(reduced):
-                        made[key] = SpectralDecomposition(values, U[:, p * k:(p + 1) * k])
+                    for p, i in enumerate(reduced):
+                        out[i] = SpectralDecomposition(out[i], U[:, p * k:(p + 1) * k])
+            made = dict(zip(fresh, out))
             for key, decomp in made.items():
                 # the origin is the reference of every caller and a grid point as well
                 if not isinstance(decomp, SolverError) and (self.carry or not any(key[0])):

@@ -150,9 +150,12 @@ def affine_sum(B0: np.ndarray, B_terms, y) -> np.ndarray:
             f"parameter point has {len(y)} components, family has {len(B_terms)} terms"
         )
     out = B0.copy()
+    term = None  # one buffer for every y_m B_m
     for ym, B in zip(y, B_terms):
         if ym != 0.0:
-            out += ym * B
+            if term is None:
+                term = np.empty_like(out)
+            out += np.multiply(ym, B, out=term)
     return out
 
 

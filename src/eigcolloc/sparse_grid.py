@@ -181,17 +181,21 @@ def combination_terms(A: MultiIndexSet) -> list[CombinationTerm]:
     alpha on the support of alpha, with sign (-1)^|alpha-gamma|; equal gammas
     are merged and zero coefficients dropped.
     """
-    acc: dict[MultiIndex, int] = {}
-    for alpha in A:
-        supp = alpha.support
-        ranges = [range(max(alpha.level(m) - 1, 0), alpha.level(m) + 1) for m in supp]
-        for combo in itertools.product(*ranges):
-            gamma = MultiIndex(tuple(zip(supp, combo)))
-            sign = -1 if (alpha.norm1 - gamma.norm1) % 2 else 1
-            acc[gamma] = acc.get(gamma, 0) + sign
+    # signed counts on the normalised (dimension, level) entries of each
+    # gamma, built one dimension of alpha's box at a time; a MultiIndex is
+    # made only for the gammas that stay
+    acc: dict[tuple, int] = {}
+    for alpha in A.indices:
+        box = {(): 1}
+        for m, l in alpha.entries:
+            lower = ((m, l - 1),) if l > 1 else ()  # level 0 is no entry
+            box = {**{g + ((m, l),): c for g, c in box.items()},
+                   **{g + lower: -c for g, c in box.items()}}
+        for g, c in box.items():
+            acc[g] = acc.get(g, 0) + c
     return [
-        CombinationTerm(g, c)
-        for g, c in sorted(acc.items(), key=lambda kv: kv[0].sort_key())
+        CombinationTerm(MultiIndex(g), c)
+        for g, c in sorted(acc.items(), key=lambda kv: (sum(l for _, l in kv[0]), kv[0]))
         if c != 0
     ]
 

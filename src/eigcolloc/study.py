@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
-from .eigensolver import ReducedFamily, _blas_environment, _point_blas
+from .eigensolver import ReducedFamily, _blas_environment, _nproc, _point_blas
 from .eigenspace import _as_cluster, _box_samples, _check_sampling, _euclidean_angles
 from .errors import ConfigError, SolverError, StageError
 from .families import (
@@ -446,13 +446,12 @@ def _environment(dim: int) -> dict:
     """Versions, processors and BLAS threads of this process, for a summary."""
     from . import __version__
 
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         "eigcolloc": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "nproc": nproc,
+        "nproc": _nproc(),
         **_blas_environment(dim),
     }
 

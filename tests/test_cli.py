@@ -47,6 +47,10 @@ def run_under_both_thread_settings(tmp_path, *args) -> list:
     return outs
 
 
+N199_PARAMS = {"n_elements": 200, "decay_scale": 0.3, "decay_rate": 3.0, "n_terms": 6,
+               "p_exponent": 0.5}
+
+
 def study_columns(out) -> list:
     """The columns of ``study.csv`` in ``out`` up to the error, row by row."""
     lines = (out / "study.csv").read_text(encoding="utf-8").splitlines()
@@ -155,6 +159,37 @@ class TestCollocate:
         cb = load_collocated(out / "basis.json")
         assert set(cb.point_data) == {()}
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs to run on",
+    )
+    def test_basis_does_not_depend_on_the_cpu_count(self, tmp_path):
+        # n = 199 lies below SERIAL_BLAS_DIM, where a chunk's point solves
+        # run on one thread per CPU: a fresh process pinned to one CPU writes
+        # the bytes of one that may use them all
+        cfg = write_config(tmp_path, model_params=N199_PARAMS, budgets=[0.8], n_mc=5,
+                           seed=0)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import sys; from eigcolloc.cli import main; from eigcolloc import eigensolver; "
+            "print(eigensolver._point_workers(199), file=sys.stderr); "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        first = min(os.sched_getaffinity(0))
+        workers, bases = [], []
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {first})), ("all", None)):
+            done = subprocess.run(
+                [sys.executable, "-c", script, "collocate", "--config", cfg,
+                 "--out", str(tmp_path / name)],
+                env=env, check=True, capture_output=True, text=True, preexec_fn=pin,
+            )
+            workers.append(int(done.stderr.split()[0]))
+            bases.append((tmp_path / name / "basis.json").read_bytes())
+        assert workers == [1, len(os.sched_getaffinity(0))]
+        assert bases[0] == bases[1]
+
 
 class TestStudy:
     def test_end_to_end(self, tmp_path, capsys):
@@ -177,12 +212,8 @@ class TestStudy:
         # the interpolant run on one OpenBLAS thread whatever the environment
         # says, so the error column is the same with the variable set to 1
         # and unset
-        cfg = write_config(
-            tmp_path,
-            model_params={"n_elements": 200, "decay_scale": 0.3, "decay_rate": 3.0,
-                          "n_terms": 6, "p_exponent": 0.5},
-            budgets=[0.5, 1.25], n_mc=70, seed=7,
-        )
+        cfg = write_config(tmp_path, model_params=N199_PARAMS, budgets=[0.5, 1.25],
+                           n_mc=70, seed=7)
         columns = [study_columns(out) for out in run_under_both_thread_settings(
             tmp_path, "study", "--config", cfg)]
         assert len(columns[0]) == 3

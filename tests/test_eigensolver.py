@@ -341,17 +341,21 @@ class TestSolveMany:
     def test_failure_is_held_in_place_and_not_kept(self, monkeypatch):
         fam = spd_family(6, 1, 9)
         real = ReducedFamily._eigh
-        seen = []
+        Y = [(0.1 * i,) for i in range(1, 6)]
+        third = ReducedFamily(fam).at(Y[2])
+        seen, failed = [], []
 
         def fails_at_third(self, A, k):
+            # the third point's matrix, the first time it comes, whichever
+            # thread solves it
             seen.append(A)
-            if len(seen) == 3:
+            if not failed and np.array_equal(A, third):
+                failed.append(A)
                 raise SolverError("synthetic failure")
             return real(self, A, k)
 
         monkeypatch.setattr(ReducedFamily, "_eigh", fails_at_third)
         solver = ReducedFamily(fam)
-        Y = [(0.1 * i,) for i in range(1, 6)]
         batch = solved(solver.solve_many(Y, 2))
         assert re.fullmatch(r"synthetic failure at point \(0.30*4?,\)", str(batch[2]))
         assert str(batch[2].__cause__) == "synthetic failure"
@@ -362,6 +366,37 @@ class TestSolveMany:
         # not kept: asked again, the point is solved again, and this time passes
         assert isinstance(solver.solve(Y[2], 2), SpectralDecomposition)
         assert (solver.solves, solver.reused) == (6, 0)
+
+    @pytest.mark.parametrize("workers", sorted({eigensolver._nproc(), 3}))
+    def test_threads_give_the_bits_of_one_worker(self, monkeypatch, workers):
+        # a batch past CHUNK with a failed solve, a non-finite point and a
+        # repeated point inside a chunk: the solves split over `workers`
+        # threads give one worker's values, vectors, errors, memo and counts
+        fam = spd_family(40, 3, 14)
+        Y = np.random.default_rng(14).uniform(-1.0, 1.0, size=(CHUNK + 61, 3))
+        Y[100, 1] = math.nan
+        Y[CHUNK + 30] = Y[CHUNK + 5]
+        Y[150] = 0.0
+
+        def run(count):
+            monkeypatch.setattr(eigensolver, "_nproc", lambda: count)
+            solver = FlakyFamily(fam, [Y[37], Y[CHUNK + 20]])
+            return solver, solved(solver.solve_many(Y, 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (one, want), (many, got) = run(1), run(workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (many.solves, many.reused) == (one.solves, one.reused) == (len(Y) - 1, 1)
+        assert list(many._memo) == list(one._memo)
+        for i, (a, b) in enumerate(zip(got, want)):
+            if i in (37, 100, CHUNK + 20):
+                assert isinstance(a, SolverError) and str(a) == str(b)
+            else:
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.vectors, b.vectors)
 
     @settings(max_examples=20)
     @given(family_batch(), st.data())
