@@ -182,14 +182,16 @@ def _serial_blas() -> _SerialBlas:
     return _SERIAL_BLAS
 
 
-def _point_blas(dim: int):
+def _point_blas(dim: int, banded: bool = False):
     """The BLAS thread setting of the point work on a ``dim``-dimensional family.
 
     A context manager: ``_serial_blas()`` below ``SERIAL_BLAS_DIM``, where one
     thread is faster and makes the results independent of the thread
-    settings; above it the threads are left as they are.
+    settings, and for the point solves of a ``banded`` family at any size,
+    whose LAPACK call gains nothing from BLAS threads; otherwise the threads
+    are left as they are.
     """
-    return _SERIAL_BLAS if dim < SERIAL_BLAS_DIM else _NO_CAP
+    return _SERIAL_BLAS if banded or dim < SERIAL_BLAS_DIM else _NO_CAP
 
 
 def _nproc() -> int:
@@ -197,11 +199,11 @@ def _nproc() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _point_workers(dim: int) -> int:
+def _point_workers(dim: int, banded: bool = False) -> int:
     """The threads that share a chunk's point solves on a ``dim``-dimensional
-    family: one per processor below ``SERIAL_BLAS_DIM``, where each solve
-    runs on one BLAS thread; above it the BLAS threads use the processors."""
-    return _nproc() if dim < SERIAL_BLAS_DIM else 1
+    family: one per processor where each solve runs on one BLAS thread
+    (``_point_blas``); otherwise the BLAS threads use the processors."""
+    return _nproc() if banded or dim < SERIAL_BLAS_DIM else 1
 
 
 @cache
@@ -239,17 +241,16 @@ def _in_slices(fn, items, workers: int) -> list:
 
 
 @cache
-def _dsyevr():
-    """scipy's own LAPACK ``dsyevr``, called through ctypes, which releases
-    the GIL for the call (scipy's f2py wrapper holds it)."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+def _lapack(name: str, n_args: int):
+    """scipy's own LAPACK routine ``name``, called through ctypes, which
+    releases the GIL for the call (scipy's f2py wrappers hold it); every one
+    of its ``n_args`` arguments is a pointer."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    cname = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
-    # 21 arguments, each a pointer: jobz, range, uplo, n, a, lda, vl, vu, il,
-    # iu, abstol, m, w, z, ldz, isuppz, work, lwork, iwork, liwork, info
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, cname)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
 def _address(a: np.ndarray) -> int:
@@ -257,17 +258,23 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _blas_environment(dim: int) -> dict:
+def _point_environment(family) -> dict:
     """The OpenBLAS copies found, with their thread counts, the count a point
-    solve of a ``dim``-dimensional family runs with (None if unknown) and the
-    threads that share a chunk's point solves."""
+    solve of ``family`` runs with (None if unknown), the threads that share a
+    chunk's point solves, and the route of those solves with the bandwidth
+    of the pencil."""
+    kd = ReducedFamily(family).bandwidth
+    banded = kd is not None
+    if not banded:
+        kd = max(_bandwidth(A, family.dim) for A in (family.mass, family.B0, *family.B_terms))
     copies = _openblas_copies()
     found = [{"file": name, "threads": get()} for name, _, get in copies]
-    with _point_blas(dim):
+    with _point_blas(family.dim, banded):
         point = max((get() for _, _, get in copies), default=None)
     return {
         "openblas": found, "point_solve_threads": point,
-        "point_solve_workers": _point_workers(dim),
+        "point_solve_workers": _point_workers(family.dim, banded),
+        "point_solver": {"route": "banded" if banded else "dense", "bandwidth": kd},
     }
 
 
@@ -279,6 +286,36 @@ def _long_point(y, n_terms: int) -> ParameterDimensionError:
     )
 
 
+# the bandwidth from which a family's point solves take the dense route:
+# below it each point off the origin is one banded LAPACK dsbgvx call
+# (CHANGES.md has the kd x n table of the two routes that sets it)
+BAND_CROSSOVER = 2
+# dsbgvx's absolute eigenvalue tolerance: twice the underflow threshold, at
+# which the bisection computes the eigenvalues most accurately
+_ABSTOL = 2 * np.finfo(float).tiny
+
+
+def _bandwidth(A: np.ndarray, limit: int) -> int | None:
+    """The bandwidth of the square matrix A, the largest |i - j| of a nonzero
+    entry, or None if it is above ``limit``; the entries past ``limit`` are
+    tested first, so that a wide matrix costs one pass."""
+    if np.triu(A, limit + 1).any() or np.tril(A, -limit - 1).any():
+        return None
+    rows, cols = np.nonzero(A)
+    return int(np.abs(rows - cols).max(initial=0))
+
+
+def _band(A: np.ndarray, kd: int) -> np.ndarray:
+    """The symmetric part of A in LAPACK's lower-band storage with kd
+    subdiagonals, flat: entry (j, r) of its n x (kd + 1) rows is A[j + r, j],
+    zero past the last row."""
+    n = A.shape[0]
+    ab = np.zeros((n, kd + 1))
+    for r in range(kd + 1):
+        ab[:n - r, r] = 0.5 * (np.diagonal(A, -r) + np.diagonal(A, r))
+    return ab.ravel()
+
+
 class ReducedFamily:
     """Every eigensolve of an affine pencil (B0 + sum_m y_m B_m, M), memoised.
 
@@ -286,22 +323,32 @@ class ReducedFamily:
     code that knows CHUNK: it yields the solves chunk by chunk, with a
     ``SolverError`` in place of each failed one.  ``solve(y, k)`` is its
     one-point case and raises that error.  The origin is the dense
-    ``solve_gevp(B0, M, k)``.  The first point away from it factors M = L L'
-    and reduces every affine term, A_m = inv(L) B_m inv(L)'; each other
-    point then costs its affine sum ``at(y)`` and one LAPACK ``dsyevr`` call.
-    The eigenvectors of a chunk are lifted by one triangular solve and
-    sign-fixed together, as ``lift`` does for one point; at the origin that
-    is bit for bit the dense solve.  Solves are keyed by the point padded
-    with zeros and k; with ``carry=False`` only the origin's are kept, and a
-    failed solve is never kept.  ``solves`` counts the eigensolves made,
-    failed ones included, and ``reused`` those served again.  The reduced
-    terms take as much memory as the family.  The work of each chunk, the
-    reduction and the origin's solve included, runs under ``_point_blas``:
-    on one OpenBLAS thread below ``SERIAL_BLAS_DIM``.  There the fresh points
-    of a chunk are also solved in ``_point_workers`` contiguous slices at
-    once, each on its own thread, with results, memo and counts bit for bit
-    those of one thread: ``_eigh`` calls LAPACK through ctypes, which lets
-    the other threads run.
+    ``solve_gevp(B0, M, k)``.  Every other point is one call of
+    ``_solve_point``, on the route the family's matrices choose at the first
+    point away from the origin (``bandwidth``):
+
+    - banded, when every matrix has fewer than ``BAND_CROSSOVER``
+      subdiagonals: B0, the B_m and M are stacked once in LAPACK's band
+      storage, and a point costs one product ``[1, y] @ T`` and one
+      ``dsbgvx`` call, whose eigenvectors come out M-orthonormal;
+    - dense, otherwise: M = L L' is factored, every affine term reduced once,
+      A_m = inv(L) B_m inv(L)', and a point costs its affine sum ``at(y)``
+      and one ``dsyevr`` call.  The eigenvectors of a chunk are lifted by one
+      triangular solve, as ``lift`` does for one point; at the origin that is
+      bit for bit the dense solve.  The reduced terms take as much memory as
+      the family.
+
+    Either way the eigenvectors of a chunk are sign-fixed together.  Solves
+    are keyed by the point padded with zeros and k; with ``carry=False`` only
+    the origin's are kept, and a failed solve is never kept.  ``solves``
+    counts the eigensolves made, failed ones included, and ``reused`` those
+    served again.  The work of each chunk, the set-up of the route and the
+    origin's solve included, runs under ``_point_blas``: on one OpenBLAS
+    thread below ``SERIAL_BLAS_DIM``.  There the fresh points of a chunk are
+    also solved in ``_point_workers`` contiguous slices at once, each on its
+    own thread, with results, memo and counts bit for bit those of one
+    thread: LAPACK is called through ctypes, which lets the other threads
+    run.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -311,6 +358,20 @@ class ReducedFamily:
         self.reused = 0
         self._memo = {}
         self._local = threading.local()
+
+    @cached_property
+    def bandwidth(self) -> int | None:
+        """The bandwidth of the pencil, that of its widest matrix, if it is
+        below ``BAND_CROSSOVER`` (the banded route), else None (the dense
+        route).  The mass matrix is tested first, so that a wide family
+        costs one pass over one matrix."""
+        kd = 0
+        for A in (self.family.mass, self.family.B0, *self.family.B_terms):
+            kd_A = _bandwidth(A, BAND_CROSSOVER - 1)
+            if kd_A is None:
+                return None
+            kd = max(kd, kd_A)
+        return kd
 
     @cached_property
     def LT(self) -> np.ndarray:
@@ -325,8 +386,9 @@ class ReducedFamily:
     def _syevr(self) -> tuple:
         # dsyevr's constant arguments, with the workspace sizes scipy's
         # eigh(driver="evr") passes, so that a reduced solve is the one
-        # solve_gevp(at(y)) makes, and their addresses; read-only, so every
-        # thread shares them
+        # solve_gevp(at(y)) makes: their addresses, the sizes of the float
+        # and the int arrays of a workspace, and the arguments, which keep
+        # the addresses valid; read-only, so every thread shares them
         n = self.family.dim
         lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
         args = (
@@ -334,41 +396,90 @@ class ReducedFamily:
             ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1),
             ctypes.c_int(int(lwork)), ctypes.c_int(liwork),
         )
-        return args, tuple(map(ctypes.addressof, args))
+        sizes = (n, int(lwork)), (liwork, 2 * n)  # w, work; iwork, isuppz
+        return tuple(map(ctypes.addressof, args)), sizes, args
 
-    def _workspace(self) -> tuple:
-        # the calling thread's dsyevr outputs and workspace, made at its first
-        # solve and kept for the next: the arrays w, work and iwork + isuppz,
-        # the ints iu, m and info, and the address of each
-        ws = getattr(self._local, "ws", None)
+    @cached_property
+    def _sbgvx(self) -> tuple:
+        # the banded route: B0 and the B_m in band storage, one row each, the
+        # band of M, and dsbgvx's constant arguments: their addresses, the
+        # sizes of the float and the int arrays of a workspace, and the
+        # arguments, which keep the addresses valid; read-only, so every
+        # thread shares them
+        fam, kd = self.family, self.bandwidth
+        n = fam.dim
+        T = np.stack([_band(A, kd) for A in (fam.B0, *fam.B_terms)])
+        args = (
+            ctypes.c_char(b"V"), ctypes.c_char(b"I"), ctypes.c_char(b"L"), ctypes.c_int(n),
+            ctypes.c_int(kd), ctypes.c_int(kd + 1), ctypes.c_double(0.0), ctypes.c_double(1.0),
+            ctypes.c_int(1), ctypes.c_double(_ABSTOL),
+        )
+        nb = n * (kd + 1)
+        sizes = (nb, nb, n * n, n, 7 * n), (5 * n, n)  # AB, BB, Q, w, work; iwork, ifail
+        return T, _band(fam.mass, kd), tuple(map(ctypes.addressof, args)), sizes, args
+
+    def _workspace(self, name: str, sizes: tuple) -> tuple:
+        # the calling thread's outputs and workspace of the LAPACK routine
+        # ``name``, made at its first call and kept for the next: the float
+        # and the int arrays of the given sizes, the ints iu, m and info, and
+        # the address of each
+        ws = getattr(self._local, name, None)
         if ws is None:
-            n, lwork, liwork = (self._syevr[0][i].value for i in (3, 7, 8))
-            w, work, ints = np.empty(n), np.empty(lwork), np.empty(liwork + 2 * n, np.intc)
-            iu, m, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-            addresses = (*map(_address, (w, work, ints, ints[liwork:])),
-                         *map(ctypes.addressof, (iu, m, info)))
-            ws = self._local.ws = (w, work, ints, iu, m, info), addresses
+            floats, ints = sizes
+            arrays = [np.empty(s) for s in floats] + [np.empty(s, np.intc) for s in ints]
+            scalars = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+            ws = arrays, scalars, (*map(_address, arrays), *map(ctypes.addressof, scalars))
+            setattr(self._local, name, ws)
         return ws
 
     def at(self, y) -> np.ndarray:
         """inv(L) B(y) inv(L)'; missing trailing components of y count as zero."""
         return affine_sum(self.terms[0], self.terms[1:], y)
 
+    def _solve_point(self, y, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest eigenvalues at y, a finite point off the origin, and
+        their eigenvectors: M-orthonormal on the banded route, those of
+        ``at(y)`` on the dense route, which ``solve_many`` lifts.
+
+        The one per-point kernel of both routes; it runs on any thread.
+        """
+        if self.bandwidth is None:
+            return self._eigh(self.at(y), k)
+        T, mass, addresses, sizes, _ = self._sbgvx
+        jobz, range_, uplo, n, kd, ldab, vl, vu, il, abstol = addresses
+        (ab, bb, _, w, _, _, _), (iu, _, info), ws = self._workspace("dsbgvx", sizes)
+        ab_at, bb_at, q, w_at, work, iwork, ifail, iu_at, m, info_at = ws
+        c = np.zeros(len(T))
+        c[0] = 1.0
+        c[1:1 + len(y)] = y
+        np.dot(c, T, out=ab)
+        bb[:] = mass
+        iu.value = k
+        z = np.empty((self.family.dim, k), order="F")
+        _lapack("dsbgvx", 25)(
+            jobz, range_, uplo, n, kd, kd, ab_at, ldab, bb_at, ldab, q, n, vl, vu, il, iu_at,
+            abstol, m, w_at, _address(z.T), n, work, iwork, ifail, info_at,  # z.T: C order
+        )
+        if info.value:
+            raise SolverError(f"banded eigensolver failed: dsbgvx returned info={info.value}")
+        return w[:k].copy(), z
+
     def _eigh(self, A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest eigenvalues and orthonormal eigenvectors of A.
 
         A must be exactly symmetric, as ``at(y)`` is; ``dsyevr`` overwrites it.
         """
-        jobz, range_, uplo, n, zero, vu, il, lwork, liwork = self._syevr[1]
-        (w, _, _, iu, _, info), addresses = self._workspace()
-        w_at, work, iwork, isuppz, iu_at, m, info_at = addresses
+        addresses, sizes, _ = self._syevr
+        jobz, range_, uplo, n, zero, vu, il, lwork, liwork = addresses
+        (w, _, _, _), (iu, _, info), ws = self._workspace("dsyevr", sizes)
+        w_at, work, iwork, isuppz, iu_at, m, info_at = ws
         iu.value = k
         dim = self.family.dim
         A = np.require(A, np.float64, ("C", "W"))  # its own transpose: no copy
         if A.shape != (dim, dim):
             raise ValueError(f"expected a {dim} x {dim} matrix, got shape {A.shape}")
         z = np.empty((dim, k), order="F")
-        _dsyevr()(
+        _lapack("dsyevr", 21)(
             jobz, range_, uplo, n, _address(A), n, zero, vu, il, iu_at, zero, m, w_at,
             _address(z.T), n, isuppz, work, lwork, iwork, liwork, info_at,  # z.T: C order
         )
@@ -430,14 +541,14 @@ class ReducedFamily:
 
             def solve(i):
                 # the origin's decomposition, the values at another point, whose
-                # reduced eigenvectors go to the i-th block of W, or the error
+                # eigenvectors go to the i-th block of W, or the error
                 key, y = points[i]
                 try:
                     if not all(map(math.isfinite, key[0])):
                         raise SolverError("parameter point is not finite")
                     if not any(key[0]):
                         return solve_gevp(self.family.B0, self.family.mass, k=k)
-                    values, z = self._eigh(self.at(y), k)
+                    values, z = self._solve_point(y, k)
                     W[:, k * i:k * (i + 1)] = z
                     return values
                 except SolverError as exc:
@@ -445,25 +556,29 @@ class ReducedFamily:
                     err.__cause__ = exc
                     return err
 
+            off_origin = any(any(key[0]) and all(map(math.isfinite, key[0])) for key in fresh)
+            # the route is chosen at the first point off the origin
+            banded = off_origin and self.bandwidth is not None
             # the cap closes before the yield, so that a caller that raises or
             # drops the generator never leaves the counts at one
-            with _point_blas(self.family.dim):
-                workers = _point_workers(self.family.dim)
-                if any(any(key[0]) and all(map(math.isfinite, key[0])) for key in fresh):
+            with _point_blas(self.family.dim, banded):
+                workers = _point_workers(self.family.dim, banded)
+                if off_origin:
                     try:
                         # made before the threads start: cached_property takes no lock
-                        self.terms, self._syevr
+                        self._sbgvx if banded else (self.terms, self._syevr)
                     except SolverError:
                         workers = 1  # every point meets the error again, in place
                 out = _in_slices(solve, range(len(points)), workers)
                 self.solves += len(points)
-                reduced = [i for i, got in enumerate(out) if isinstance(got, np.ndarray)]
-                for p, i in enumerate(reduced):
+                solved = [i for i, got in enumerate(out) if isinstance(got, np.ndarray)]
+                for p, i in enumerate(solved):
                     if p != i:  # close the blocks of the other points up
                         W[:, k * p:k * (p + 1)] = W[:, k * i:k * (i + 1)]
-                if reduced:
-                    U = self._lift(W[:, :k * len(reduced)])
-                    for p, i in enumerate(reduced):
+                if solved:
+                    U = W[:, :k * len(solved)]
+                    U = _fix_signs(U) if banded else self._lift(U)
+                    for p, i in enumerate(solved):
                         out[i] = SpectralDecomposition(out[i], U[:, p * k:(p + 1) * k])
             made = dict(zip(fresh, out))
             for key, decomp in made.items():

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
-from .eigensolver import ReducedFamily, _blas_environment, _nproc, _point_blas
+from .eigensolver import ReducedFamily, _nproc, _point_blas, _point_environment
 from .eigenspace import _as_cluster, _box_samples, _check_sampling, _euclidean_angles
 from .errors import ConfigError, SolverError, StageError
 from .families import (
@@ -442,8 +442,9 @@ def _sweep(config: StudyConfig, targets: tuple[str, ...]):
         yield float(L), card_A, card_X, card_X_formula, runs, seconds, counts
 
 
-def _environment(dim: int) -> dict:
-    """Versions, processors and BLAS threads of this process, for a summary."""
+def _environment(family) -> dict:
+    """Versions, processors and BLAS threads of this process and the point
+    solver of ``family``, for a summary."""
     from . import __version__
 
     return {
@@ -452,19 +453,18 @@ def _environment(dim: int) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "nproc": _nproc(),
-        **_blas_environment(dim),
+        **_point_environment(family),
     }
 
 
 def _write_outputs(
     config: StudyConfig, out_dir, name: str,
-    header: list[str], records: list, dim: int, **summary,
+    header: list[str], records: list, family, **summary,
 ) -> tuple[str | None, str | None]:
     """``name``.csv, one row per record (its fields, in order), and a JSON
     summary ``name``.json; both paths.
 
-    The summary holds the environment in which the family of dimension
-    ``dim`` was solved.
+    The summary holds the environment in which ``family`` was solved.
     """
     if out_dir is None:
         return None, None
@@ -474,7 +474,7 @@ def _write_outputs(
     summary_path = os.path.join(out_dir, name + ".json")
     doc = {
         "config": config.to_dict(),
-        "environment": _environment(dim),
+        "environment": _environment(family),
         "records": [vars(r) for r in records],
     }
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -508,7 +508,7 @@ def run_convergence_study(config: StudyConfig, out_dir=None) -> StudyResult:
     r_hat, reason = fit_rate([r.card_A for r in records], [r.error for r in records])
     csv_path, summary_path = _write_outputs(
         config, out_dir, "study",
-        ["L", "card_A", "card_X", "error", "seconds"], records, cb.family.dim,
+        ["L", "card_A", "card_X", "error", "seconds"], records, cb.family,
         r_hat=r_hat, r_hat_reason=reason, diagnostics=diagnostics,
     )
     return StudyResult(
@@ -556,7 +556,7 @@ def run_crossing_demo(config: StudyConfig, out_dir=None) -> CrossingResult:
     csv_path, summary_path = _write_outputs(
         config, out_dir, "crossing",
         ["L", "card_A", "card_X", "error_canonical", "error_raw", "seconds"], records,
-        cb.family.dim, final_error_ratio_raw_over_canonical=ratio,
+        cb.family, final_error_ratio_raw_over_canonical=ratio,
     )
     return CrossingResult(
         records=tuple(records),

@@ -147,11 +147,11 @@ class TestCollocate:
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
         A = line_set(2)
 
-        def fails(self, A, k):
-            # the dense reference solve passes; the reduced point solves fail
+        def fails(self, y, k):
+            # the dense reference solve passes; the other point solves fail
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", fails)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", fails)
         with pytest.raises(SolverError, match="synthetic failure at point") as err:
             collocate(fam, [1], A)
         assert str(grid_points(A)[0]) in str(err.value)
@@ -257,15 +257,14 @@ class TestChunkedErrors:
         # in the same chunk, does not hide it
         pts = self.points()
         fam = switching_family(0.5 * (pts[383][0] + pts[384][0]))
-        real = ReducedFamily._eigh
-        bad = ReducedFamily(fam).at(pts[failing])
+        real = ReducedFamily._solve_point
 
-        def fails_at_one_point(self, A, k):
-            if np.array_equal(A, bad):
+        def fails_at_one_point(self, y, k):
+            if np.array_equal(y, pts[failing]):
                 raise SolverError("synthetic failure")
-            return real(self, A, k)
+            return real(self, y, k)
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", fails_at_one_point)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", fails_at_one_point)
         with pytest.raises(expected) as err:
             collocate(fam, [1], self.A)
         if expected is SolverError:
@@ -399,25 +398,26 @@ class TestCarriedSolves:
 
     def test_reference_is_the_first_solve_and_dense(self, monkeypatch):
         # the reference solve comes first and is dense; the grid's origin
-        # point is served from the memo and every other point is reduced
+        # point is served from the memo and every other point is one call of
+        # the point kernel
         fam = model_diffusion_1d(14, 0.3, 2.0, 3)
-        real, real_eigh = eigensolver.solve_gevp, ReducedFamily._eigh
+        real, real_point = eigensolver.solve_gevp, ReducedFamily._solve_point
         calls = []
 
         def record(K, M=None, k=None):
             calls.append("dense" if M is not None else "reduced")
             return real(K, M, k=k)
 
-        def record_eigh(self, A, k):
-            calls.append("reduced")
-            return real_eigh(self, A, k)
+        def record_point(self, y, k):
+            calls.append("point")
+            return real_point(self, y, k)
 
         monkeypatch.setattr(eigensolver, "solve_gevp", record)
-        monkeypatch.setattr(ReducedFamily, "_eigh", record_eigh)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", record_point)
         A = anisotropic_set([1.5, 3.0, 3.0], 1.2)
         cb = collocate(fam, [1, 2], A)
         assert (0.0, 0.0, 0.0) in cb.point_data
-        assert calls == ["dense"] + ["reduced"] * (len(cb.point_data) - 1)
+        assert calls == ["dense"] + ["point"] * (len(cb.point_data) - 1)
         origin = real(fam.B0, fam.mass, k=3)
         assert np.array_equal(cb.ref_vectors, origin.vectors[:, :2])
         assert np.array_equal(cb.ref_values, origin.values[:2])
@@ -452,11 +452,11 @@ class TestRawTarget:
     def test_stores_sorted_eigenvectors(self):
         fam = model_diffusion_1d(15, 0.3, 2.0, 1)
         cb = collocate(fam, [1, 2], line_set(2), target="raw")
-        # the solve collocate makes; tests/test_eigensolver.py holds it to
-        # the dense solve of the assembled pencil
-        reduced = ReducedFamily(fam)
+        # the solve collocate makes, one point at a time;
+        # tests/test_eigensolver.py holds it to the dense solve of the
+        # assembled pencil
         for pt, sol in cb.point_data.items():
-            decomp = reduced.lift(solve_gevp(reduced.at(pt), None, k=3))
+            decomp = ReducedFamily(fam).solve(pt, 3)
             assert np.array_equal(sol.basis.vectors, decomp.vectors[:, :2])
 
     def test_raw_equals_canonical_far_from_crossings(self):

@@ -19,15 +19,18 @@ from eigcolloc import (
     assemble_at,
     check_isolation,
     collocate,
+    designed_crossing_family,
     estimate_error,
     m_orthonormalize,
     model_diffusion_1d,
+    model_diffusion_2d,
     principal_angles,
     solve_gevp,
     synthetic_family,
 )
 from eigcolloc import eigensolver
 from eigcolloc.eigensolver import (
+    BAND_CROSSOVER,
     CHUNK,
     ReducedFamily,
     SpectralDecomposition,
@@ -138,6 +141,29 @@ def spd_family(n, n_terms, seed):
     )
 
 
+def banded_family(n, kd, n_terms, seed):
+    """Family whose matrices have bandwidth kd and whose pencil eigenvalues at
+    every y lie within 0.3 of d_i, with the d_i at least 0.8 apart, so that
+    every eigenvalue stays simple."""
+    rng = np.random.default_rng(seed)
+    d = 1.0 + np.cumsum(rng.uniform(0.8, 1.5, n))
+
+    def band(norm):
+        # symmetric, of 2-norm `norm`, with no zero on its kd subdiagonals
+        E = np.diag(rng.uniform(-1.0, 1.0, n))
+        for r in range(1, kd + 1):
+            e = rng.uniform(0.5, 1.0, n - r) * rng.choice([-1.0, 1.0], n - r)
+            E += np.diag(e, r) + np.diag(e, -r)
+        return norm * E / np.linalg.norm(E, 2)
+
+    # Weyl and Ostrowski: the terms move an eigenvalue by at most 0.2, the
+    # mass matrix by at most d_i * 0.1 / d_max
+    return synthetic_family(
+        np.diag(d) + band(0.05), [band(0.05) for _ in range(n_terms)],
+        np.eye(n) + band(0.1 / d[-1]), DecaySequence((0.05,) * n_terms),
+    )
+
+
 @st.composite
 def family_point_cluster(draw):
     n = draw(st.integers(4, 30))
@@ -234,20 +260,112 @@ class TestReducedFamilySolve:
         assert (solver.solves, solver.reused) == (3, 1)
 
     def test_failure_names_the_point(self, monkeypatch):
-        def broken(self, A, k):
+        def broken(self, y, k):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", broken)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", broken)
         with pytest.raises(SolverError, match=r"synthetic failure at point \(0.5, -0.25\)"):
             ReducedFamily(spd_family(6, 2, 7)).solve((0.5, -0.25), 2)
 
 
 @st.composite
+def banded_point_cluster(draw):
+    # a random banded pencil, the 1D model or the designed crossing family,
+    # a point and a cluster of simple or (at the crossing) close eigenvalues
+    kind = draw(st.sampled_from(["random", "diffusion1d", "crossing"]))
+    if kind == "random":
+        n, n_terms = draw(st.integers(4, 30)), draw(st.integers(1, 3))
+        kd = draw(st.integers(0, BAND_CROSSOVER - 1))
+        fam = banded_family(n, kd, n_terms, draw(st.integers(0, 2**32 - 1)))
+    elif kind == "diffusion1d":
+        fam = model_diffusion_1d(draw(st.integers(4, 60)), 0.3, 2.0, draw(st.integers(1, 3)))
+    else:
+        fam = designed_crossing_family()
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 1.0, fam.n_terms
+    )
+    if kind == "crossing":
+        return fam, y, [2, 3]
+    lo = draw(st.integers(1, fam.dim - 1))
+    return fam, y, list(range(lo, draw(st.integers(lo, min(lo + 2, fam.dim - 1))) + 1))
+
+
+class TestBandedRoute:
+    # the dense solve of the assembled pencil is the oracle, with the
+    # tolerances of TestReducedFamily: eigenvalues 1e-10 relative, cluster
+    # span 1e-8 rad, M-orthonormality 1e-10, and equal signs for the simple
+    # eigenvectors whose sign rule is well posed (eigenvalue apart from its
+    # neighbours by 1e-6 relative, largest entry ahead of the next by 1e-6)
+    @settings(max_examples=150)
+    @given(banded_point_cluster())
+    def test_matches_dense_solve(self, case):
+        fam, y, J = case
+        k = J[-1] + 1
+        solver = ReducedFamily(fam)
+        got = solver.solve(y, k)
+        assert solver.bandwidth is not None and "terms" not in vars(solver)
+        dense = solve_gevp(assemble_at(fam, y), fam.mass, k=k)
+        assert np.all(np.abs(got.values - dense.values) <= 1e-10 * np.abs(dense.values))
+        cols = [j - 1 for j in J]
+        angles = principal_angles(got.vectors[:, cols], dense.vectors[:, cols], fam.mass)
+        assert angles.max() <= 1e-8
+        U = got.vectors
+        assert np.abs(U.T @ fam.mass @ U - np.eye(k)).max() <= 1e-10
+        every = solve_gevp(assemble_at(fam, y), fam.mass).values
+        top = np.sort(np.abs(dense.vectors), axis=0)
+        for j in range(k):
+            apart = np.abs(np.delete(every, j) - every[j]).min() > 1e-6 * abs(every[j])
+            if apart and top[-1, j] - top[-2, j] > 1e-6 * top[-1, j]:
+                assert U[:, j] @ fam.mass @ dense.vectors[:, j] > 0
+
+    @pytest.mark.parametrize(
+        "family, route, bandwidth",
+        [
+            (model_diffusion_1d(40, 0.3, 2.0, 3), "banded", 1),
+            (designed_crossing_family(), "banded", 1),
+            (model_diffusion_2d(6, 0.1, 2.0, 3), "dense", 6),
+            (spd_family(9, 2, 3), "dense", 8),
+        ],
+        ids=["diffusion1d", "crossing", "diffusion2d", "spd"],
+    )
+    def test_the_family_chooses_the_route(self, family, route, bandwidth):
+        solver = ReducedFamily(family)
+        solver.solve((), 2)
+        assert "bandwidth" not in vars(solver)  # chosen at the first point off the origin
+        solver.solve((0.5,), 2)
+        assert solver.bandwidth == (bandwidth if route == "banded" else None)
+        # the banded route builds no reduced terms; the dense route does
+        assert ("terms" in vars(solver)) == (route == "dense")
+        assert eigensolver._point_environment(family)["point_solver"] == {
+            "route": route, "bandwidth": bandwidth,
+        }
+
+    def test_a_wide_mass_matrix_ends_the_test(self, monkeypatch):
+        # the bandwidth test looks at no more matrices once one is too wide
+        seen = []
+        real = eigensolver._bandwidth
+
+        def record(A, limit):
+            seen.append(A)
+            return real(A, limit)
+
+        monkeypatch.setattr(eigensolver, "_bandwidth", record)
+        fam = model_diffusion_2d(6, 0.1, 2.0, 3)
+        assert ReducedFamily(fam).bandwidth is None
+        assert len(seen) == 1 and seen[0] is fam.mass
+
+
+@st.composite
 def family_batch(draw):
-    # batches of one point, of a full chunk and across one or two chunk ends
+    # batches of one point, of a full chunk and across one or two chunk ends,
+    # on the dense and on the banded route
     n = draw(st.integers(4, 16))
     n_terms = draw(st.integers(1, 3))
-    fam = spd_family(n, n_terms, draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        fam = banded_family(n, draw(st.integers(0, BAND_CROSSOVER - 1)), n_terms, seed)
+    else:
+        fam = spd_family(n, n_terms, seed)
     size = draw(st.sampled_from([1, 3, CHUNK, CHUNK + 1, 2 * CHUNK + 3]))
     Y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
         -1.0, 1.0, size=(size, n_terms)
@@ -268,16 +386,16 @@ def solved(chunks):
 
 
 class FlakyFamily(ReducedFamily):
-    """A ``ReducedFamily`` whose reduced solve fails at each point of ``bad``."""
+    """A ``ReducedFamily`` whose point solve fails at each point of ``bad``."""
 
     def __init__(self, family, bad, carry=True):
         super().__init__(family, carry)
-        self.bad = [self.at(y) for y in bad]
+        self.bad = bad
 
-    def _eigh(self, A, k):
-        if any(np.array_equal(A, B) for B in self.bad):
+    def _solve_point(self, y, k):
+        if any(np.array_equal(y, b) for b in self.bad):
             raise SolverError("synthetic failure")
-        return super()._eigh(A, k)
+        return super()._solve_point(y, k)
 
 
 class TestSolveMany:
@@ -340,21 +458,20 @@ class TestSolveMany:
 
     def test_failure_is_held_in_place_and_not_kept(self, monkeypatch):
         fam = spd_family(6, 1, 9)
-        real = ReducedFamily._eigh
+        real = ReducedFamily._solve_point
         Y = [(0.1 * i,) for i in range(1, 6)]
-        third = ReducedFamily(fam).at(Y[2])
         seen, failed = [], []
 
-        def fails_at_third(self, A, k):
-            # the third point's matrix, the first time it comes, whichever
-            # thread solves it
-            seen.append(A)
-            if not failed and np.array_equal(A, third):
-                failed.append(A)
+        def fails_at_third(self, y, k):
+            # the third point, the first time it comes, whichever thread
+            # solves it
+            seen.append(y)
+            if not failed and y == Y[2]:
+                failed.append(y)
                 raise SolverError("synthetic failure")
-            return real(self, A, k)
+            return real(self, y, k)
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", fails_at_third)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", fails_at_third)
         solver = ReducedFamily(fam)
         batch = solved(solver.solve_many(Y, 2))
         assert re.fullmatch(r"synthetic failure at point \(0.30*4?,\)", str(batch[2]))
@@ -369,10 +486,19 @@ class TestSolveMany:
 
     @pytest.mark.parametrize("workers", sorted({eigensolver._nproc(), 3}))
     def test_threads_give_the_bits_of_one_worker(self, monkeypatch, workers):
+        self.check_threads_against_one_worker(monkeypatch, spd_family(40, 3, 14), workers)
+
+    @pytest.mark.parametrize("workers", sorted({eigensolver._nproc(), 3}))
+    def test_banded_threads_give_the_bits_of_one_worker(self, monkeypatch, workers):
+        fam = banded_family(40, 1, 3, 14)
+        assert ReducedFamily(fam).bandwidth == 1
+        self.check_threads_against_one_worker(monkeypatch, fam, workers)
+
+    @staticmethod
+    def check_threads_against_one_worker(monkeypatch, fam, workers):
         # a batch past CHUNK with a failed solve, a non-finite point and a
         # repeated point inside a chunk: the solves split over `workers`
         # threads give one worker's values, vectors, errors, memo and counts
-        fam = spd_family(40, 3, 14)
         Y = np.random.default_rng(14).uniform(-1.0, 1.0, size=(CHUNK + 61, 3))
         Y[100, 1] = math.nan
         Y[CHUNK + 30] = Y[CHUNK + 5]
@@ -470,15 +596,37 @@ class TestSerialBlas:
                 return real(*args, **kwargs)
             return record
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", recording(ReducedFamily._eigh))
+        monkeypatch.setattr(ReducedFamily, "_solve_point", recording(ReducedFamily._solve_point))
         monkeypatch.setattr(eigensolver, "solve_gevp", recording(solve_gevp))
         monkeypatch.setattr(eigensolver, "_reduce", recording(eigensolver._reduce))
         # the origin's dense solve and its reduction, the reduction of B0 and
-        # the 2 terms, and 2 reduced solves
+        # the 2 terms, and 2 point solves
         solved(ReducedFamily(fam).solve_many([(), (0.1, 0.2), (0.3,)], 2))
         inside = [1] * len(two_threads) if serial else two_threads
         assert seen == [inside] * 7
         assert blas_counts() == two_threads
+
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_banded_point_solves_run_on_one_thread_at_every_size(
+        self, monkeypatch, two_threads, serial
+    ):
+        # above SERIAL_BLAS_DIM too: dsbgvx gains nothing from BLAS threads,
+        # and the solves of a chunk share the CPUs instead
+        fam = model_diffusion_1d(8, 0.3, 2.0, 2)
+        if not serial:
+            monkeypatch.setattr(eigensolver, "SERIAL_BLAS_DIM", fam.dim)
+        seen = []
+        real = ReducedFamily._solve_point
+
+        def record(self, y, k):
+            seen.append(blas_counts())
+            return real(self, y, k)
+
+        monkeypatch.setattr(ReducedFamily, "_solve_point", record)
+        solved(ReducedFamily(fam).solve_many([(0.1, 0.2), (0.3,)], 2))
+        assert seen == [[1] * len(two_threads)] * 2
+        assert blas_counts() == two_threads
+        assert eigensolver._point_environment(fam)["point_solve_workers"] == eigensolver._nproc()
 
     def test_counts_are_restored(self, two_threads):
         fam = model_diffusion_1d(n_elements=20, decay_scale=0.3, n_terms=2)

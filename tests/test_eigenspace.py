@@ -162,7 +162,8 @@ class TestCheckIsolation:
 
 def loop_check_isolation(family, J, n_samples, seed):
     """The per-sample loop ``check_isolation`` ran before it read its solves
-    from ``ReducedFamily.solve``; kept as the reference: (samples, worst)."""
+    from ``ReducedFamily.solve_many``; kept as the reference, one point solve
+    at a time: (samples, worst)."""
     cluster = ClusterSelection(tuple(J))
     k = min(cluster.hi + 1, family.dim)
     reduced = ReducedFamily(family)
@@ -171,7 +172,7 @@ def loop_check_isolation(family, J, n_samples, seed):
     worst = math.inf
     for _ in range(n_samples):
         y = rng.uniform(-1.0, 1.0, size=family.n_terms)
-        vals = solve_gevp(reduced.at(y), None, k=k).values
+        vals = reduced.solve(y, k).values
         gap = exterior_gap(vals, cluster)
         mx = float(vals[cluster.hi - 1])
         worst = min(worst, gap / mx)

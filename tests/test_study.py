@@ -16,6 +16,7 @@ from eigcolloc import (
     collocate,
     compute_tau_weights,
     anisotropic_set,
+    designed_crossing_family,
     estimate_error,
     fit_rate,
     model_diffusion_1d,
@@ -366,16 +367,16 @@ class TestEstimateError:
     def test_isolated_failures_are_recorded(self, monkeypatch):
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
-        real = ReducedFamily._eigh
+        real = ReducedFamily._solve_point
         third = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, fam.n_terms))[2]
 
-        def flaky(self, A, k):
+        def flaky(self, y, k):
             # the solve at the third sample fails, each time it is made
-            if np.array_equal(A, self.at(third)):
+            if np.array_equal(y, third):
                 raise SolverError("synthetic failure")
-            return real(self, A, k)
+            return real(self, y, k)
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", flaky)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", flaky)
         est = study.estimate_error(cb, "vector-l2", 20, seed=0)
         assert est.n_failures == 1
         assert est.n_samples == 19
@@ -386,16 +387,16 @@ class TestEstimateError:
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
         failing = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, fam.n_terms))[30]
-        real = ReducedFamily._eigh
+        real = ReducedFamily._solve_point
         calls = []
 
-        def flaky(self, A, k):
-            calls.append(A)
-            if np.array_equal(A, self.at(failing)):
+        def flaky(self, y, k):
+            calls.append(y)
+            if np.array_equal(y, failing):
                 raise SolverError("synthetic failure")
-            return real(self, A, k)
+            return real(self, y, k)
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", flaky)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", flaky)
         cache = ReducedFamily(fam)
         est = study.estimate_error(cb, "vector-l2", 40, seed=0, _cache=cache)
         assert (cache.solves, cache.reused) == (40, 0)
@@ -407,10 +408,10 @@ class TestEstimateError:
         fam = model_diffusion_1d(10, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(2))
 
-        def broken(self, A, k):
+        def broken(self, y, k):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", broken)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", broken)
         with pytest.raises(SolverError):
             study.estimate_error(cb, "vector-l2", 10, seed=0)
 
@@ -499,6 +500,8 @@ class TestConvergenceStudy:
         # one BLAS thread, and the solves of a chunk on one thread per CPU
         assert env["point_solve_threads"] == (1 if env["openblas"] else None)
         assert env["point_solve_workers"] == env["nproc"]
+        # the P1 pencil is tridiagonal: its points are banded solves
+        assert env["point_solver"] == {"route": "banded", "bandwidth": 1}
         assert len(summary["diagnostics"]) == 2
         for diag in summary["diagnostics"]:
             assert diag["mc_failures"] == 0
@@ -555,16 +558,16 @@ class TestConvergenceStudy:
         # is counted once there and, never kept, solved again at the next
         cfg = study_config(budgets=[0.3, 0.8, 1.4], n_mc=40)
         failing = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, size=(40, 2))[30]
-        real = ReducedFamily._eigh
+        real = ReducedFamily._solve_point
         failed = []
 
-        def fails_once(self, A, k):
-            if not failed and np.array_equal(A, self.at(failing)):
-                failed.append(A)
+        def fails_once(self, y, k):
+            if not failed and np.array_equal(y, failing):
+                failed.append(y)
                 raise SolverError("synthetic failure")
-            return real(self, A, k)
+            return real(self, y, k)
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", fails_once)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", fails_once)
         result = run_convergence_study(cfg)
         assert [d["mc_failures"] for d in result.diagnostics] == [1, 0, 0]
         for rec, diag in zip(result.records, result.diagnostics):
@@ -609,10 +612,10 @@ class TestConvergenceStudy:
     def test_point_solve_failure_names_stage_budget_and_point(self, monkeypatch):
         cfg = study_config(budgets=[0.3], n_mc=2)
 
-        def fails_off_origin(self, A, k):
+        def fails_off_origin(self, y, k):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(ReducedFamily, "_eigh", fails_off_origin)
+        monkeypatch.setattr(ReducedFamily, "_solve_point", fails_off_origin)
         with pytest.raises(StageError) as excinfo:
             run_convergence_study(cfg)
         assert excinfo.value.stage == "collocate"
@@ -647,7 +650,8 @@ class TestCrossingDemo:
         assert len(lines) == 3
         summary = json.loads((tmp_path / "crossing.json").read_text(encoding="utf-8"))
         assert summary["final_error_ratio_raw_over_canonical"] == result.final_ratio
-        assert summary["environment"] == study._environment(4)
+        assert summary["environment"] == study._environment(designed_crossing_family())
+        assert summary["environment"]["point_solver"] == {"route": "banded", "bandwidth": 1}
 
     def test_error_columns_equal_single_target_studies(self):
         # one sweep serves both entry points: each demo column is, bit for
