@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .eigensolver import ReducedFamily, _long_point, _point_blas, m_orthonormalize
+from .eigensolver import ReducedFamily, _long_point, _serial_blas, m_orthonormalize
 from .eigenspace import (
     GRAM_SIGMA_THRESHOLD,
     ClusterSelection,
@@ -100,7 +100,7 @@ class CollocatedEigenbasis:
         op = CombinationOperator(self.terms, self.A.M_active, points)
         # the point work's thread setting, so that the bits of the
         # coefficients do not depend on the thread variables
-        with _point_blas(self.family.dim):
+        with _serial_blas():
             vector_coefs, value_coefs = op.coefficients(vectors), op.coefficients(values)
         object.__setattr__(self, "_operator", op)
         object.__setattr__(self, "_vectors", vectors)
@@ -224,7 +224,7 @@ def collocate(
     at the first point away from the origin, and each chunk it yields has its
     gaps and Gram matrices checked and its bases projected in one step
     (``_nodes``), under the BLAS thread setting of the solves
-    (``_point_blas``).  ``_cache`` is internal: a budget sweep passes its
+    (``_serial_blas()``).  ``_cache`` is internal: a budget sweep passes its
     ``ReducedFamily`` to carry the solves, the origin's included, from budget
     to budget and from target to target.  Each point stores the basis that
     ``_target_bases`` makes for the target.  An error names the first
@@ -268,7 +268,7 @@ def collocate(
     sigma = np.empty(len(points))
     for start, decomps in cache.solve_many(points, cluster.hi + 1):
         stop = start + len(decomps)
-        with _point_blas(n):
+        with _serial_blas():
             rows = _nodes(decomps, points[start:stop], *args)
         for out, part in zip((values, gaps, bases, sigma), rows):
             out[start:stop] = part
@@ -296,13 +296,18 @@ def collocate(
     )
 
 
-def _basis_at(cb: CollocatedEigenbasis, Y) -> np.ndarray:
-    """The Chebyshev rows of the points in the rows of Y, checked against the family."""
+def _interpolate(cb: CollocatedEigenbasis, Y, coefs: np.ndarray) -> np.ndarray:
+    """The Chebyshev rows of the points in the rows of Y, checked against the
+    family, times the coefficient rows ``coefs``, under the BLAS thread
+    setting of the point solves (``_serial_blas()``), so that the bits do not
+    depend on the thread variables."""
     Y = np.asarray(Y, dtype=float)
     # an empty batch has no point to name
     if Y.ndim == 2 and len(Y) and Y.shape[1] > cb.family.n_terms:
         raise _long_point(Y[0], cb.family.n_terms)
-    return cb._operator.basis_at(Y)
+    B = cb._operator.basis_at(Y)
+    with _serial_blas():
+        return B @ coefs
 
 
 def evaluate_many(cb: CollocatedEigenbasis, Y) -> np.ndarray:
@@ -315,13 +320,11 @@ def evaluate_many(cb: CollocatedEigenbasis, Y) -> np.ndarray:
     ``ParameterDimensionError`` naming it.  A query costs one table of
     Chebyshev values and a product with one coefficient row per multi-index
     of ``A``, whatever the number of grid points.  The product runs under the
-    BLAS thread setting of the point solves (``_point_blas``), so its bits do
-    not depend on the thread variables either.
+    BLAS thread setting of the point solves (``_serial_blas()``), so its bits
+    do not depend on the thread variables either.
     """
-    B = _basis_at(cb, Y)
-    with _point_blas(cb.family.dim):
-        V = B @ cb._vector_coefs
-    return V.reshape(len(B), cb.family.dim, cb.S)
+    V = _interpolate(cb, Y, cb._vector_coefs)
+    return V.reshape(len(V), cb.family.dim, cb.S)
 
 
 def evaluate(cb: CollocatedEigenbasis, y) -> np.ndarray:
@@ -340,9 +343,7 @@ def evaluate_cluster_values(cb: CollocatedEigenbasis, y) -> np.ndarray:
     Symmetric functions of these (sum, mean) vary smoothly in y; the
     individually sorted values themselves may kink where branches cross.
     """
-    B = _basis_at(cb, [y])
-    with _point_blas(cb.family.dim):
-        return (B @ cb._value_coefs)[0]
+    return _interpolate(cb, [y], cb._value_coefs)[0]
 
 
 def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:

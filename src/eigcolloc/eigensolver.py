@@ -6,7 +6,7 @@ deterministic sign convention so that repeated solves are bit-reproducible.
 ``ReducedFamily`` makes and memoises every point solve of an affine family;
 it reduces the family once, so that a solve costs an affine sum and one LAPACK
 call, and it lifts the eigenvectors of many points by one triangular solve.
-Below ``SERIAL_BLAS_DIM`` the solves of a batch run on one thread per CPU.
+The solves of a batch run on one OpenBLAS thread each, one thread per CPU.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -108,10 +107,6 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
 # points per batch of solves: a chunk's reduced eigenvectors are lifted by one
 # triangular solve, and the chunk bounds the memory a batch holds at once
 CHUNK = 256
-# family dimension below which a chunk's solves run on one OpenBLAS thread: on
-# a 2-vCPU machine one reduced solve was as fast or faster on one thread at
-# n = 400, and 10-20% slower at n = 576 (CHANGES.md has the table)
-SERIAL_BLAS_DIM = 500
 
 # (set, get) thread-count symbols of the OpenBLAS copies numpy and scipy bundle
 _OPENBLAS_SYMBOLS = (
@@ -174,7 +169,6 @@ class _SerialBlas:
 
 
 _SERIAL_BLAS = _SerialBlas()
-_NO_CAP = nullcontext()
 
 
 def _serial_blas() -> _SerialBlas:
@@ -182,28 +176,9 @@ def _serial_blas() -> _SerialBlas:
     return _SERIAL_BLAS
 
 
-def _point_blas(dim: int, banded: bool = False):
-    """The BLAS thread setting of the point work on a ``dim``-dimensional family.
-
-    A context manager: ``_serial_blas()`` below ``SERIAL_BLAS_DIM``, where one
-    thread is faster and makes the results independent of the thread
-    settings, and for the point solves of a ``banded`` family at any size,
-    whose LAPACK call gains nothing from BLAS threads; otherwise the threads
-    are left as they are.
-    """
-    return _SERIAL_BLAS if banded or dim < SERIAL_BLAS_DIM else _NO_CAP
-
-
 def _nproc() -> int:
     """The processors this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
-def _point_workers(dim: int, banded: bool = False) -> int:
-    """The threads that share a chunk's point solves on a ``dim``-dimensional
-    family: one per processor where each solve runs on one BLAS thread
-    (``_point_blas``); otherwise the BLAS threads use the processors."""
-    return _nproc() if banded or dim < SERIAL_BLAS_DIM else 1
 
 
 @cache
@@ -269,11 +244,11 @@ def _point_environment(family) -> dict:
         kd = max(_bandwidth(A, family.dim) for A in (family.mass, family.B0, *family.B_terms))
     copies = _openblas_copies()
     found = [{"file": name, "threads": get()} for name, _, get in copies]
-    with _point_blas(family.dim, banded):
+    with _serial_blas():
         point = max((get() for _, _, get in copies), default=None)
     return {
         "openblas": found, "point_solve_threads": point,
-        "point_solve_workers": _point_workers(family.dim, banded),
+        "point_solve_workers": _nproc(),
         "point_solver": {"route": "banded" if banded else "dense", "bandwidth": kd},
     }
 
@@ -343,12 +318,12 @@ class ReducedFamily:
     the origin's are kept, and a failed solve is never kept.  ``solves``
     counts the eigensolves made, failed ones included, and ``reused`` those
     served again.  The work of each chunk, the set-up of the route and the
-    origin's solve included, runs under ``_point_blas``: on one OpenBLAS
-    thread below ``SERIAL_BLAS_DIM``.  There the fresh points of a chunk are
-    also solved in ``_point_workers`` contiguous slices at once, each on its
-    own thread, with results, memo and counts bit for bit those of one
-    thread: LAPACK is called through ctypes, which lets the other threads
-    run.
+    origin's solve included, runs under ``_serial_blas()``, on one OpenBLAS
+    thread, at every size and on both routes: the results do not depend on
+    the thread settings.  The fresh points of a chunk are solved in
+    ``_nproc()`` contiguous slices at once, each on its own thread, with
+    results, memo and counts bit for bit those of one thread: LAPACK is
+    called through ctypes, which lets the other threads run.
     """
 
     def __init__(self, family, carry: bool = True):
@@ -516,9 +491,9 @@ class ReducedFamily:
         ``Y[start + i]``.  A point that is not finite, or whose solve fails,
         holds a ``SolverError`` naming it where its decomposition would be; a
         fault is counted as a solve and never kept, and the rest of its chunk
-        is solved as usual.  A point given twice is solved once.  Below
-        ``SERIAL_BLAS_DIM`` each chunk is solved on one OpenBLAS thread per
-        worker thread; the old counts are back before the chunk is yielded.
+        is solved as usual.  A point given twice is solved once.  Each chunk
+        is solved on one OpenBLAS thread per worker thread; the old counts
+        are back before the chunk is yielded.
         Only the calling thread touches the memo and the counters.  A point
         with more components than the family has terms raises a
         ``ParameterDimensionError`` naming it before any point is solved.
@@ -561,8 +536,8 @@ class ReducedFamily:
             banded = off_origin and self.bandwidth is not None
             # the cap closes before the yield, so that a caller that raises or
             # drops the generator never leaves the counts at one
-            with _point_blas(self.family.dim, banded):
-                workers = _point_workers(self.family.dim, banded)
+            with _serial_blas():
+                workers = _nproc()
                 if off_origin:
                     try:
                         # made before the threads start: cached_property takes no lock

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
-from .eigensolver import ReducedFamily, _nproc, _point_blas, _point_environment
+from .eigensolver import ReducedFamily, _nproc, _point_environment, _serial_blas
 from .eigenspace import _as_cluster, _box_samples, _check_sampling, _euclidean_angles
 from .errors import ConfigError, SolverError, StageError
 from .families import (
@@ -257,7 +257,7 @@ def estimate_error(
     (``_target_bases``), so both sides target the identical object.  The
     interpolant is evaluated at a chunk of samples in one batch
     (``evaluate_many``); a chunk's truths and metric run under the BLAS
-    thread setting of the solves (``_point_blas``).  Metric 'vector-l2' sums
+    thread setting of the solves (``_serial_blas()``).  Metric 'vector-l2' sums
     squared energy norms of the columnwise differences; 'subspace-angle' uses
     the largest principal angle between the interpolated and the true cluster
     span.  ``_cache`` is internal: a budget sweep passes its
@@ -276,7 +276,7 @@ def estimate_error(
     used = 0
     for start, decomps in cache.solve_many(Y, cb.cluster.hi):
         chunk = Y[start:start + len(decomps)]
-        with _point_blas(family.dim):
+        with _serial_blas():
             for approx, truth in zip(evaluate_many(cb, chunk), _truth_bases(cb, decomps)):
                 if truth is None:
                     continue

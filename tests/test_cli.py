@@ -164,9 +164,9 @@ class TestCollocate:
         reason="needs two CPUs to run on",
     )
     def test_basis_does_not_depend_on_the_cpu_count(self, tmp_path):
-        # n = 199 lies below SERIAL_BLAS_DIM, where a chunk's point solves
-        # run on one thread per CPU: a fresh process pinned to one CPU writes
-        # the bytes of one that may use them all
+        # a chunk's point solves run on one thread per CPU, each on one
+        # OpenBLAS thread: a fresh process pinned to one CPU writes the bytes
+        # of one that may use them all
         cfg = write_config(tmp_path, model_params=N199_PARAMS, budgets=[0.8], n_mc=5,
                            seed=0)
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -174,7 +174,7 @@ class TestCollocate:
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = (
             "import sys; from eigcolloc.cli import main; from eigcolloc import eigensolver; "
-            "print(eigensolver._point_workers(199), file=sys.stderr); "
+            "print(eigensolver._nproc(), file=sys.stderr); "
             "sys.exit(main(sys.argv[1:]))"
         )
         first = min(os.sched_getaffinity(0))
@@ -208,10 +208,9 @@ class TestStudy:
         assert len(lines) == 3
 
     def test_errors_do_not_depend_on_the_thread_variables(self, tmp_path):
-        # n = 199 lies below SERIAL_BLAS_DIM: the solves and the products of
-        # the interpolant run on one OpenBLAS thread whatever the environment
-        # says, so the error column is the same with the variable set to 1
-        # and unset
+        # the solves and the products of the interpolant run on one OpenBLAS
+        # thread whatever the environment says, so the error column is the
+        # same with the variable set to 1 and unset
         cfg = write_config(tmp_path, model_params=N199_PARAMS, budgets=[0.5, 1.25],
                            n_mc=70, seed=7)
         columns = [study_columns(out) for out in run_under_both_thread_settings(
@@ -219,24 +218,31 @@ class TestStudy:
         assert len(columns[0]) == 3
         assert columns[0] == columns[1]
 
-    def test_projections_and_metric_share_the_thread_setting(self, tmp_path):
-        # n = 459 with three cluster vectors: below SERIAL_BLAS_DIM the
-        # projection of each chunk of grid nodes and the truths and metric of
-        # each chunk of samples run on one OpenBLAS thread too, so the basis
-        # file and the error are the same with the variable set to 1 and unset
-        cfg = write_config(
-            tmp_path,
-            model_params={"n_elements": 460, "decay_scale": 0.3, "decay_rate": 3.0,
+    @pytest.mark.parametrize("overrides", [
+        # 1D, n = 459, three cluster vectors: the banded route
+        {"model_params": {"n_elements": 460, "decay_scale": 0.3, "decay_rate": 3.0,
                           "n_terms": 4, "p_exponent": 0.5},
-            cluster=[1, 2, 3], budgets=[0.3], n_mc=30, seed=0,
-            weights={"mode": "tau", "delta": 0.2},
-        )
+         "cluster": [1, 2, 3], "budgets": [0.3], "n_mc": 30, "seed": 0,
+         "weights": {"mode": "tau", "delta": 0.2}},
+        # 2D, n = 529: the dense route
+        {"model": "diffusion2d",
+         "model_params": {"n_per_side": 24, "decay_scale": 0.1, "decay_rate": 2.0,
+                          "n_terms": 4, "p_exponent": 0.5},
+         "cluster": [1], "budgets": [0.5], "n_mc": 5, "seed": 0,
+         "weights": {"mode": "tau", "delta": 0.5}},
+    ], ids=["banded-n459", "dense-n529"])
+    def test_projections_and_metric_share_the_thread_setting(self, tmp_path, overrides):
+        # on either route and at any size the projection of each chunk of
+        # grid nodes and the truths and metric of each chunk of samples run
+        # on one OpenBLAS thread too, so the basis file and the error are the
+        # same with the variable set to 1 and unset
+        cfg = write_config(tmp_path, **overrides)
         bases = [(out / "basis.json").read_bytes() for out in run_under_both_thread_settings(
             tmp_path / "collocate", "collocate", "--config", cfg)]
         assert bases[0] == bases[1]
         columns = [study_columns(out) for out in run_under_both_thread_settings(
             tmp_path / "study", "study", "--config", cfg)]
-        assert len(columns[0]) == 2
+        assert len(columns[0]) == 1 + len(overrides["budgets"])
         assert columns[0] == columns[1]
 
     def test_requires_config(self, capsys):

@@ -581,13 +581,9 @@ def two_threads():
 
 
 class TestSerialBlas:
-    @pytest.mark.parametrize("serial", [True, False])
-    def test_chunk_work_runs_on_one_thread_below_the_threshold(
-        self, monkeypatch, two_threads, serial
-    ):
-        fam = spd_family(6, 2, 11)
-        if not serial:
-            monkeypatch.setattr(eigensolver, "SERIAL_BLAS_DIM", fam.dim)
+    @pytest.mark.parametrize("n", [6, 512])
+    def test_chunk_work_runs_on_one_thread_at_every_size(self, monkeypatch, two_threads, n):
+        fam = spd_family(n, 2, 11)
         seen = []
 
         def recording(real):
@@ -602,19 +598,18 @@ class TestSerialBlas:
         # the origin's dense solve and its reduction, the reduction of B0 and
         # the 2 terms, and 2 point solves
         solved(ReducedFamily(fam).solve_many([(), (0.1, 0.2), (0.3,)], 2))
-        inside = [1] * len(two_threads) if serial else two_threads
-        assert seen == [inside] * 7
+        assert seen == [[1] * len(two_threads)] * 7
         assert blas_counts() == two_threads
+        env = eigensolver._point_environment(fam)
+        assert (env["point_solve_threads"], env["point_solve_workers"]) == (1, eigensolver._nproc())
 
-    @pytest.mark.parametrize("serial", [True, False])
+    @pytest.mark.parametrize("n_elements", [8, 600])
     def test_banded_point_solves_run_on_one_thread_at_every_size(
-        self, monkeypatch, two_threads, serial
+        self, monkeypatch, two_threads, n_elements
     ):
-        # above SERIAL_BLAS_DIM too: dsbgvx gains nothing from BLAS threads,
-        # and the solves of a chunk share the CPUs instead
-        fam = model_diffusion_1d(8, 0.3, 2.0, 2)
-        if not serial:
-            monkeypatch.setattr(eigensolver, "SERIAL_BLAS_DIM", fam.dim)
+        # dsbgvx gains nothing from BLAS threads: the solves of a chunk share
+        # the CPUs instead
+        fam = model_diffusion_1d(n_elements, 0.3, 2.0, 2)
         seen = []
         real = ReducedFamily._solve_point
 

@@ -496,8 +496,8 @@ class TestConvergenceStudy:
         assert env["numpy"] == np.__version__ and env["nproc"] >= 1
         for copy in env["openblas"]:
             assert "openblas" in copy["file"] and copy["threads"] >= 1
-        # a 1D family is far below SERIAL_BLAS_DIM: each point solve runs on
-        # one BLAS thread, and the solves of a chunk on one thread per CPU
+        # each point solve runs on one BLAS thread, and the solves of a chunk
+        # on one thread per CPU
         assert env["point_solve_threads"] == (1 if env["openblas"] else None)
         assert env["point_solve_workers"] == env["nproc"]
         # the P1 pencil is tridiagonal: its points are banded solves
