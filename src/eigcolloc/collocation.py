@@ -45,6 +45,8 @@ from .sparse_grid import (
 )
 
 TARGETS = ("canonical", "raw")
+# the keys of the two coefficient tables in a basis document
+COEF_KEYS = ("vector_coefs", "value_coefs")
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,13 @@ class CollocatedEigenbasis:
     the interpolant's Chebyshev coefficients (``CombinationOperator``), one
     row per multi-index of ``A``, so that every evaluation is one table of
     Chebyshev values and one product with those rows.  ``terms`` is derived
-    from ``A`` there, not passed in.  ``_stack`` is internal: ``collocate``
-    passes its grid points and the stacked bases and cluster values its
-    point data are already views of.
-    Point data from elsewhere (a load, ``dataclasses.replace``) is checked
-    against ``grid_points(A)`` and the shapes of the family and the cluster,
-    then stacked.
+    from ``A`` there, not passed in.  ``_stack`` and ``_coefs`` are internal:
+    ``collocate`` passes its grid points and the stacked bases and cluster
+    values its point data are already views of, and a load of a version-3
+    file passes the two coefficient tables it holds, with no point data and
+    no stack.  Point data from elsewhere (a load of an older file,
+    ``dataclasses.replace``) is checked against ``grid_points(A)`` and the
+    shapes of the family and the cluster, then stacked.
     """
 
     family: AffineOperatorFamily
@@ -84,37 +87,44 @@ class CollocatedEigenbasis:
     target: str
     diagnostics: dict
     _operator: CombinationOperator = field(init=False, repr=False, compare=False)
-    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _vectors: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _values: np.ndarray | None = field(init=False, repr=False, compare=False)
     _vector_coefs: np.ndarray = field(init=False, repr=False, compare=False)
     _value_coefs: np.ndarray = field(init=False, repr=False, compare=False)
     _stack: InitVar[tuple | None] = None
+    _coefs: InitVar[tuple | None] = None
 
-    def __post_init__(self, _stack):
+    def __post_init__(self, _stack, _coefs):
         if self.target not in TARGETS:
             raise ConfigError(f"unknown interpolation target {self.target!r}")
-        if _stack is None:
+        if _stack is None and _coefs is None:
             _stack = self._stack_point_data()
-        points, vectors, values = _stack
         object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
-        op = CombinationOperator(self.terms, self.A.M_active, points)
-        # the point work's thread setting, so that the bits of the
-        # coefficients do not depend on the thread variables
-        with _serial_blas():
-            vector_coefs, value_coefs = op.coefficients(vectors), op.coefficients(values)
+        if _coefs is None:
+            points, vectors, values = _stack
+            op = CombinationOperator(self.terms, self.A.M_active, points)
+            # the point work's thread setting, so that the bits of the
+            # coefficients do not depend on the thread variables
+            with _serial_blas():
+                _coefs = op.coefficients(vectors), op.coefficients(values)
+        else:
+            self._check_fields()
+            op = CombinationOperator(self.terms, self.A.M_active)
+            vectors = values = None
+            # one row per index of A
+            rows, n, S = len(op.indices), self.family.dim, self.S
+            for name, table, width in zip(COEF_KEYS, _coefs, (n * S, S)):
+                _check_shape(name, table, (rows, width))
         object.__setattr__(self, "_operator", op)
         object.__setattr__(self, "_vectors", vectors)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_vector_coefs", vector_coefs)
-        object.__setattr__(self, "_value_coefs", value_coefs)
+        object.__setattr__(self, "_vector_coefs", _coefs[0])
+        object.__setattr__(self, "_value_coefs", _coefs[1])
 
-    def _stack_point_data(self) -> tuple:
-        """Check data given from outside ``collocate`` and stack it as ``_stack``.
-
-        Every array must have its shape for the family and the cluster, and the
-        points must be the grid of ``A``; a fault is a ``FamilyValidationError``
-        that names the field, and the point where there is one.
-        """
+    def _check_fields(self) -> None:
+        """Check the cluster, the index set and the reference data against
+        the family, in that order; a fault is a ``FamilyValidationError``
+        that names the field."""
         n, S = self.family.dim, self.S
         if self.cluster.hi + 1 > n:
             raise FamilyValidationError(
@@ -127,6 +137,16 @@ class CollocatedEigenbasis:
             )
         _check_shape("ref_vectors", self.ref_vectors, (n, S))
         _check_shape("ref_values", self.ref_values, (S,))
+
+    def _stack_point_data(self) -> tuple:
+        """Check data given from outside ``collocate`` and stack it as ``_stack``.
+
+        Every array must have its shape for the family and the cluster, and the
+        points must be the grid of ``A``; a fault is a ``FamilyValidationError``
+        that names the field, and the point where there is one.
+        """
+        self._check_fields()
+        n, S = self.family.dim, self.S
         points = grid_points(self.A)
         if set(self.point_data) != set(points):
             raise FamilyValidationError(
@@ -356,23 +376,14 @@ def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 FORMAT_NAME = "collocated-eigenbasis"
-FORMAT_VERSION = 2
-# version 1 wrote the family's matrices dense; it still loads
-READABLE_VERSIONS = (1, FORMAT_VERSION)
+FORMAT_VERSION = 3
+# version 1 wrote the family's matrices dense and version 2 sparse, both with
+# the nodal bases of every grid point in place of the coefficient tables;
+# both still load
+READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
 
 
 def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
-    points = []
-    for pt in sorted(cb.point_data):
-        sol = cb.point_data[pt]
-        points.append(
-            {
-                "y": list(pt),
-                "vectors": sol.basis.vectors.tolist(),
-                "gram_sigma_min": sol.basis.gram_sigma_min,
-                "cluster_values": sol.cluster_values.tolist(),
-            }
-        )
     family = family_to_dict(cb.family)
     return {
         "format": FORMAT_NAME,
@@ -384,7 +395,8 @@ def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
         "target": cb.target,
         "ref_vectors": cb.ref_vectors.tolist(),
         "ref_values": cb.ref_values.tolist(),
-        "points": points,
+        COEF_KEYS[0]: cb._vector_coefs.tolist(),
+        COEF_KEYS[1]: cb._value_coefs.tolist(),
         "diagnostics": cb.diagnostics,
     }
 
@@ -408,6 +420,11 @@ def _floats(value) -> np.ndarray:
 def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     """The basis a document written by ``collocated_to_dict`` holds.
 
+    A version-3 document gives the coefficient tables as they are stored: the
+    basis has no point data, and ``diagnostics["n_points"]`` gives the grid
+    size.  A version-1 or version-2 document gives every nodal basis, and the
+    tables are made from them as ``collocate`` makes them.
+
     Raises
     ------
     ConfigError
@@ -427,6 +444,18 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     if doc.get("family_hash") != _field(doc, "family", _family_digest):
         raise ConfigError("family hash mismatch: document is inconsistent")
     family = family_from_dict(doc["family"])
+    header = dict(
+        family=family,
+        cluster=_field(doc, "J", lambda J: ClusterSelection(tuple(J))),
+        A=_field(doc, "A", MultiIndexSet.from_json_list),
+        ref_vectors=_field(doc, "ref_vectors", _floats),
+        ref_values=_field(doc, "ref_values", _floats),
+        target=doc.get("target", "canonical"),
+        diagnostics=_field(doc, "diagnostics", dict) if "diagnostics" in doc else {},
+    )
+    if doc["version"] == FORMAT_VERSION:
+        coefs = tuple(_field(doc, key, _floats) for key in COEF_KEYS)
+        return CollocatedEigenbasis(**header, point_data={}, _coefs=coefs)
     records = _field(doc, "points", list)
     point_data = {}
     for i, rec in enumerate(records):
@@ -441,16 +470,7 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
         )
     if len(point_data) != len(records):
         raise FamilyValidationError("points: a point is stored twice")
-    return CollocatedEigenbasis(
-        family=family,
-        cluster=_field(doc, "J", lambda J: ClusterSelection(tuple(J))),
-        A=_field(doc, "A", MultiIndexSet.from_json_list),
-        point_data=point_data,
-        ref_vectors=_field(doc, "ref_vectors", _floats),
-        ref_values=_field(doc, "ref_values", _floats),
-        target=doc.get("target", "canonical"),
-        diagnostics=_field(doc, "diagnostics", dict) if "diagnostics" in doc else {},
-    )
+    return CollocatedEigenbasis(**header, point_data=point_data)
 
 
 def save_collocated(cb: CollocatedEigenbasis, path) -> None:

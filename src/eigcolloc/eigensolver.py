@@ -68,8 +68,9 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
     K must be symmetric, M symmetric positive definite.  Eigenvalues come back
     ascending; eigenvectors satisfy U' M U = I to machine precision.  With
     ``M=None`` K is taken as an already reduced standard symmetric problem
-    (M = I): no factorisation, no back-transform; with ``ReducedFamily.lift``
-    it is the reference the reduced point solves are tested against.
+    (M = I): no factorisation, no back-transform; lifted by
+    ``ReducedFamily._lift`` it is the reference the reduced point solves are
+    tested against.
 
     Raises
     ------
@@ -309,8 +310,8 @@ class ReducedFamily:
     - dense, otherwise: M = L L' is factored, every affine term reduced once,
       A_m = inv(L) B_m inv(L)', and a point costs its affine sum ``at(y)``
       and one ``dsyevr`` call.  The eigenvectors of a chunk are lifted by one
-      triangular solve, as ``lift`` does for one point; at the origin that is
-      bit for bit the dense solve.  The reduced terms take as much memory as
+      triangular solve (``_lift``); at the origin that is bit for bit the
+      dense solve.  The reduced terms take as much memory as
       the family.
 
     Either way the eigenvectors of a chunk are sign-fixed together.  Solves
@@ -461,11 +462,6 @@ class ReducedFamily:
         if info.value:
             raise SolverError(f"dense eigensolver failed: dsyevr returned info={info.value}")
         return w[:k].copy(), z
-
-    def lift(self, decomp: SpectralDecomposition) -> SpectralDecomposition:
-        """Eigenvectors of the pencil from those of its reduced matrix."""
-        W = np.array(decomp.vectors, dtype=float, order="F")
-        return SpectralDecomposition(decomp.values, self._lift(W))
 
     def _lift(self, W: np.ndarray) -> np.ndarray:
         # inv(L') W in place of W, one triangular solve for every column, then

@@ -359,58 +359,76 @@ class CombinationOperator:
     so the interpolant lies in the span of the products T_nu(y) = prod_m
     T_{nu_m}(y_m) over the multi-indices nu <= gamma of the terms' boxes;
     for a downward-closed set these are exactly the set's indices.
-    ``indices`` holds these nu, and ``coefficients(D)``, for data stacked in
-    ``points`` order as the rows of D, one row per nu, so that the
-    interpolant at y is ``basis_at([y])[0] @ coefficients(D)``.  ``points``
-    must hold every tensor point of every term, as tuples of length
-    M_active.  A term adds its signed coefficient times the Kronecker
-    product of the 1D transforms (``chebyshev_transform``) of its levels,
-    applied to its rows of D, into the rows of its box.  A query then costs
-    one table of cos(k arccos y_m), one gather-and-multiply per factor and
-    the product with one row per nu, whatever the number of points.  Level 0
-    has the single node 0.0 and degree 0, whose T_0 = cos(0) = 1 exactly, so
-    only the dimensions where nu is positive enter its product.
+    ``indices`` holds these nu in ``MultiIndex.sort_key`` order, so that for
+    a downward-closed set they are the set's indices in its iteration
+    order, and ``coefficients(D)``, for data stacked in ``points`` order as
+    the rows of D, one row per nu, so that the interpolant at y is
+    ``basis_at([y])[0] @ coefficients(D)``.  The query side, ``indices``
+    and ``basis_at``, needs the terms alone; only ``coefficients`` needs
+    ``points``, which must then hold every tensor point of every term, as
+    tuples of length M_active.  A term adds its signed coefficient times the
+    Kronecker product of the 1D transforms (``chebyshev_transform``) of its
+    levels, applied to its rows of D, into the rows of its box.  A query
+    then costs one table of cos(k arccos y_m), one gather-and-multiply per
+    factor and the product with one row per nu, whatever the number of
+    points.  Level 0 has the single node 0.0 and degree 0, whose T_0 =
+    cos(0) = 1 exactly, so only the dimensions where nu is positive enter
+    its product.
     """
 
-    def __init__(self, terms, M_active: int, points):
+    def __init__(self, terms, M_active: int, points=None):
         if not terms:
             raise ConfigError("no combination terms to evaluate")
         self.M_active = M_active
-        self.n_points = len(points)
-        row_of = {pt: i for i, pt in enumerate(points)}
-        slot = {}  # the entries of each nu -> its coefficient row
-        self._terms = []
-        for t in terms:
-            supp = t.gamma.support
-            levels = [l for _, l in t.gamma.entries]
-            # both enumerate with the last dimension fastest, as a Kronecker
-            # product does
-            rows = [row_of[pt] for pt in _tensor_points(t.gamma, M_active)]
-            out = [
-                slot.setdefault(tuple((m, l) for m, l in zip(supp, nu) if l), len(slot))
-                for nu in itertools.product(*(range(l + 1) for l in levels))
+        # the slot of every nu of each term's box, enumerated with the last
+        # dimension fastest, as a Kronecker product does; a slot numbers the
+        # entries of a nu in the order they are first met
+        slot = {}
+        boxes = [
+            [
+                slot.setdefault(tuple((m, l) for m, l in zip(t.gamma.support, nu) if l), len(slot))
+                for nu in itertools.product(*(range(l + 1) for _, l in t.gamma.entries))
             ]
-            self._terms.append((
-                t.coefficient, levels,
-                np.array(rows, dtype=np.intp), np.array(out, dtype=np.intp),
-            ))
-        self.indices = tuple(MultiIndex(nu) for nu in slot)
+            for t in terms
+        ]
+        self.indices = tuple(sorted(map(MultiIndex, slot), key=MultiIndex.sort_key))
+        nus = [nu.entries for nu in self.indices]
         # factor k of nu points at T_{nu_m}(y_m) of its k-th entry in the
         # flattened (dimension, order) table, and past its entries at T_0 = 1
-        width = 1 + max((l for nu in slot for _, l in nu), default=0)
+        width = 1 + max((l for nu in nus for _, l in nu), default=0)
         self._orders = np.arange(width)
-        n_factors = max(map(len, slot))
+        n_factors = max(map(len, nus))
         self._flat = np.array(
-            [[(m - 1) * width + l for m, l in nu] + [0] * (n_factors - len(nu)) for nu in slot],
+            [[(m - 1) * width + l for m, l in nu] + [0] * (n_factors - len(nu)) for nu in nus],
             dtype=np.intp,
-        ).reshape(len(slot), n_factors).T
+        ).reshape(len(nus), n_factors).T
+        self._terms = None
+        if points is None:
+            return
+        self.n_points = len(points)
+        row_of = {pt: i for i, pt in enumerate(points)}
+        # the coefficient row of each slot
+        row_of_slot = np.empty(len(nus), dtype=np.intp)
+        row_of_slot[[slot[nu] for nu in nus]] = np.arange(len(nus))
+        self._terms = [
+            (
+                t.coefficient, [l for _, l in t.gamma.entries],
+                np.array([row_of[pt] for pt in _tensor_points(t.gamma, M_active)],
+                         dtype=np.intp),
+                row_of_slot[box],
+            )
+            for t, box in zip(terms, boxes)
+        ]
 
     def coefficients(self, D) -> np.ndarray:
         """Chebyshev coefficients of the interpolant of the rows of D.
 
         D holds the data at ``points`` as its rows (n_points x N); the result
-        has one row per multi-index of ``indices`` (#indices x N).
+        has one row per multi-index of ``indices`` (#indices x N).  An
+        operator built without ``points`` has no coefficients to make.
         """
+        if self._terms is None:
+            raise ConfigError("coefficients need the grid points the data stand at")
         D = np.asarray(D, dtype=float)
         if D.ndim != 2 or len(D) != self.n_points:
             raise ConfigError(

@@ -142,11 +142,15 @@ class TestCollocate:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["collocate", "--config", cfg, "--out", str(out)]) == 0
-        assert "basis written to" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "basis written to" in printed
         cb = load_collocated(out / "basis.json")
         fam = model_diffusion_1d(20, 0.3, 2.0, 2)
         assert family_hash(cb.family) == family_hash(fam)
-        assert len(cb.point_data) >= 1
+        # the file holds the coefficient tables: the grid size is a diagnostic
+        assert cb.point_data == {}
+        assert f"collocated {cb.diagnostics['n_points']} points (#A={len(cb.A)}," in printed
+        assert cb.diagnostics["n_points"] >= len(cb.A) >= 1
 
     def test_budget_flag_overrides_schedule(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -157,7 +161,8 @@ class TestCollocate:
         assert code == 0
         assert "#A=1" in capsys.readouterr().out
         cb = load_collocated(out / "basis.json")
-        assert set(cb.point_data) == {()}
+        assert cb.A.to_json_list() == [{}] and cb.diagnostics["n_points"] == 1
+        assert cb.point_data == {}
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -100,16 +100,24 @@ class TestCollocate:
             )
 
     def test_point_data_are_views_of_the_stack(self, tmp_path):
-        # each nodal basis is kept once: in the stack the evaluation multiplies
+        # each nodal basis is kept once: in the stack the coefficients are made from
         fam = model_diffusion_1d(12, 0.3, 2.0, 2)
         cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5))
+        for i, pt in enumerate(grid_points(cb.A)):
+            sol = cb.point_data[pt]
+            assert np.shares_memory(sol.basis.vectors, cb._vectors[i])
+            assert np.shares_memory(sol.cluster_values, cb._values[i])
+            assert np.array_equal(sol.basis.vectors.ravel(), cb._vectors[i])
+        # a reload holds the coefficient tables and no nodal data at all
         save_collocated(cb, tmp_path / "basis.json")
-        for basis in (cb, load_collocated(tmp_path / "basis.json")):
-            for i, pt in enumerate(grid_points(basis.A)):
-                sol = basis.point_data[pt]
-                assert np.shares_memory(sol.basis.vectors, basis._vectors[i])
-                assert np.shares_memory(sol.cluster_values, basis._values[i])
-                assert np.array_equal(sol.basis.vectors.ravel(), basis._vectors[i])
+        back = load_collocated(tmp_path / "basis.json")
+        assert back.point_data == {} and back._vectors is None and back._values is None
+        assert back.diagnostics["n_points"] == len(cb.point_data)
+        assert np.array_equal(back._vector_coefs, cb._vector_coefs)
+        assert np.array_equal(back._value_coefs, cb._value_coefs)
+        # so a replace of it has no point data to stack
+        with pytest.raises(FamilyValidationError, match="point data"):
+            dataclasses.replace(back, diagnostics={})
 
     def test_diagnostics_recorded(self):
         fam = model_diffusion_1d(15, 0.3, 2.0, 2)

@@ -39,6 +39,14 @@ from eigcolloc.eigensolver import (
 )
 
 
+def lift(reduced, decomp):
+    """The pencil's eigenpairs from a solve of the reduced matrix of
+    ``reduced`` (``solve_gevp(reduced.at(y), None)``): the reference the
+    reduced point solves are held to."""
+    W = np.array(decomp.vectors, dtype=float, order="F")
+    return SpectralDecomposition(decomp.values, reduced._lift(W))
+
+
 def random_pencil(n, seed):
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((n, n))
@@ -186,7 +194,7 @@ class TestReducedFamily:
         k = J[-1] + 1
         dense = solve_gevp(assemble_at(fam, y), fam.mass, k=k)
         reduced = ReducedFamily(fam)
-        fast = reduced.lift(solve_gevp(reduced.at(y), None, k=k))
+        fast = lift(reduced, solve_gevp(reduced.at(y), None, k=k))
         assert np.all(
             np.abs(fast.values - dense.values) <= 1e-10 * np.abs(dense.values)
         )
@@ -234,7 +242,7 @@ class TestReducedFamilySolve:
         assert solver.solve((0.0, 0.0), 4) is first
         assert (solver.solves, solver.reused) == (1, 1)
         # the reduced solve at the origin is the same bit for bit
-        reduced = solver.lift(solve_gevp(solver.at(()), None, k=4))
+        reduced = lift(solver, solve_gevp(solver.at(()), None, k=4))
         assert np.array_equal(reduced.values, dense.values)
         assert np.array_equal(reduced.vectors, dense.vectors)
 
@@ -244,7 +252,7 @@ class TestReducedFamilySolve:
         y = (0.4, 0.0, -0.3)
         first = solver.solve(y[:1], 3)
         assert "terms" in vars(solver)
-        direct = solver.lift(solve_gevp(solver.at(y[:1]), None, k=3))
+        direct = lift(solver, solve_gevp(solver.at(y[:1]), None, k=3))
         assert np.array_equal(first.vectors, direct.vectors)
         assert solver.solve((0.4, 0.0, 0.0), 3) is first
         assert solver.solve(y, 3) is not first

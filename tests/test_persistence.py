@@ -1,4 +1,5 @@
-"""Family and basis files: the CSR layout of version 2 and the dense one of version 1."""
+"""Family and basis files: the coefficient tables of basis version 3, the CSR
+layout of version 2 and the dense one of version 1."""
 import dataclasses
 import json
 import pathlib
@@ -15,6 +16,7 @@ from eigcolloc import (
     anisotropic_set,
     collocate,
     evaluate,
+    evaluate_cluster_values,
     evaluate_many,
     family_from_dict,
     family_hash,
@@ -33,6 +35,9 @@ DATA = pathlib.Path(__file__).parent / "data"
 # on the index set {0, 1, 2} along the first parameter.
 FAMILY_V1 = DATA / "family_v1.json"
 BASIS_V1 = DATA / "basis_v1.json"
+# Written by the version-2 writer, the last to store nodal bases: the family
+# of BASIS_V1, its cluster [1, 2] on anisotropic_set([2.0, 3.0], 1.5).
+BASIS_V2 = DATA / "basis_v2.json"
 
 
 def matrices(fam):
@@ -125,25 +130,44 @@ class TestVersion1Files:
         with pytest.raises(ConfigError, match="family hash mismatch"):
             collocated_from_dict(doc)
 
-    def test_version_2_resave_evaluates_bit_identically(self, tmp_path):
-        v1 = load_collocated(BASIS_V1)
-        path = tmp_path / "basis.json"
-        save_collocated(v1, path)
-        doc = json.loads(path.read_text())
-        assert doc["version"] == FORMAT_VERSION == 2
-        assert set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
-        v2 = load_collocated(path)
-        Y = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 2))
-        assert np.array_equal(evaluate_many(v1, Y), evaluate_many(v2, Y))
-        for y in Y:
-            assert np.array_equal(evaluate(v1, y), evaluate(v2, y))
+    def test_version_3_resave_evaluates_bit_identically(self, tmp_path):
+        assert_resave_evaluates_bit_identically(BASIS_V1, tmp_path)
 
-    @pytest.mark.parametrize("version", [0, 3, "2", 1.0, True, None])
+    @pytest.mark.parametrize("version", [0, 4, "2", 1.0, True, None])
     def test_other_versions_rejected(self, version):
         doc = json.loads(BASIS_V1.read_text())
         doc["version"] = version
         with pytest.raises(ConfigError, match="unsupported document version"):
             collocated_from_dict(doc)
+
+
+class TestVersion2Files:
+    def test_fixture_is_version_2(self):
+        doc = json.loads(BASIS_V2.read_text())
+        assert doc["version"] == 2 and set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
+        assert len(doc["points"]) == doc["diagnostics"]["n_points"] == 7
+        assert "vector_coefs" not in doc
+
+    def test_version_3_resave_evaluates_bit_identically(self, tmp_path):
+        assert_resave_evaluates_bit_identically(BASIS_V2, tmp_path)
+
+
+def assert_resave_evaluates_bit_identically(path, tmp_path):
+    """A file of an older version and its version-3 resave give the same bits;
+    the resave holds the coefficient tables in place of the nodal bases."""
+    old = load_collocated(path)
+    resaved = tmp_path / "basis.json"
+    save_collocated(old, resaved)
+    doc = json.loads(resaved.read_text())
+    assert doc["version"] == FORMAT_VERSION == 3 and "points" not in doc
+    assert set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
+    new = load_collocated(resaved)
+    assert len(old.point_data) == new.diagnostics["n_points"] and new.point_data == {}
+    Y = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 2))
+    assert np.array_equal(evaluate_many(old, Y), evaluate_many(new, Y))
+    for y in Y:
+        assert np.array_equal(evaluate(old, y), evaluate(new, y))
+        assert np.array_equal(evaluate_cluster_values(old, y), evaluate_cluster_values(new, y))
 
 
 def _set(key, index, value):
@@ -224,8 +248,13 @@ def _ragged(rec):
     rec["vectors"][0] = rec["vectors"][0][:1]
 
 
+def _drop_last_column(key):
+    return lambda doc: doc.update({key: [row[:-1] for row in doc[key]]})
+
+
 # edits of a basis document: (edit, error, field it must name, whether the
-# message names the last point as well)
+# message names the last point as well); the cases in NODAL_EDITS edit the
+# points of the version-2 fixture, the others a version-3 document
 BASIS_EDITS = {
     "transposed-basis": (
         _at_last_point(_transpose), FamilyValidationError, "vectors", True,
@@ -261,7 +290,34 @@ BASIS_EDITS = {
     "negative-level": (
         lambda doc: doc["A"].append({"1": -1}), FamilyValidationError, "A is malformed", False,
     ),
+    "missing-vector-coefs": (
+        lambda doc: doc.pop("vector_coefs"), ConfigError, "'vector_coefs'", False,
+    ),
+    "missing-value-coefs": (
+        lambda doc: doc.pop("value_coefs"), ConfigError, "'value_coefs'", False,
+    ),
+    "short-vector-coefs": (
+        lambda doc: doc["vector_coefs"].pop(), FamilyValidationError,
+        "vector_coefs has shape", False,
+    ),
+    "narrow-value-coefs": (
+        _drop_last_column("value_coefs"), FamilyValidationError, "value_coefs has shape", False,
+    ),
+    "ragged-vector-coefs": (
+        lambda doc: doc["vector_coefs"][0].pop(), FamilyValidationError,
+        "vector_coefs is malformed", False,
+    ),
+    # the last index of A is a greatest one, so A stays downward closed and
+    # spans one coefficient row less than the tables hold
+    "index-dropped-from-A": (
+        lambda doc: doc["A"].pop(), FamilyValidationError,
+        "vector_coefs has shape (2, 38), expected (1, 38)", False,
+    ),
 }
+NODAL_EDITS = frozenset({
+    "transposed-basis", "ragged-basis", "short-cluster-values", "missing-points",
+    "point-stored-twice",
+})
 
 
 class TestMalformedBasis:
@@ -274,7 +330,10 @@ class TestMalformedBasis:
     @pytest.mark.parametrize("case", sorted(BASIS_EDITS))
     def test_names_the_field(self, basis, case):
         edit, error, field, at_point = BASIS_EDITS[case]
-        doc = json.loads(json.dumps(collocated_to_dict(basis)))
+        if case in NODAL_EDITS:
+            doc = json.loads(BASIS_V2.read_text())
+        else:
+            doc = json.loads(json.dumps(collocated_to_dict(basis)))
         if at_point:
             field += f" at point {tuple(doc['points'][-1]['y'])}"
         edit(doc)

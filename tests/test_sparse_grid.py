@@ -491,11 +491,19 @@ class TestCombinationOperator:
     def test_one_coefficient_row_per_index_of_a_monotone_set(self, case):
         # every nu <= gamma of a term lies in a downward-closed set, and every
         # index of the set is some term's gamma or lies below one
-        A, _, _ = case
+        A, _, queries = case
         pts = grid_points(A)
         op = CombinationOperator(combination_terms(A), A.M_active, pts)
-        assert len(op.indices) == len(A) and set(op.indices) == A.indices
+        # in the set's own order, the row order of a version-3 basis file
+        assert op.indices == tuple(A)
         assert op.coefficients(np.ones((len(pts), 2))).shape == (len(A), 2)
+        # the query side needs no points; only the coefficients do
+        bare = CombinationOperator(combination_terms(A), A.M_active)
+        assert bare.indices == op.indices
+        Y = np.array(queries).reshape(len(queries), A.M_active)
+        assert np.array_equal(bare.basis_at(Y), op.basis_at(Y))
+        with pytest.raises(ConfigError, match="grid points"):
+            bare.coefficients(np.ones((len(pts), 2)))
 
     @given(st.integers(0, 6), st.floats(-1.0, 1.0))
     def test_basis_values_are_finite_next_to_a_node(self, level, t):
