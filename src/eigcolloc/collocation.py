@@ -59,22 +59,23 @@ class PointSolution:
 
 @dataclass(frozen=True)
 class CollocatedEigenbasis:
-    """All point solves of one collocation run, ready for evaluation.
+    """One collocation run's interpolant, ready for evaluation.
 
     Immutable after construction; ``evaluate`` is pure, so instances may be
-    shared freely across threads.  Construction stacks the stored bases and
-    cluster values once, in sorted-point order, makes each point's basis and
-    cluster values views of its row of the stack, and turns the stack into
-    the interpolant's Chebyshev coefficients (``CombinationOperator``), one
-    row per multi-index of ``A``, so that every evaluation is one table of
-    Chebyshev values and one product with those rows.  ``terms`` is derived
-    from ``A`` there, not passed in.  ``_stack`` and ``_coefs`` are internal:
-    ``collocate`` passes its grid points and the stacked bases and cluster
-    values its point data are already views of, and a load of a version-3
-    file passes the two coefficient tables it holds, with no point data and
-    no stack.  Point data from elsewhere (a load of an older file,
-    ``dataclasses.replace``) is checked against ``grid_points(A)`` and the
-    shapes of the family and the cluster, then stacked.
+    shared freely across threads.  A basis is two tables of the
+    interpolant's Chebyshev coefficients (``CombinationOperator``), for the
+    basis columns and for the cluster values, each with one row per
+    multi-index of ``A``, so that every evaluation is one table of Chebyshev
+    values and one product with those rows.  ``terms`` is derived from
+    ``A``, not passed in.  One rule gives the tables: they are made from
+    ``_stack`` when it is given (``collocate``'s grid points with the
+    stacked bases and cluster values its point data are views of), else
+    from a non-empty ``point_data`` (a load of a version-1 or version-2
+    file, ``dataclasses.replace``), checked against ``grid_points(A)`` and
+    the shapes of the family and the cluster, then stacked; otherwise the
+    tables in ``_coefs`` (a load of a version-3 file) are kept.  ``_coefs``
+    is a field, so a ``replace`` carries the tables.  The cluster, ``A``,
+    the reference pair and the tables' shapes are checked on every path.
     """
 
     family: AffineOperatorFamily
@@ -87,39 +88,29 @@ class CollocatedEigenbasis:
     target: str
     diagnostics: dict
     _operator: CombinationOperator = field(init=False, repr=False, compare=False)
-    _vectors: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _values: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _vector_coefs: np.ndarray = field(init=False, repr=False, compare=False)
-    _value_coefs: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefs: tuple | None = field(default=None, repr=False, compare=False)
     _stack: InitVar[tuple | None] = None
-    _coefs: InitVar[tuple | None] = None
 
-    def __post_init__(self, _stack, _coefs):
+    def __post_init__(self, _stack):
         if self.target not in TARGETS:
             raise ConfigError(f"unknown interpolation target {self.target!r}")
-        if _stack is None and _coefs is None:
+        self._check_fields()
+        if _stack is None and self.point_data:
             _stack = self._stack_point_data()
+        elif _stack is None and self._coefs is None:
+            raise FamilyValidationError("basis has neither point data nor a coefficient table")
         object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
-        if _coefs is None:
-            points, vectors, values = _stack
-            op = CombinationOperator(self.terms, self.A.M_active, points)
+        op = CombinationOperator(self.terms, self.A.M_active)
+        object.__setattr__(self, "_operator", op)
+        if _stack is not None:
             # the point work's thread setting, so that the bits of the
             # coefficients do not depend on the thread variables
             with _serial_blas():
-                _coefs = op.coefficients(vectors), op.coefficients(values)
-        else:
-            self._check_fields()
-            op = CombinationOperator(self.terms, self.A.M_active)
-            vectors = values = None
-            # one row per index of A
-            rows, n, S = len(op.indices), self.family.dim, self.S
-            for name, table, width in zip(COEF_KEYS, _coefs, (n * S, S)):
-                _check_shape(name, table, (rows, width))
-        object.__setattr__(self, "_operator", op)
-        object.__setattr__(self, "_vectors", vectors)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_vector_coefs", _coefs[0])
-        object.__setattr__(self, "_value_coefs", _coefs[1])
+                object.__setattr__(self, "_coefs", op.coefficients(*_stack))
+        # one row per index of A
+        rows, n, S = len(op.indices), self.family.dim, self.S
+        for name, table, width in zip(COEF_KEYS, self._coefs, (n * S, S)):
+            _check_shape(name, table, (rows, width))
 
     def _check_fields(self) -> None:
         """Check the cluster, the index set and the reference data against
@@ -139,13 +130,12 @@ class CollocatedEigenbasis:
         _check_shape("ref_values", self.ref_values, (S,))
 
     def _stack_point_data(self) -> tuple:
-        """Check data given from outside ``collocate`` and stack it as ``_stack``.
+        """Check ``point_data`` and stack it as ``_stack``.
 
         Every array must have its shape for the family and the cluster, and the
         points must be the grid of ``A``; a fault is a ``FamilyValidationError``
         that names the field, and the point where there is one.
         """
-        self._check_fields()
         n, S = self.family.dim, self.S
         points = grid_points(self.A)
         if set(self.point_data) != set(points):
@@ -154,16 +144,12 @@ class CollocatedEigenbasis:
             )
         vectors = np.empty((len(points), n * S))
         values = np.empty((len(points), S))
-        point_data = {}
         for i, pt in enumerate(points):
             sol = self.point_data[pt]
             _check_shape("vectors", sol.basis.vectors, (n, S), pt)
             _check_shape("cluster_values", sol.cluster_values, (S,), pt)
             vectors[i] = sol.basis.vectors.ravel()
             values[i] = sol.cluster_values
-            basis = EigenspaceBasis(vectors[i].reshape(n, S), sol.basis.gram_sigma_min)
-            point_data[pt] = PointSolution(basis=basis, cluster_values=values[i])
-        object.__setattr__(self, "point_data", point_data)
         return points, vectors, values
 
     @property
@@ -343,7 +329,7 @@ def evaluate_many(cb: CollocatedEigenbasis, Y) -> np.ndarray:
     BLAS thread setting of the point solves (``_serial_blas()``), so its bits
     do not depend on the thread variables either.
     """
-    V = _interpolate(cb, Y, cb._vector_coefs)
+    V = _interpolate(cb, Y, cb._coefs[0])
     return V.reshape(len(V), cb.family.dim, cb.S)
 
 
@@ -363,7 +349,7 @@ def evaluate_cluster_values(cb: CollocatedEigenbasis, y) -> np.ndarray:
     Symmetric functions of these (sum, mean) vary smoothly in y; the
     individually sorted values themselves may kink where branches cross.
     """
-    return _interpolate(cb, [y], cb._value_coefs)[0]
+    return _interpolate(cb, [y], cb._coefs[1])[0]
 
 
 def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:
@@ -395,8 +381,7 @@ def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
         "target": cb.target,
         "ref_vectors": cb.ref_vectors.tolist(),
         "ref_values": cb.ref_values.tolist(),
-        COEF_KEYS[0]: cb._vector_coefs.tolist(),
-        COEF_KEYS[1]: cb._value_coefs.tolist(),
+        **{key: table.tolist() for key, table in zip(COEF_KEYS, cb._coefs)},
         "diagnostics": cb.diagnostics,
     }
 

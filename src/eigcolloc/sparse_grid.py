@@ -361,22 +361,19 @@ class CombinationOperator:
     for a downward-closed set these are exactly the set's indices.
     ``indices`` holds these nu in ``MultiIndex.sort_key`` order, so that for
     a downward-closed set they are the set's indices in its iteration
-    order, and ``coefficients(D)``, for data stacked in ``points`` order as
-    the rows of D, one row per nu, so that the interpolant at y is
-    ``basis_at([y])[0] @ coefficients(D)``.  The query side, ``indices``
-    and ``basis_at``, needs the terms alone; only ``coefficients`` needs
-    ``points``, which must then hold every tensor point of every term, as
-    tuples of length M_active.  A term adds its signed coefficient times the
-    Kronecker product of the 1D transforms (``chebyshev_transform``) of its
-    levels, applied to its rows of D, into the rows of its box.  A query
-    then costs one table of cos(k arccos y_m), one gather-and-multiply per
-    factor and the product with one row per nu, whatever the number of
-    points.  Level 0 has the single node 0.0 and degree 0, whose T_0 =
-    cos(0) = 1 exactly, so only the dimensions where nu is positive enter
-    its product.
+    order.  ``coefficients(points, D)`` gives, for data stacked in
+    ``points`` order as the rows of D, one row per nu, so that the
+    interpolant at y is ``basis_at([y])[0] @ coefficients(points, D)[0]``.
+    A term adds its signed coefficient times the Kronecker product of the
+    1D transforms (``chebyshev_transform``) of its levels, applied to its
+    rows of D, into the rows of its box.  A query then costs one table of
+    cos(k arccos y_m), one gather-and-multiply per factor and the product
+    with one row per nu, whatever the number of points.  Level 0 has the
+    single node 0.0 and degree 0, whose T_0 = cos(0) = 1 exactly, so only
+    the dimensions where nu is positive enter its product.
     """
 
-    def __init__(self, terms, M_active: int, points=None):
+    def __init__(self, terms, M_active: int):
         if not terms:
             raise ConfigError("no combination terms to evaluate")
         self.M_active = M_active
@@ -402,42 +399,36 @@ class CombinationOperator:
             [[(m - 1) * width + l for m, l in nu] + [0] * (n_factors - len(nu)) for nu in nus],
             dtype=np.intp,
         ).reshape(len(nus), n_factors).T
-        self._terms = None
-        if points is None:
-            return
-        self.n_points = len(points)
-        row_of = {pt: i for i, pt in enumerate(points)}
-        # the coefficient row of each slot
+        # the coefficient row of each slot, and so the output rows of each term
         row_of_slot = np.empty(len(nus), dtype=np.intp)
         row_of_slot[[slot[nu] for nu in nus]] = np.arange(len(nus))
-        self._terms = [
-            (
-                t.coefficient, [l for _, l in t.gamma.entries],
-                np.array([row_of[pt] for pt in _tensor_points(t.gamma, M_active)],
-                         dtype=np.intp),
-                row_of_slot[box],
-            )
-            for t, box in zip(terms, boxes)
-        ]
+        self._terms = [(t, row_of_slot[box]) for t, box in zip(terms, boxes)]
 
-    def coefficients(self, D) -> np.ndarray:
-        """Chebyshev coefficients of the interpolant of the rows of D.
+    def coefficients(self, points, *tables) -> tuple:
+        """Chebyshev coefficients of the interpolant of each table's rows.
 
-        D holds the data at ``points`` as its rows (n_points x N); the result
-        has one row per multi-index of ``indices`` (#indices x N).  An
-        operator built without ``points`` has no coefficients to make.
+        ``points`` must hold every tensor point of every term, as tuples of
+        length M_active, and each table the data at ``points`` as its rows
+        (#points x N); the result has one table per data table, with one row
+        per multi-index of ``indices`` (#indices x N).  Each term's rows are
+        looked up once for all tables.
         """
-        if self._terms is None:
-            raise ConfigError("coefficients need the grid points the data stand at")
-        D = np.asarray(D, dtype=float)
-        if D.ndim != 2 or len(D) != self.n_points:
-            raise ConfigError(
-                f"data has shape {D.shape}, expected {self.n_points} rows of a 2-D array"
+        tables = [np.asarray(D, dtype=float) for D in tables]
+        for D in tables:
+            if D.ndim != 2 or len(D) != len(points):
+                raise ConfigError(
+                    f"data has shape {D.shape}, expected {len(points)} rows of a 2-D array"
+                )
+        row_of = {pt: i for i, pt in enumerate(points)}
+        out = [np.zeros((len(self.indices), D.shape[1])) for D in tables]
+        for t, box in self._terms:
+            rows = np.array(
+                [row_of[pt] for pt in _tensor_points(t.gamma, self.M_active)], dtype=np.intp
             )
-        C = np.zeros((len(self.indices), D.shape[1]))
-        for coefficient, levels, rows, out in self._terms:
-            C[out] += (coefficient * _tensor_transform(levels)) @ D[rows]
-        return C
+            K = t.coefficient * _tensor_transform([l for _, l in t.gamma.entries])
+            for C, D in zip(out, tables):
+                C[box] += K @ D[rows]
+        return tuple(out)
 
     def basis_at(self, Y) -> np.ndarray:
         """Rows T_nu(y) for the points y in the rows of Y, shape (len(Y), #indices).
@@ -482,11 +473,12 @@ def combination_interpolate(
     ``y`` may be longer than M_active (the interpolant is constant in inactive
     dimensions) or shorter (missing coordinates are 0).  A throwaway
     ``CombinationOperator`` does the work, as ``basis_at([y])[0] @
-    coefficients(D)``; build one directly to evaluate the same data at many
-    points.
+    coefficients(points, D)[0]``; build one directly to evaluate the same
+    data at many points.
     """
     points = sorted(data)
     shape = np.shape(data[points[0]])
     D = np.stack([np.asarray(data[pt], dtype=float).ravel() for pt in points])
-    op = CombinationOperator(terms, M_active, points)
-    return (op.basis_at([y])[0] @ op.coefficients(D)).reshape(shape)
+    op = CombinationOperator(terms, M_active)
+    (C,) = op.coefficients(points, D)
+    return (op.basis_at([y])[0] @ C).reshape(shape)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .collocation import CollocatedEigenbasis, _target_bases, collocate, evaluate_many
+from .collocation import TARGETS, CollocatedEigenbasis, _target_bases, collocate, evaluate_many
 from .eigensolver import ReducedFamily, _nproc, _point_environment, _serial_blas
 from .eigenspace import _as_cluster, _box_samples, _check_sampling, _euclidean_angles
 from .errors import ConfigError, SolverError, StageError
@@ -120,6 +120,8 @@ class StudyConfig:
         object.__setattr__(self, "model_params", params)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
+        if self.target not in TARGETS:
+            raise ConfigError(f"unknown target {self.target!r}")
         if not self.budgets:
             raise ConfigError("budget schedule must not be empty")
         if not all(math.isfinite(b) and b >= 0.0 for b in self.budgets):

@@ -293,6 +293,15 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "collocate", "study", "crossing-demo"])
+    @pytest.mark.parametrize("target", ["sorted", ["x"]])
+    def test_unknown_target_is_reported(self, tmp_path, capsys, command, target):
+        # before the family is built, by every command that reads a config
+        cfg = write_config(tmp_path, target=target)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: unknown target {target!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_flag_is_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["check", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1

@@ -103,21 +103,28 @@ class TestCollocate:
         # each nodal basis is kept once: in the stack the coefficients are made from
         fam = model_diffusion_1d(12, 0.3, 2.0, 2)
         cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5))
-        for i, pt in enumerate(grid_points(cb.A)):
-            sol = cb.point_data[pt]
-            assert np.shares_memory(sol.basis.vectors, cb._vectors[i])
-            assert np.shares_memory(sol.cluster_values, cb._values[i])
-            assert np.array_equal(sol.basis.vectors.ravel(), cb._vectors[i])
+        sols = list(cb.point_data.values())
+        for get in (lambda sol: sol.basis.vectors, lambda sol: sol.cluster_values):
+            base = get(sols[0]).base
+            assert base is not None and all(get(sol).base is base for sol in sols)
         # a reload holds the coefficient tables and no nodal data at all
         save_collocated(cb, tmp_path / "basis.json")
         back = load_collocated(tmp_path / "basis.json")
-        assert back.point_data == {} and back._vectors is None and back._values is None
+        assert back.point_data == {}
         assert back.diagnostics["n_points"] == len(cb.point_data)
-        assert np.array_equal(back._vector_coefs, cb._vector_coefs)
-        assert np.array_equal(back._value_coefs, cb._value_coefs)
-        # so a replace of it has no point data to stack
-        with pytest.raises(FamilyValidationError, match="point data"):
-            dataclasses.replace(back, diagnostics={})
+        for table, fresh in zip(back._coefs, cb._coefs):
+            assert np.array_equal(table, fresh)
+        # a replace of it carries the tables
+        Y = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 2))
+        copy = dataclasses.replace(back, diagnostics={})
+        assert copy.diagnostics == {} and copy.point_data == {}
+        assert np.array_equal(evaluate_many(copy, Y), evaluate_many(back, Y))
+        for y in Y:
+            assert np.array_equal(evaluate_cluster_values(copy, y), evaluate_cluster_values(back, y))
+        # and point data given to it rebuild them
+        rebuilt = dataclasses.replace(back, point_data=cb.point_data)
+        for table, fresh in zip(rebuilt._coefs, cb._coefs):
+            assert np.array_equal(table, fresh)
 
     def test_diagnostics_recorded(self):
         fam = model_diffusion_1d(15, 0.3, 2.0, 2)

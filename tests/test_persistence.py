@@ -276,6 +276,11 @@ BASIS_EDITS = {
         lambda doc: doc.update(J=[1, 40]), FamilyValidationError, "J:", False,
     ),
     "missing-points": (lambda doc: doc.pop("points"), ConfigError, "'points'", False),
+    # no nodal basis to make the tables from, and no table either
+    "no-points": (
+        lambda doc: doc.update(points=[]), FamilyValidationError,
+        "basis has neither point data nor a coefficient table", False,
+    ),
     "point-stored-twice": (
         lambda doc: doc["points"].insert(0, doc["points"][-1]),
         FamilyValidationError, "points: a point is stored twice", False,
@@ -316,7 +321,7 @@ BASIS_EDITS = {
 }
 NODAL_EDITS = frozenset({
     "transposed-basis", "ragged-basis", "short-cluster-values", "missing-points",
-    "point-stored-twice",
+    "no-points", "point-stored-twice",
 })
 
 

@@ -451,9 +451,10 @@ class TestCombinationOperator:
         A, poly, queries = case
         M = A.M_active
         pts = grid_points(A)
-        op = CombinationOperator(combination_terms(A), M, pts)
+        op = CombinationOperator(combination_terms(A), M)
         D = np.stack([poly(pt) for pt in pts])
-        got = op.basis_at(np.array(queries).reshape(len(queries), M)) @ op.coefficients(D)
+        (C,) = op.coefficients(pts, D)
+        got = op.basis_at(np.array(queries).reshape(len(queries), M)) @ C
         want = np.stack([poly(y) for y in queries])
         scale = max(1.0, float(np.abs(D).max()))
         assert np.abs(got - want).max() <= 1e-10 * scale
@@ -469,8 +470,8 @@ class TestCombinationOperator:
         terms = combination_terms(A)
         rng = np.random.default_rng(len(pts))
         data = {pt: rng.standard_normal(3) for pt in pts}
-        op = CombinationOperator(terms, M, pts)
-        C = op.coefficients(np.stack([data[pt] for pt in pts]))
+        op = CombinationOperator(terms, M)
+        (C,) = op.coefficients(pts, np.stack([data[pt] for pt in pts]))
         for y in queries:
             want = loop_interpolate(terms, M, data, y)
             got = op.basis_at([y])[0] @ C
@@ -479,8 +480,7 @@ class TestCombinationOperator:
 
     def test_batch_rows_match_single_queries(self):
         A = random_monotone_set(np.random.default_rng(8))
-        pts = grid_points(A)
-        op = CombinationOperator(combination_terms(A), A.M_active, pts)
+        op = CombinationOperator(combination_terms(A), A.M_active)
         Y = np.random.default_rng(9).uniform(-1.0, 1.0, size=(7, A.M_active))
         batch = op.basis_at(Y)
         assert batch.shape == (7, len(A))
@@ -491,19 +491,16 @@ class TestCombinationOperator:
     def test_one_coefficient_row_per_index_of_a_monotone_set(self, case):
         # every nu <= gamma of a term lies in a downward-closed set, and every
         # index of the set is some term's gamma or lies below one
-        A, _, queries = case
+        A, _, _ = case
         pts = grid_points(A)
-        op = CombinationOperator(combination_terms(A), A.M_active, pts)
+        op = CombinationOperator(combination_terms(A), A.M_active)
         # in the set's own order, the row order of a version-3 basis file
         assert op.indices == tuple(A)
-        assert op.coefficients(np.ones((len(pts), 2))).shape == (len(A), 2)
-        # the query side needs no points; only the coefficients do
-        bare = CombinationOperator(combination_terms(A), A.M_active)
-        assert bare.indices == op.indices
-        Y = np.array(queries).reshape(len(queries), A.M_active)
-        assert np.array_equal(bare.basis_at(Y), op.basis_at(Y))
-        with pytest.raises(ConfigError, match="grid points"):
-            bare.coefficients(np.ones((len(pts), 2)))
+        tables = op.coefficients(pts, np.ones((len(pts), 2)), np.ones((len(pts), 3)))
+        assert [C.shape for C in tables] == [(len(A), 2), (len(A), 3)]
+        # every table must have one row per point
+        with pytest.raises(ConfigError, match=rf"data has shape \({len(pts) + 1}, 2\)"):
+            op.coefficients(pts, np.ones((len(pts), 3)), np.ones((len(pts) + 1, 2)))
 
     @given(st.integers(0, 6), st.floats(-1.0, 1.0))
     def test_basis_values_are_finite_next_to_a_node(self, level, t):
@@ -518,7 +515,7 @@ class TestCombinationOperator:
 
     def test_extrapolation_names_the_coordinate(self):
         A = multi_index_set([ORIGIN, mi(1), mi(0, 1)])
-        op = CombinationOperator(combination_terms(A), 2, grid_points(A))
+        op = CombinationOperator(combination_terms(A), 2)
         with pytest.raises(ExtrapolationError, match="coordinate 2 = 1.5"):
             op.basis_at([[0.0, 0.0], [0.2, 1.5]])
         with pytest.raises(ExtrapolationError, match="coordinate 1 = nan"):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,13 @@ class TestStudyConfig:
         doc = self.minimal()
         doc["weights"] = {"mode": "magic"}
         with pytest.raises(ConfigError):
+            StudyConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("target", ["sorted", ["x"], None])
+    def test_rejects_unknown_target(self, target):
+        doc = self.minimal()
+        doc["target"] = target
+        with pytest.raises(ConfigError, match=re.escape(f"unknown target {target!r}")):
             StudyConfig.from_dict(doc)
 
     def test_rejects_bad_counts(self):
