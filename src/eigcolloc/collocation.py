@@ -66,9 +66,9 @@ class CollocatedEigenbasis:
     interpolant's Chebyshev coefficients (``CombinationOperator``), for the
     basis columns and for the cluster values, each with one row per
     multi-index of ``A``, so that every evaluation is one table of Chebyshev
-    values and one product with those rows.  ``terms`` is derived from
-    ``A``, not passed in.  One rule gives the tables: they are made from
-    ``_stack`` when it is given (``collocate``'s grid points with the
+    values and one product with those rows; ``A`` must be downward closed.
+    ``terms`` is derived from ``A``.  One rule gives the tables: they are
+    made from ``_stack`` when it is given (``collocate``'s grid points with the
     stacked bases and cluster values its point data are views of), else
     from a non-empty ``point_data`` (a load of a version-1 or version-2
     file, ``dataclasses.replace``), checked against ``grid_points(A)`` and
@@ -81,7 +81,6 @@ class CollocatedEigenbasis:
     family: AffineOperatorFamily
     cluster: ClusterSelection
     A: MultiIndexSet
-    terms: tuple[CombinationTerm, ...] = field(init=False)
     point_data: dict
     ref_vectors: np.ndarray
     ref_values: np.ndarray
@@ -99,8 +98,7 @@ class CollocatedEigenbasis:
             _stack = self._stack_point_data()
         elif _stack is None and self._coefs is None:
             raise FamilyValidationError("basis has neither point data nor a coefficient table")
-        object.__setattr__(self, "terms", tuple(combination_terms(self.A)))
-        op = CombinationOperator(self.terms, self.A.M_active)
+        op = CombinationOperator(self.A)
         object.__setattr__(self, "_operator", op)
         if _stack is not None:
             # the point work's thread setting, so that the bits of the
@@ -155,6 +153,11 @@ class CollocatedEigenbasis:
     @property
     def S(self) -> int:
         return self.cluster.S
+
+    @property
+    def terms(self) -> tuple[CombinationTerm, ...]:
+        """The signed tensor terms of ``A`` (``combination_terms``)."""
+        return tuple(combination_terms(self.A))
 
 
 def _check_shape(name: str, array: np.ndarray, shape: tuple, point=None) -> None:
@@ -224,13 +227,13 @@ def collocate(
 ) -> CollocatedEigenbasis:
     """Solve at every grid point of A and assemble the interpolant's data.
 
-    The reference vectors are fixed by the solve at the origin first, a dense
-    one.  The grid points are then solved in grid order by
-    ``ReducedFamily.solve_many``, which reduces the family to standard form
-    at the first point away from the origin, and each chunk it yields has its
-    gaps and Gram matrices checked and its bases projected in one step
-    (``_nodes``), under the BLAS thread setting of the solves
-    (``_serial_blas()``).  ``_cache`` is internal: a budget sweep passes its
+    The grid of A is made first, so that a bad set costs no solve; the
+    reference vectors are then fixed by the solve at the origin, a dense one.
+    The grid points are solved in grid order by ``ReducedFamily.solve_many``,
+    which reduces the family at the first point away from the origin, and
+    each chunk it yields has its gaps and Gram matrices checked and its bases
+    projected in one step (``_nodes``), under the BLAS thread setting of the
+    solves (``_serial_blas()``).  ``_cache`` is internal: a budget sweep passes its
     ``ReducedFamily`` to carry the solves, the origin's included, from budget
     to budget and from target to target.  Each point stores the basis that
     ``_target_bases`` makes for the target.  An error names the first
@@ -240,6 +243,8 @@ def collocate(
     ------
     ConfigError
         If the target is unknown or A is empty.
+    MonotonicityError
+        If A is not downward closed; raised before any solve.
     DegenerateBasisError
         If at some point the cluster subspace turns nearly orthogonal to the
         reference one (canonical target only); carries the offending point.
@@ -251,8 +256,6 @@ def collocate(
     cluster = _as_cluster(J)
     if target not in TARGETS:
         raise ConfigError(f"unknown interpolation target {target!r}")
-    if not len(A):
-        raise ConfigError("cannot collocate on an empty index set")
     n = family.dim
     if cluster.hi + 1 > n:
         raise ClusterCoverageError(
@@ -262,11 +265,11 @@ def collocate(
         raise FamilyValidationError(
             f"index set activates dimension {A.M_active}, family has {family.n_terms} terms"
         )
+    points = grid_points(A)
     cache = ReducedFamily(family, carry=False) if _cache is None else _cache
     cols = [j - 1 for j in cluster.J]
     decomp0 = cache.solve((), cluster.hi + 1)
     ref_vectors, ref_values = decomp0.vectors[:, cols], decomp0.values[cols]
-    points = grid_points(A)
     args = (ref_vectors, cluster, family.mass, target)
     values = np.empty((len(points), cluster.hi + 1))
     gaps = np.empty(len(points))
@@ -418,6 +421,8 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     FamilyValidationError
         If a field is malformed or of the wrong shape; the message names the
         field, and the point where there is one.
+    MonotonicityError
+        If ``A`` is not downward closed.
     """
     if doc.get("format") != FORMAT_NAME:
         raise ConfigError("not a collocated-eigenbasis document")

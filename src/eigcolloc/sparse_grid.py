@@ -2,10 +2,11 @@
 
 Multi-indices are stored sparsely (dimension -> level, 1-based dimensions,
 absent means level 0), so sets over a countable parameter sequence stay cheap.
-Interpolation grids are unions of tensor Gauss-Legendre grids; node values are
-computed once per level and cached, which makes the union deduplication
-bit-exact across levels.  The combination interpolant is held as Chebyshev
-coefficients over the span of the set's multi-degrees.
+A set that makes a grid or an interpolant must be non-empty and downward
+closed.  Its grid is the union of the tensor Gauss-Legendre grids of its
+indices; node values are computed once per level and cached, which makes the
+union deduplication bit-exact across levels.  The combination interpolant is
+held as Chebyshev coefficients, one row per index of the set.
 """
 from __future__ import annotations
 
@@ -129,13 +130,34 @@ def multi_index_set(indices) -> MultiIndexSet:
     return MultiIndexSet(frozenset(indices))
 
 
+def _faults(A: MultiIndexSet) -> list:
+    """(entries, dimension) of every index of A and unit decrement outside A."""
+    entries = {alpha.entries for alpha in A.indices}
+    return [
+        (e, m) for e in entries for i, (m, l) in enumerate(e)
+        if e[:i] + ((m, l - 1),) * (l > 1) + e[i + 1 :] not in entries  # level 0 is no entry
+    ]
+
+
 def is_monotone(A: MultiIndexSet) -> bool:
     """True iff the set is downward closed (every unit decrement stays inside)."""
-    for alpha in A.indices:
-        for m in alpha.support:
-            if alpha.minus_unit(m) not in A.indices:
-                return False
-    return True
+    return not _faults(A)
+
+
+def _check_downward_closed(A: MultiIndexSet) -> None:
+    """The one rule on a set that makes a grid or an interpolant: a
+    ``ConfigError`` if A is empty, and a ``MonotonicityError`` naming the
+    first index, in A's order, whose unit decrement lies outside A."""
+    if not len(A):
+        raise ConfigError("empty index set: A must hold at least the origin")
+    faults = _faults(A)
+    if faults:
+        e, m = min(faults, key=lambda f: (sum(l for _, l in f[0]), f))
+        alpha, M = MultiIndex(e), A.M_active
+        raise MonotonicityError(
+            f"index set is not downward closed: index {alpha.to_dense(M)} lacks its "
+            f"unit decrement {alpha.minus_unit(m).to_dense(M)} in dimension {m}"
+        )
 
 
 def anisotropic_set(weights, budget: float) -> MultiIndexSet:
@@ -201,7 +223,7 @@ def combination_terms(A: MultiIndexSet) -> list[CombinationTerm]:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre nodes with barycentric weights
+# Gauss-Legendre nodes
 # ---------------------------------------------------------------------------
 
 def _legendre_and_prev(n: int, x: float) -> tuple[float, float]:
@@ -220,23 +242,6 @@ class NodeSet:
 
     level: int
     nodes: tuple[float, ...]
-    weights: tuple[float, ...] = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def basis_all(self, t: float) -> np.ndarray:
-        """All Lagrange basis values at t; exact unit vector when t is a node.
-
-        Off the nodes the second barycentric form is scaled by the distance to
-        the nearest node, so no term overflows close to a node.
-        """
-        d = float(t) - np.asarray(self.nodes)
-        hit = d == 0.0
-        if hit.any():
-            return hit.astype(float)
-        v = np.asarray(self.weights) * (np.abs(d).min() / d)
-        return v / v.sum()
 
 
 @functools.cache
@@ -267,21 +272,19 @@ def gauss_legendre_nodes(p: int) -> NodeSet:
         roots[i], roots[j] = -mag, mag
     if n % 2:
         roots[n // 2] = 0.0
-    weights = []
-    for k in range(n):
-        prod = 1.0
-        for j in range(n):
-            if j != k:
-                prod *= roots[k] - roots[j]
-        weights.append(1.0 / prod)
-    return NodeSet(level=p, nodes=tuple(roots), weights=tuple(weights))
+    return NodeSet(level=p, nodes=tuple(roots))
 
 
 def lagrange_basis_eval(node_set: NodeSet, k: int, t: float) -> float:
-    """Value of the k-th Lagrange basis polynomial of the node set at t."""
+    """Value of the k-th Lagrange basis polynomial of the node set at t: exactly
+    1 or 0 at a node, else the Chebyshev series of column k of the level's
+    ``chebyshev_transform``."""
     if not 0 <= k <= node_set.level:
         raise ValueError(f"basis index {k} out of range for level {node_set.level}")
-    return float(node_set.basis_all(t)[k])
+    t = float(t)
+    if t in node_set.nodes:
+        return float(t == node_set.nodes[k])
+    return float(np.polynomial.chebyshev.chebval(t, chebyshev_transform(node_set.level)[:, k]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,36 +299,26 @@ def _tensor_points(gamma: MultiIndex, M: int):
 def grid_points(A: MultiIndexSet) -> list[tuple[float, ...]]:
     """The collocation grid X_A: union of the tensor grids of the set.
 
-    For monotone sets the union over inner boxes collapses to the union over
-    the set itself.  Points are tuples of length M_active (trailing dimensions
-    are implicitly 0) and are deduplicated bit-exactly.
+    A must be non-empty and downward closed (else ``ConfigError`` or
+    ``MonotonicityError``).  Points are tuples of length M_active (trailing
+    dimensions are implicitly 0), sorted and deduplicated bit-exactly.
     """
+    _check_downward_closed(A)
     M = A.M_active
     seen = set()
-    if is_monotone(A):
-        gammas = list(A)
-    else:
-        gammas = [t.gamma for t in combination_terms(A)]
-    for gamma in gammas:
-        seen.update(_tensor_points(gamma, M))
+    for alpha in A.indices:
+        seen.update(_tensor_points(alpha, M))
     return sorted(seen)
 
 
 def point_count_bound(A: MultiIndexSet) -> int:
-    """Grid cardinality sum over alpha of prod (alpha_m + 1); monotone sets only.
+    """Grid cardinality bound: the sum over alpha of prod (alpha_m + 1).
 
-    The value also satisfies bound <= (#A)^2.  For non-monotone sets the sum
-    does not count the union, so they are rejected.
+    The value also satisfies bound <= (#A)^2.  A must be non-empty and
+    downward closed, as for ``grid_points``.
     """
-    if not is_monotone(A):
-        raise MonotonicityError("grid-size formula requires a downward-closed set")
-    total = 0
-    for alpha in A.indices:
-        prod = 1
-        for _, l in alpha.entries:
-            prod *= l + 1
-        total += prod
-    return total
+    _check_downward_closed(A)
+    return sum(math.prod(l + 1 for _, l in alpha.entries) for alpha in A.indices)
 
 
 @functools.cache
@@ -352,43 +345,36 @@ def _tensor_transform(levels) -> np.ndarray:
     return K
 
 
-class CombinationOperator:
-    """The combination-technique interpolant as Chebyshev coefficients.
+def _box(gamma: MultiIndex) -> list[tuple]:
+    """Entries of every nu <= gamma, last dimension fastest, as a Kronecker product orders them."""
+    return [
+        tuple((m, l) for m, l in zip(gamma.support, nu) if l)
+        for nu in itertools.product(*(range(l + 1) for _, l in gamma.entries))
+    ]
 
-    Each term's tensor interpolant has degree at most gamma_m in dimension m,
-    so the interpolant lies in the span of the products T_nu(y) = prod_m
-    T_{nu_m}(y_m) over the multi-indices nu <= gamma of the terms' boxes;
-    for a downward-closed set these are exactly the set's indices.
-    ``indices`` holds these nu in ``MultiIndex.sort_key`` order, so that for
-    a downward-closed set they are the set's indices in its iteration
-    order.  ``coefficients(points, D)`` gives, for data stacked in
-    ``points`` order as the rows of D, one row per nu, so that the
-    interpolant at y is ``basis_at([y])[0] @ coefficients(points, D)[0]``.
-    A term adds its signed coefficient times the Kronecker product of the
-    1D transforms (``chebyshev_transform``) of its levels, applied to its
-    rows of D, into the rows of its box.  A query then costs one table of
-    cos(k arccos y_m), one gather-and-multiply per factor and the product
-    with one row per nu, whatever the number of points.  Level 0 has the
-    single node 0.0 and degree 0, whose T_0 = cos(0) = 1 exactly, so only
-    the dimensions where nu is positive enter its product.
+
+class CombinationOperator:
+    """The combination interpolant of a downward-closed set A as Chebyshev coefficients.
+
+    Each term's tensor interpolant has degree at most gamma_m in dimension
+    m, so the interpolant lies in the span of the products T_nu(y) = prod_m
+    T_{nu_m}(y_m) over the nu <= gamma of the terms, which are the indices
+    of A: ``indices`` is ``tuple(A)``.  ``coefficients(points, D)`` gives
+    one row per nu, so that the interpolant at y is ``basis_at([y])[0] @
+    coefficients(points, D)[0]``.  A term adds its signed coefficient times
+    the Kronecker product of the 1D transforms (``chebyshev_transform``) of
+    its levels, applied to its rows of D, into the rows of its box.  A query
+    costs one table of cos(k arccos y_m), one gather-and-multiply per factor
+    and one product, whatever the number of points.  Level 0 has the single
+    node 0.0 and T_0 = cos(0) = 1 exactly, so only the dimensions where nu
+    is positive enter its product.
     """
 
-    def __init__(self, terms, M_active: int):
-        if not terms:
-            raise ConfigError("no combination terms to evaluate")
-        self.M_active = M_active
-        # the slot of every nu of each term's box, enumerated with the last
-        # dimension fastest, as a Kronecker product does; a slot numbers the
-        # entries of a nu in the order they are first met
-        slot = {}
-        boxes = [
-            [
-                slot.setdefault(tuple((m, l) for m, l in zip(t.gamma.support, nu) if l), len(slot))
-                for nu in itertools.product(*(range(l + 1) for _, l in t.gamma.entries))
-            ]
-            for t in terms
-        ]
-        self.indices = tuple(sorted(map(MultiIndex, slot), key=MultiIndex.sort_key))
+    def __init__(self, A: MultiIndexSet):
+        _check_downward_closed(A)
+        self.A = A
+        self.M_active = A.M_active
+        self.indices = tuple(A)
         nus = [nu.entries for nu in self.indices]
         # factor k of nu points at T_{nu_m}(y_m) of its k-th entry in the
         # flattened (dimension, order) table, and past its entries at T_0 = 1
@@ -399,10 +385,6 @@ class CombinationOperator:
             [[(m - 1) * width + l for m, l in nu] + [0] * (n_factors - len(nu)) for nu in nus],
             dtype=np.intp,
         ).reshape(len(nus), n_factors).T
-        # the coefficient row of each slot, and so the output rows of each term
-        row_of_slot = np.empty(len(nus), dtype=np.intp)
-        row_of_slot[[slot[nu] for nu in nus]] = np.arange(len(nus))
-        self._terms = [(t, row_of_slot[box]) for t, box in zip(terms, boxes)]
 
     def coefficients(self, points, *tables) -> tuple:
         """Chebyshev coefficients of the interpolant of each table's rows.
@@ -410,8 +392,9 @@ class CombinationOperator:
         ``points`` must hold every tensor point of every term, as tuples of
         length M_active, and each table the data at ``points`` as its rows
         (#points x N); the result has one table per data table, with one row
-        per multi-index of ``indices`` (#indices x N).  Each term's rows are
-        looked up once for all tables.
+        per multi-index of ``indices`` (#indices x N).  Each term of
+        ``combination_terms(A)`` looks its rows up once for all tables; the
+        first point it lacks is named in a ``ConfigError``.
         """
         tables = [np.asarray(D, dtype=float) for D in tables]
         for D in tables:
@@ -420,11 +403,16 @@ class CombinationOperator:
                     f"data has shape {D.shape}, expected {len(points)} rows of a 2-D array"
                 )
         row_of = {pt: i for i, pt in enumerate(points)}
+        row_of_nu = {nu.entries: i for i, nu in enumerate(self.indices)}
         out = [np.zeros((len(self.indices), D.shape[1])) for D in tables]
-        for t, box in self._terms:
-            rows = np.array(
-                [row_of[pt] for pt in _tensor_points(t.gamma, self.M_active)], dtype=np.intp
-            )
+        for t in combination_terms(self.A):
+            try:
+                rows = np.array(
+                    [row_of[pt] for pt in _tensor_points(t.gamma, self.M_active)], dtype=np.intp
+                )
+            except KeyError as exc:
+                raise ConfigError(f"data lack the grid point {exc.args[0]}") from None
+            box = np.array([row_of_nu[nu] for nu in _box(t.gamma)], dtype=np.intp)
             K = t.coefficient * _tensor_transform([l for _, l in t.gamma.entries])
             for C, D in zip(out, tables):
                 C[box] += K @ D[rows]
@@ -468,17 +456,23 @@ def combination_interpolate(
 ) -> np.ndarray:
     """Evaluate the combination-form interpolant at y from nodal data.
 
-    ``data`` maps grid-point tuples (length M_active) to arrays of a common
-    shape; the result is the signed sum of tensor-product Lagrange interpolants.
-    ``y`` may be longer than M_active (the interpolant is constant in inactive
-    dimensions) or shorter (missing coordinates are 0).  A throwaway
-    ``CombinationOperator`` does the work, as ``basis_at([y])[0] @
-    coefficients(points, D)[0]``; build one directly to evaluate the same
-    data at many points.
+    ``terms`` must be ``combination_terms`` of a downward-closed set A, the
+    indices at or below their gammas (else ``MonotonicityError``), and
+    ``M_active`` A's.  ``data`` maps grid-point tuples (length M_active) to
+    arrays of a common shape; the result is the signed sum of tensor-product
+    Lagrange interpolants.  ``y`` may be longer than M_active (the
+    interpolant is constant in inactive dimensions) or shorter (missing
+    coordinates are 0).  A throwaway ``CombinationOperator(A)`` does the
+    work; build one directly to evaluate the same data at many points.
     """
+    A = multi_index_set(MultiIndex(nu) for t in terms for nu in _box(t.gamma))
+    if list(terms) != combination_terms(A):
+        raise MonotonicityError("terms are not the combination terms of a downward-closed set")
+    op = CombinationOperator(A)
+    if M_active != op.M_active:
+        raise ConfigError(f"M_active is {M_active}, the terms activate {op.M_active} dimensions")
     points = sorted(data)
     shape = np.shape(data[points[0]])
     D = np.stack([np.asarray(data[pt], dtype=float).ravel() for pt in points])
-    op = CombinationOperator(terms, M_active)
     (C,) = op.coefficients(points, D)
     return (op.basis_at([y])[0] @ C).reshape(shape)

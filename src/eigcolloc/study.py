@@ -144,9 +144,13 @@ class StudyConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             weights = doc.get("weights", {"mode": "tau"})
-            unknown = set(weights) - {"mode", "epsilon", "delta", "rho"}
+            mode = weights.get("mode", "tau")
+            # a key its mode does not read would be dropped from the echo in
+            # study.json; __post_init__ names an unknown mode
+            read = {"tau": ("epsilon", "delta"), "explicit": ("rho",)}
+            unknown = set(weights) - {"mode", *read.get(mode, ("epsilon", "delta", "rho"))}
             if unknown:
-                raise ConfigError(f"unknown weights keys: {sorted(unknown)}")
+                raise ConfigError(f"unknown weights keys for mode {mode!r}: {sorted(unknown)}")
             fields = dict(
                 model=doc["model"],
                 model_params=dict(doc.get("model_params", {})),
@@ -160,7 +164,7 @@ class StudyConfig:
                     None if doc.get("delta_requested") is None
                     else _convert(doc["delta_requested"], float, "delta_requested")
                 ),
-                weights_mode=weights.get("mode", "tau"),
+                weights_mode=mode,
                 epsilon=_convert(weights.get("epsilon", 0.5), float, "weights.epsilon"),
                 weights_delta=(
                     None if weights.get("delta") is None

@@ -302,6 +302,25 @@ class TestErrorPaths:
         assert f"error: unknown target {target!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ({"mode": "tau", "delta": 0.5, "rho": [3.0]}, "for mode 'tau': ['rho']"),
+            (
+                {"mode": "explicit", "rho": [2.0], "delta": 0.5, "epsilon": 0.9},
+                "for mode 'explicit': ['delta', 'epsilon']",
+            ),
+        ],
+        ids=["tau-rho", "explicit-delta-epsilon"],
+    )
+    def test_weights_key_its_mode_does_not_read_is_reported(
+        self, tmp_path, capsys, weights, message
+    ):
+        cfg = write_config(tmp_path, weights=weights)
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: unknown weights keys {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_flag_is_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["check", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1

@@ -27,6 +27,7 @@ from eigcolloc import (
     save_collocated,
     synthetic_family,
 )
+from eigcolloc import collocation, sparse_grid
 from eigcolloc.collocation import FORMAT_VERSION, collocated_from_dict, collocated_to_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -150,6 +151,28 @@ class TestVersion2Files:
 
     def test_version_3_resave_evaluates_bit_identically(self, tmp_path):
         assert_resave_evaluates_bit_identically(BASIS_V2, tmp_path)
+
+
+class TestVersion3Files:
+    def test_load_makes_no_combination_terms(self, tmp_path, monkeypatch):
+        # the tables' rows are the indices of A, so a load needs no terms
+        fam = model_diffusion_1d(8, 0.2, 2.0, 2)
+        saved = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5))
+        path = tmp_path / "basis.json"
+        save_collocated(saved, path)
+
+        def no_terms(A):
+            raise AssertionError("the load made the combination terms")
+
+        monkeypatch.setattr(sparse_grid, "combination_terms", no_terms)
+        monkeypatch.setattr(collocation, "combination_terms", no_terms)
+        loaded = load_collocated(path)
+        Y = np.random.default_rng(6).uniform(-1.0, 1.0, size=(8, 2))
+        assert np.array_equal(evaluate_many(saved, Y), evaluate_many(loaded, Y))
+        for y in Y:
+            assert np.array_equal(evaluate(saved, y), evaluate(loaded, y))
+            values = evaluate_cluster_values(saved, y), evaluate_cluster_values(loaded, y)
+            assert np.array_equal(*values)
 
 
 def assert_resave_evaluates_bit_identically(path, tmp_path):

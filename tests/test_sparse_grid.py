@@ -1,6 +1,9 @@
+import functools
 import itertools
 import json
 import math
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from eigcolloc import (
     ParameterDimensionError,
     WeightError,
     anisotropic_set,
+    collocate,
     combination_interpolate,
     combination_terms,
     compute_tau_weights,
@@ -22,10 +26,14 @@ from eigcolloc import (
     grid_points,
     is_monotone,
     lagrange_basis_eval,
+    load_collocated,
+    model_diffusion_1d,
     multi_index_set,
     point_count_bound,
 )
 from eigcolloc import DecaySequence
+from eigcolloc.collocation import collocated_to_dict
+from eigcolloc.eigensolver import ReducedFamily
 from eigcolloc.sparse_grid import ORIGIN, CombinationOperator
 
 
@@ -276,12 +284,12 @@ class TestGridPoints:
         assert set(pts) == expect
         assert len(pts) == point_count_bound(A) == 5
 
-    def test_non_monotone_general_union(self):
-        # {(1,)} without the origin: inner box brings level 0 back in
-        A = multi_index_set([mi(1)])
-        pts = grid_points(A)
-        r = gauss_legendre_nodes(1).nodes[1]
-        assert set(pts) == {(-r,), (0.0,), (r,)}
+    def test_rejects_a_set_that_is_not_downward_closed(self):
+        # {(1,)} without the origin: the grid is the union over A only, so
+        # a set that is not downward closed has no grid
+        message = re.escape("index (1,) lacks its unit decrement (0,) in dimension 1")
+        with pytest.raises(MonotonicityError, match=message):
+            grid_points(multi_index_set([mi(1)]))
 
     def test_cardinality_never_exceeds_formula(self):
         rng = np.random.default_rng(3)
@@ -384,16 +392,42 @@ class TestCombinationInterpolate:
         with pytest.raises(ExtrapolationError):
             combination_interpolate(terms, 1, data, [1.5])
 
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_missing_grid_point_is_named(self, k):
+        A = multi_index_set([ORIGIN, mi(1), mi(0, 1)])
+        pts = grid_points(A)
+        data = {pt: np.ones(2) for pt in pts if pt != pts[k]}
+        message = re.escape(f"data lack the grid point {pts[k]}")
+        with pytest.raises(ConfigError, match=message):
+            combination_interpolate(combination_terms(A), 2, data, [0.1, 0.2])
+        with pytest.raises(ConfigError, match=message):
+            CombinationOperator(A).coefficients(sorted(data), np.ones((len(data), 2)))
+
+    def test_terms_of_a_set_that_is_not_downward_closed_rejected(self):
+        # {(2,0), (0,1)}: the terms' coefficients sum to 0, so they are no
+        # interpolant; the indices below their gammas give a grid with data
+        bad = combination_terms(multi_index_set([mi(2), mi(0, 1)]))
+        assert sum(t.coefficient for t in bad) == 0
+        closed = multi_index_set([ORIGIN, mi(1), mi(2), mi(0, 1)])
+        data = {pt: np.ones(1) for pt in grid_points(closed)}
+        with pytest.raises(MonotonicityError, match="not the combination terms"):
+            combination_interpolate(bad, 2, data, [0.0, 0.0])
+        assert combination_interpolate(combination_terms(closed), 2, data, [0.0, 0.0]) == 1.0
+
 
 def loop_basis(ns, t):
-    """Per-node reference for ``NodeSet.basis_all``: unit vector at a node."""
+    """All Lagrange basis values of the node set at t, by the second
+    barycentric form with its own weights; a unit vector at a node."""
     x = np.asarray(ns.nodes)
     for k, xk in enumerate(ns.nodes):
         if t == xk:
             e = np.zeros(len(x))
             e[k] = 1.0
             return e
-    w = np.asarray(ns.weights) / (t - x)
+    weights = [
+        1.0 / math.prod(xk - xj for j, xj in enumerate(x) if j != k) for k, xk in enumerate(x)
+    ]
+    w = np.asarray(weights) / (t - x)
     return w / w.sum()
 
 
@@ -408,7 +442,7 @@ def loop_interpolate(terms, M_active, data, y):
     for term in terms:
         axes = [gauss_legendre_nodes(term.gamma.level(m)) for m in range(1, M_active + 1)]
         basis = [loop_basis(ns, y[m]) for m, ns in enumerate(axes)]
-        for combo in itertools.product(*[range(len(ns)) for ns in axes]):
+        for combo in itertools.product(*[range(len(ns.nodes)) for ns in axes]):
             coeff = float(term.coefficient)
             for m, k in enumerate(combo):
                 coeff *= basis[m][k]
@@ -451,7 +485,7 @@ class TestCombinationOperator:
         A, poly, queries = case
         M = A.M_active
         pts = grid_points(A)
-        op = CombinationOperator(combination_terms(A), M)
+        op = CombinationOperator(A)
         D = np.stack([poly(pt) for pt in pts])
         (C,) = op.coefficients(pts, D)
         got = op.basis_at(np.array(queries).reshape(len(queries), M)) @ C
@@ -470,7 +504,7 @@ class TestCombinationOperator:
         terms = combination_terms(A)
         rng = np.random.default_rng(len(pts))
         data = {pt: rng.standard_normal(3) for pt in pts}
-        op = CombinationOperator(terms, M)
+        op = CombinationOperator(A)
         (C,) = op.coefficients(pts, np.stack([data[pt] for pt in pts]))
         for y in queries:
             want = loop_interpolate(terms, M, data, y)
@@ -480,7 +514,7 @@ class TestCombinationOperator:
 
     def test_batch_rows_match_single_queries(self):
         A = random_monotone_set(np.random.default_rng(8))
-        op = CombinationOperator(combination_terms(A), A.M_active)
+        op = CombinationOperator(A)
         Y = np.random.default_rng(9).uniform(-1.0, 1.0, size=(7, A.M_active))
         batch = op.basis_at(Y)
         assert batch.shape == (7, len(A))
@@ -493,7 +527,7 @@ class TestCombinationOperator:
         # index of the set is some term's gamma or lies below one
         A, _, _ = case
         pts = grid_points(A)
-        op = CombinationOperator(combination_terms(A), A.M_active)
+        op = CombinationOperator(A)
         # in the set's own order, the row order of a version-3 basis file
         assert op.indices == tuple(A)
         tables = op.coefficients(pts, np.ones((len(pts), 2)), np.ones((len(pts), 3)))
@@ -504,21 +538,89 @@ class TestCombinationOperator:
 
     @given(st.integers(0, 6), st.floats(-1.0, 1.0))
     def test_basis_values_are_finite_next_to_a_node(self, level, t):
-        # the scaled barycentric form may not overflow when t lies a few
-        # subnormals away from a node
+        # the basis may not blow up when t lies a few subnormals away from
+        # a node
         ns = gauss_legendre_nodes(level)
         for x in (t, *ns.nodes):
             for v in (x, np.nextafter(x, 2.0), np.nextafter(x, -2.0)):
-                b = ns.basis_all(min(max(v, -1.0), 1.0))
+                b = [lagrange_basis_eval(ns, k, min(max(v, -1.0), 1.0)) for k in range(level + 1)]
                 assert np.all(np.isfinite(b))
-                assert abs(b.sum() - 1.0) <= 1e-12
+                assert abs(sum(b) - 1.0) <= 1e-12
 
     def test_extrapolation_names_the_coordinate(self):
         A = multi_index_set([ORIGIN, mi(1), mi(0, 1)])
-        op = CombinationOperator(combination_terms(A), 2)
+        op = CombinationOperator(A)
         with pytest.raises(ExtrapolationError, match="coordinate 2 = 1.5"):
             op.basis_at([[0.0, 0.0], [0.2, 1.5]])
         with pytest.raises(ExtrapolationError, match="coordinate 1 = nan"):
             op.basis_at([[math.nan]])
         with pytest.raises(ParameterDimensionError):
             op.basis_at([0.1, 0.2])
+
+
+# one term per dimension of the sets below, and one cheap solve for the document
+FAMILY = model_diffusion_1d(8, 0.2, 2.0, 3)
+
+
+@functools.cache
+def basis_document() -> str:
+    return json.dumps(collocated_to_dict(collocate(FAMILY, [1], multi_index_set([ORIGIN]))))
+
+
+def load_with_index_set(A):
+    doc = json.loads(basis_document())
+    doc["A"] = A.to_json_list()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/basis.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return load_collocated(path)
+
+
+@st.composite
+def set_with_a_hole(draw):
+    """A random downward-closed set less one of its non-maximal indices,
+    with the message that names the first index that lost its decrement."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = random_monotone_set(rng, max_level=3, n_grow=draw(st.integers(1, 10)))
+    inner = [a for a in full if any(a != b and a <= b for b in full)]
+    removed = inner[draw(st.integers(0, len(inner) - 1))]
+    A = multi_index_set(full.indices - {removed})
+    M = A.M_active
+    # A iterates in sort order, so the first index above the hole comes first
+    alpha, m = next(
+        (b, m) for b in A for m in b.support if b.minus_unit(m) == removed
+    )
+    message = (
+        f"index {alpha.to_dense(M)} lacks its unit decrement {removed.to_dense(M)} "
+        f"in dimension {m}"
+    )
+    return A, message
+
+
+class TestDownwardClosedRule:
+    @settings(max_examples=40)
+    @given(set_with_a_hole())
+    def test_every_entry_point_names_the_missing_decrement(self, case):
+        A, message = case
+        assert not is_monotone(A)
+        match = re.escape(message)
+        for build in (grid_points, point_count_bound, CombinationOperator, load_with_index_set):
+            with pytest.raises(MonotonicityError, match=match):
+                build(A)
+        cache = ReducedFamily(FAMILY)
+        with pytest.raises(MonotonicityError, match=match):
+            collocate(FAMILY, [1], A, _cache=cache)
+        assert cache.solves == 0
+
+    def test_empty_set_is_a_config_error(self):
+        empty = multi_index_set([])
+        for build in (grid_points, point_count_bound, CombinationOperator, load_with_index_set):
+            with pytest.raises(ConfigError, match="empty index set"):
+                build(empty)
+        cache = ReducedFamily(FAMILY)
+        with pytest.raises(ConfigError, match="empty index set"):
+            collocate(FAMILY, [1], empty, _cache=cache)
+        assert cache.solves == 0
+        with pytest.raises(ConfigError, match="empty index set"):
+            combination_interpolate([], 0, {(): np.ones(1)}, [])

@@ -129,6 +129,24 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ({"mode": "tau", "delta": 0.5, "rho": [3.0]}, "for mode 'tau': ['rho']"),
+            (
+                {"mode": "explicit", "rho": [2.0], "delta": 0.5, "epsilon": 0.9},
+                "for mode 'explicit': ['delta', 'epsilon']",
+            ),
+        ],
+        ids=["tau-rho", "explicit-delta-epsilon"],
+    )
+    def test_rejects_weights_keys_its_mode_does_not_read(self, weights, message):
+        # study.json echoes only the keys a mode reads
+        doc = self.minimal()
+        doc["weights"] = weights
+        with pytest.raises(ConfigError, match=re.escape(f"unknown weights keys {message}")):
+            StudyConfig.from_dict(doc)
+
     @pytest.mark.parametrize("target", ["sorted", ["x"], None])
     def test_rejects_unknown_target(self, target):
         doc = self.minimal()
