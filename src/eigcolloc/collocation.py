@@ -35,6 +35,8 @@ from .families import (
     family_from_dict,
     family_to_dict,
     _family_digest,
+    _pack_floats,
+    _unpack_floats,
 )
 from .sparse_grid import (
     CombinationOperator,
@@ -73,9 +75,10 @@ class CollocatedEigenbasis:
     from a non-empty ``point_data`` (a load of a version-1 or version-2
     file, ``dataclasses.replace``), checked against ``grid_points(A)`` and
     the shapes of the family and the cluster, then stacked; otherwise the
-    tables in ``_coefs`` (a load of a version-3 file) are kept.  ``_coefs``
-    is a field, so a ``replace`` carries the tables.  The cluster, ``A``,
-    the reference pair and the tables' shapes are checked on every path.
+    tables in ``_coefs`` (a load of a version-3 or version-4 file) are kept.
+    ``_coefs`` is a field, so a ``replace`` carries the tables.  The cluster,
+    ``A``, and the shapes and finiteness of the reference pair and the tables
+    are checked on every path.
     """
 
     family: AffineOperatorFamily
@@ -108,12 +111,12 @@ class CollocatedEigenbasis:
         # one row per index of A
         rows, n, S = len(op.indices), self.family.dim, self.S
         for name, table, width in zip(COEF_KEYS, self._coefs, (n * S, S)):
-            _check_shape(name, table, (rows, width))
+            _check_array(name, table, (rows, width))
 
     def _check_fields(self) -> None:
-        """Check the cluster, the index set and the reference data against
-        the family, in that order; a fault is a ``FamilyValidationError``
-        that names the field."""
+        """Check the cluster, the index set and the reference data (shape, then
+        finite entries) against the family, in that order; a fault is a
+        ``FamilyValidationError`` that names the field."""
         n, S = self.family.dim, self.S
         if self.cluster.hi + 1 > n:
             raise FamilyValidationError(
@@ -124,15 +127,16 @@ class CollocatedEigenbasis:
             raise FamilyValidationError(
                 f"A: activates dimension {self.A.M_active}, family has {M} terms"
             )
-        _check_shape("ref_vectors", self.ref_vectors, (n, S))
-        _check_shape("ref_values", self.ref_values, (S,))
+        _check_array("ref_vectors", self.ref_vectors, (n, S))
+        _check_array("ref_values", self.ref_values, (S,))
 
     def _stack_point_data(self) -> tuple:
         """Check ``point_data`` and stack it as ``_stack``.
 
-        Every array must have its shape for the family and the cluster, and the
-        points must be the grid of ``A``; a fault is a ``FamilyValidationError``
-        that names the field, and the point where there is one.
+        Every array must have its shape for the family and the cluster and
+        finite entries, and the points must be the grid of ``A``; a fault is a
+        ``FamilyValidationError`` that names the field, and the point where
+        there is one.
         """
         n, S = self.family.dim, self.S
         points = grid_points(self.A)
@@ -144,8 +148,8 @@ class CollocatedEigenbasis:
         values = np.empty((len(points), S))
         for i, pt in enumerate(points):
             sol = self.point_data[pt]
-            _check_shape("vectors", sol.basis.vectors, (n, S), pt)
-            _check_shape("cluster_values", sol.cluster_values, (S,), pt)
+            _check_array("vectors", sol.basis.vectors, (n, S), pt)
+            _check_array("cluster_values", sol.cluster_values, (S,), pt)
             vectors[i] = sol.basis.vectors.ravel()
             values[i] = sol.cluster_values
         return points, vectors, values
@@ -160,12 +164,16 @@ class CollocatedEigenbasis:
         return tuple(combination_terms(self.A))
 
 
-def _check_shape(name: str, array: np.ndarray, shape: tuple, point=None) -> None:
+def _check_array(name: str, array: np.ndarray, shape: tuple, point=None) -> None:
+    """A ``FamilyValidationError`` naming the field (and the point) unless
+    ``array`` has ``shape`` and only finite entries."""
+    where = f" at point {point}" if point is not None else ""
     if np.shape(array) != shape:
-        where = f" at point {point}" if point is not None else ""
         raise FamilyValidationError(
             f"{name}{where} has shape {np.shape(array)}, expected {shape}"
         )
+    if not np.isfinite(array).all():
+        raise FamilyValidationError(f"{name}{where} has a non-finite entry")
 
 
 def _target_bases(decomps, ref_vectors, cluster, mass, target):
@@ -365,11 +373,12 @@ def orthonormalize_at(cb: CollocatedEigenbasis, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 FORMAT_NAME = "collocated-eigenbasis"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # version 1 wrote the family's matrices dense and version 2 sparse, both with
 # the nodal bases of every grid point in place of the coefficient tables;
-# both still load
-READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
+# version 3 wrote the tables as version 4 does, but every float as a decimal;
+# all three still load
+READABLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
 
 
 def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
@@ -382,9 +391,9 @@ def collocated_to_dict(cb: CollocatedEigenbasis) -> dict:
         "J": list(cb.cluster.J),
         "A": cb.A.to_json_list(),
         "target": cb.target,
-        "ref_vectors": cb.ref_vectors.tolist(),
-        "ref_values": cb.ref_values.tolist(),
-        **{key: table.tolist() for key, table in zip(COEF_KEYS, cb._coefs)},
+        "ref_vectors": _pack_floats(cb.ref_vectors),
+        "ref_values": _pack_floats(cb.ref_values),
+        **{key: _pack_floats(table) for key, table in zip(COEF_KEYS, cb._coefs)},
         "diagnostics": cb.diagnostics,
     }
 
@@ -402,16 +411,19 @@ def _field(record, key: str, convert, where: str = ""):
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """A packed float array (version 4) or a list of numbers (versions 1-3)."""
+    return _unpack_floats(value, "the value")
 
 
 def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     """The basis a document written by ``collocated_to_dict`` holds.
 
-    A version-3 document gives the coefficient tables as they are stored: the
-    basis has no point data, and ``diagnostics["n_points"]`` gives the grid
-    size.  A version-1 or version-2 document gives every nodal basis, and the
-    tables are made from them as ``collocate`` makes them.
+    A version-4 or version-3 document gives the coefficient tables as they
+    are stored: the basis has no point data, and ``diagnostics["n_points"]``
+    gives the grid size.  Version 4 packs every float array
+    (``_pack_floats``); the earlier versions store decimal lists.  A
+    version-1 or version-2 document gives every nodal basis, and the tables
+    are made from them as ``collocate`` makes them.
 
     Raises
     ------
@@ -443,7 +455,7 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
         target=doc.get("target", "canonical"),
         diagnostics=_field(doc, "diagnostics", dict) if "diagnostics" in doc else {},
     )
-    if doc["version"] == FORMAT_VERSION:
+    if doc["version"] >= 3:
         coefs = tuple(_field(doc, key, _floats) for key in COEF_KEYS)
         return CollocatedEigenbasis(**header, point_data={}, _coefs=coefs)
     records = _field(doc, "points", list)
@@ -465,7 +477,8 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
 
 def save_collocated(cb: CollocatedEigenbasis, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(collocated_to_dict(cb)))  # json.dump encodes in pure Python
+        # json.dump encodes in pure Python
+        fh.write(json.dumps(collocated_to_dict(cb), separators=(",", ":")))
 
 
 def load_collocated(path) -> CollocatedEigenbasis:

@@ -7,6 +7,8 @@ Assembly at a parameter point is the plain affine sum ``B0 + sum(y_m * B_m)``.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import math
@@ -26,8 +28,11 @@ DECAY_TOLERANCE = 1e-8  # slack of a measured decay bound over the claimed one
 
 
 def _check_symmetric(A: np.ndarray, name: str) -> None:
-    scale = np.abs(A).max() or 1.0
-    if np.abs(A - A.T).max() > _SYMMETRY_RTOL * scale:
+    scale = np.abs(A).max()
+    # a NaN would pass both the comparison below and the Cholesky check
+    if not np.isfinite(scale):
+        raise FamilyValidationError(f"{name} has a non-finite entry")
+    if np.abs(A - A.T).max() > _SYMMETRY_RTOL * (scale or 1.0):
         raise FamilyValidationError(f"{name} is not symmetric")
 
 
@@ -52,7 +57,7 @@ class DecaySequence:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
-        if any(k <= 0.0 for k in self.kappa):
+        if not all(k > 0.0 for k in self.kappa):  # NaN is not positive
             raise FamilyValidationError("decay entries must be positive")
         if not 0.0 < self.p_exponent <= 1.0:
             raise FamilyValidationError("p_exponent must lie in (0, 1]")
@@ -355,7 +360,11 @@ def model_diffusion_2d(
         Kw1, Mw1 = _weighted_matrices_1d(n_per_side, k1)
         Kw2, Mw2 = _weighted_matrices_1d(n_per_side, k2)
         Bm = np.kron(Kw1, Mw2) + np.kron(Mw1, Kw2)
-        terms.append(kappa.kappa[m - 1] * Bm)
+        Bm *= kappa.kappa[m - 1]
+        # in place: -0.0 + 0.0 is +0.0 and x + 0.0 is x for every other x, so
+        # the zeros of the Kronecker products are not stored as -0.0
+        Bm += 0.0
+        terms.append(Bm)
     n = (n_per_side - 1) ** 2
     return AffineOperatorFamily(
         dim=n,
@@ -392,11 +401,65 @@ def designed_crossing_family() -> AffineOperatorFamily:
 # JSON matrix-family format
 # ---------------------------------------------------------------------------
 
+_PACKED_KEYS = {"dtype", "shape", "base64"}
+
+
+def _pack_floats(a) -> dict:
+    """A float array as JSON: its little-endian float64 bytes, base64-encoded,
+    with the shape; every bit pattern survives the round trip."""
+    a = np.asarray(a, dtype="<f8")
+    return {
+        "dtype": "<f8",
+        "shape": list(a.shape),
+        # tobytes is in C order whatever the layout of a
+        "base64": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _unpack_floats(value, name: str) -> np.ndarray:
+    """The float64 array of a :func:`_pack_floats` object or, as files before
+    format version 4 store it, of a (nested) list of numbers.
+
+    The result is a fresh writable, aligned, C-contiguous array.  A malformed
+    value is a ``FamilyValidationError`` that names ``name``.
+    """
+    if not isinstance(value, dict):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):  # ragged nesting, non-numbers
+            raise FamilyValidationError(f"{name} must be a list of numbers") from None
+    if set(value) != _PACKED_KEYS:
+        raise FamilyValidationError(f"{name} needs exactly the keys dtype, shape, base64")
+    if value["dtype"] != "<f8":
+        raise FamilyValidationError(f"{name} has dtype {value['dtype']!r}, expected '<f8'")
+    shape = value["shape"]
+    # exact ints only: True == 1 in Python
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise FamilyValidationError(
+            f"{name} has shape {shape!r}, not a list of nonnegative integers"
+        )
+    if not isinstance(value["base64"], str):
+        raise FamilyValidationError(f"{name} has a base64 payload that is not a string")
+    try:
+        raw = base64.b64decode(value["base64"], validate=True)
+    except (binascii.Error, ValueError):  # a non-ASCII string is a ValueError
+        raise FamilyValidationError(
+            f"{name} has a base64 payload that is not valid base64"
+        ) from None
+    if len(raw) != 8 * math.prod(shape):
+        raise FamilyValidationError(
+            f"{name} has {len(raw)} bytes, but float64 shape {tuple(shape)} needs "
+            f"{8 * math.prod(shape)}"
+        )
+    # astype copies into native byte order
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
 def _matrix_to_csr(B: np.ndarray) -> dict:
     """CSR triplets of the entries that are nonzero or negative zero.
 
-    Rows are stored in order with columns ascending, and keeping ``-0.0``
-    makes the round trip through JSON bit-exact.
+    Rows are stored in order with columns ascending; ``data`` is packed
+    (``_pack_floats``), and keeping ``-0.0`` makes the round trip bit-exact.
     """
     keep = (B != 0.0) | np.signbit(B)
     indptr = np.zeros(B.shape[0] + 1, dtype=np.int64)
@@ -404,7 +467,7 @@ def _matrix_to_csr(B: np.ndarray) -> dict:
     return {
         "indptr": indptr.tolist(),
         "indices": np.nonzero(keep)[1].tolist(),
-        "data": B[keep].tolist(),
+        "data": _pack_floats(B[keep]),
     }
 
 
@@ -419,9 +482,11 @@ def _index_array(values, what: str) -> np.ndarray:
 
 
 def _matrix_from_doc(obj, dim: int, name: str) -> np.ndarray:
-    """Dense matrix from a CSR object (version 2) or nested lists (version 1).
+    """Dense matrix from a CSR object (version 2 on) or nested lists (version 1).
 
-    The CSR structure is checked in full before the dim x dim array exists.
+    CSR ``data`` is packed (version 4) or a list of numbers (versions 2 and
+    3).  The CSR structure is checked in full before the dim x dim array
+    exists.
     """
     if not isinstance(obj, dict):
         try:
@@ -434,12 +499,9 @@ def _matrix_from_doc(obj, dim: int, name: str) -> np.ndarray:
         )
     indptr = _index_array(obj["indptr"], f"{name}: indptr")
     indices = _index_array(obj["indices"], f"{name}: indices")
-    try:
-        data = np.asarray(obj["data"], dtype=float)
-    except (TypeError, ValueError):
-        data = None
-    if data is None or data.ndim != 1:
-        raise FamilyValidationError(f"{name}: data must be a list of numbers")
+    data = _unpack_floats(obj["data"], f"{name}: data")
+    if data.ndim != 1:
+        raise FamilyValidationError(f"{name}: data must be one-dimensional")
     if len(indptr) != dim + 1:
         raise FamilyValidationError(
             f"{name}: indptr has length {len(indptr)}, expected dim + 1 = {dim + 1}"
@@ -465,7 +527,8 @@ def _matrix_from_doc(obj, dim: int, name: str) -> np.ndarray:
 
 
 def family_to_dict(family: AffineOperatorFamily) -> dict:
-    """JSON-ready representation; every matrix as CSR triplets, ``dim`` its shape."""
+    """JSON-ready representation; every matrix as CSR triplets with packed
+    ``data``, ``dim`` its shape."""
     return {
         "dim": family.dim,
         "mass": _matrix_to_csr(family.mass),
@@ -505,7 +568,8 @@ def family_from_dict(doc: dict) -> AffineOperatorFamily:
 
 def save_family(family: AffineOperatorFamily, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(family_to_dict(family)))  # json.dump encodes in pure Python
+        # json.dump encodes in pure Python
+        fh.write(json.dumps(family_to_dict(family), separators=(",", ":")))
 
 
 def load_family(path) -> AffineOperatorFamily:

@@ -459,11 +459,12 @@ def combination_interpolate(
     ``terms`` must be ``combination_terms`` of a downward-closed set A, the
     indices at or below their gammas (else ``MonotonicityError``), and
     ``M_active`` A's.  ``data`` maps grid-point tuples (length M_active) to
-    arrays of a common shape; the result is the signed sum of tensor-product
-    Lagrange interpolants.  ``y`` may be longer than M_active (the
-    interpolant is constant in inactive dimensions) or shorter (missing
-    coordinates are 0).  A throwaway ``CombinationOperator(A)`` does the
-    work; build one directly to evaluate the same data at many points.
+    arrays of a common shape (empty data are a ``ConfigError``); the result
+    is the signed sum of tensor-product Lagrange interpolants.  ``y`` may be
+    longer than M_active (the interpolant is constant in inactive
+    dimensions) or shorter (missing coordinates are 0).  A throwaway
+    ``CombinationOperator(A)`` does the work; build one directly to evaluate
+    the same data at many points.
     """
     A = multi_index_set(MultiIndex(nu) for t in terms for nu in _box(t.gamma))
     if list(terms) != combination_terms(A):
@@ -471,6 +472,8 @@ def combination_interpolate(
     op = CombinationOperator(A)
     if M_active != op.M_active:
         raise ConfigError(f"M_active is {M_active}, the terms activate {op.M_active} dimensions")
+    if not data:
+        raise ConfigError("data are empty: there is no nodal value to interpolate")
     points = sorted(data)
     shape = np.shape(data[points[0]])
     D = np.stack([np.asarray(data[pt], dtype=float).ravel() for pt in points])

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -522,17 +523,23 @@ class TestPersistence:
         cb = collocate(fam, [1], line_set(2))
         path = tmp_path / "basis.json"
         save_collocated(cb, path)
-        assert path.read_bytes() == json.dumps(collocated_to_dict(cb)).encode("utf-8")
+        # compact separators: no space after a comma or a colon
+        compact = {"separators": (",", ":")}
+        assert path.read_bytes() == json.dumps(collocated_to_dict(cb), **compact).encode("utf-8")
         path = tmp_path / "family.json"
         save_family(fam, path)
-        assert path.read_bytes() == json.dumps(family_to_dict(fam)).encode("utf-8")
+        assert path.read_bytes() == json.dumps(family_to_dict(fam), **compact).encode("utf-8")
 
     def test_tampered_family_detected(self, tmp_path):
         fam = model_diffusion_1d(8, 0.2, 2.0, 1)
         cb = collocate(fam, [1], line_set(1))
         doc = collocated_to_dict(cb)
-        doc["family"]["B0"]["data"][0] *= 2.0
-        with pytest.raises(ConfigError):
+        # double the first stored value of B0 in its packed little-endian bytes
+        data = doc["family"]["B0"]["data"]
+        values = np.frombuffer(base64.b64decode(data["base64"]), dtype="<f8").copy()
+        values[0] *= 2.0
+        data["base64"] = base64.b64encode(values.tobytes()).decode("ascii")
+        with pytest.raises(ConfigError, match="family hash mismatch"):
             collocated_from_dict(json.loads(json.dumps(doc)))
 
     def test_tampered_family_indices_detected(self):

@@ -23,7 +23,7 @@ from eigcolloc import (
     synthetic_family,
     verify_decay,
 )
-from eigcolloc.families import wavenumber_pairs
+from eigcolloc.families import _weighted_matrices_1d, wavenumber_pairs
 
 
 def small_family(n_terms=2, n=5, seed=0):
@@ -49,6 +49,11 @@ class TestDecaySequence:
     def test_rejects_sum_at_least_one(self):
         with pytest.raises(DecayViolationError):
             DecaySequence((0.6, 0.5))
+
+    def test_rejects_nan_entries(self):
+        # NaN is not positive, and a NaN total is not below one either
+        with pytest.raises(FamilyValidationError, match="positive"):
+            DecaySequence((0.1, float("nan")))
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(FamilyValidationError):
@@ -85,6 +90,17 @@ class TestFamilyValidation:
                 dim=3, B0=np.eye(2), B_terms=(), mass=np.eye(3),
                 kappa=DecaySequence(()),
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("matrix", ["B0", "term 1", "mass"])
+    def test_non_finite_entry_rejected(self, matrix, value):
+        # a NaN passes both the symmetry comparison and the Cholesky check
+        fam = small_family()
+        B0, terms, mass = fam.B0.copy(), [B.copy() for B in fam.B_terms], fam.mass.copy()
+        target = {"B0": B0, "term 1": terms[1], "mass": mass}[matrix]
+        target[2, 2] = value
+        with pytest.raises(FamilyValidationError, match=f"{matrix} has a non-finite entry"):
+            synthetic_family(B0, terms, mass, fam.kappa)
 
 
 class TestAssembleAt:
@@ -168,6 +184,23 @@ class TestDiffusion2D:
         fam = model_diffusion_2d(8, 0.2, 2.0, 3)
         rep = verify_decay(fam)
         assert rep.ok
+
+    def test_no_negative_zeros(self):
+        # the zeros of the Kronecker products are stored as +0.0; every
+        # other entry is the scaled Kronecker sum
+        fam = model_diffusion_2d(8, 0.2, 2.0, 3)
+        for m, (k1, k2) in enumerate(wavenumber_pairs(3)):
+            B = fam.B_terms[m]
+            assert not np.any(np.signbit(B) & (B == 0.0))
+            Kw1, Mw1 = _weighted_matrices_1d(8, k1)
+            Kw2, Mw2 = _weighted_matrices_1d(8, k2)
+            scaled = fam.kappa.kappa[m] * (np.kron(Kw1, Mw2) + np.kron(Mw1, Kw2))
+            assert np.any(np.signbit(scaled) & (scaled == 0.0))
+            assert np.array_equal(B, scaled)
+            nonzero = scaled != 0.0
+            assert B[nonzero].tobytes() == scaled[nonzero].tobytes()
+        for B in (fam.B0, fam.mass):
+            assert not np.any(np.signbit(B) & (B == 0.0))
 
 
 class TestCrossingFamily:

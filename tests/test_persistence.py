@@ -1,9 +1,14 @@
-"""Family and basis files: the coefficient tables of basis version 3, the CSR
-layout of version 2 and the dense one of version 1."""
+"""Family and basis files: the packed float arrays of basis version 4, the
+decimal coefficient tables of version 3, the CSR layout of version 2 and the
+dense one of version 1."""
+import base64
 import dataclasses
+import hashlib
 import json
+import math
 import pathlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from eigcolloc import (
 )
 from eigcolloc import collocation, sparse_grid
 from eigcolloc.collocation import FORMAT_VERSION, collocated_from_dict, collocated_to_dict
+from eigcolloc.families import _pack_floats, _unpack_floats
 
 DATA = pathlib.Path(__file__).parent / "data"
 # Both written by the version-1 (dense) writer: the family is
@@ -39,10 +45,53 @@ BASIS_V1 = DATA / "basis_v1.json"
 # Written by the version-2 writer, the last to store nodal bases: the family
 # of BASIS_V1, its cluster [1, 2] on anisotropic_set([2.0, 3.0], 1.5).
 BASIS_V2 = DATA / "basis_v2.json"
+# Written by the version-3 writer, the last to store decimal floats: the
+# collocation of BASIS_V2 again, as coefficient tables.
+BASIS_V3 = DATA / "basis_v3.json"
 
 
 def matrices(fam):
     return [fam.mass, fam.B0, *fam.B_terms]
+
+
+def packed(a) -> dict:
+    """A float array as version 4 stores it, encoded here independently."""
+    a = np.asarray(a, dtype="<f8")
+    return {
+        "dtype": "<f8", "shape": list(a.shape),
+        "base64": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def unpacked(obj) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(obj["base64"]), dtype="<f8").reshape(obj["shape"])
+
+
+def repack(container, key, edit):
+    """Decode ``container[key]``, edit a copy and store the result packed."""
+    container[key] = packed(edit(unpacked(container[key]).copy()))
+
+
+def _assign(index, value):
+    def edit(a):
+        a[index] = value
+        return a
+    return edit
+
+
+def rehash(doc):
+    """Store the digest of the edited family block, as a writer would."""
+    block = json.dumps(doc["family"], sort_keys=True, separators=(",", ":"))
+    doc["family_hash"] = hashlib.sha256(block.encode("utf-8")).hexdigest()
+
+
+def through_json(doc):
+    """The document as a load sees it; NaN and Infinity become JSON literals."""
+    return json.loads(json.dumps(doc))
+
+
+def _b64_doubles(*values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
 class TestLayout:
@@ -53,10 +102,47 @@ class TestLayout:
         doc = family_to_dict(fam)
         assert doc["dim"] == 2
         assert doc["mass"] == {
-            "indptr": [0, 2, 4], "indices": [0, 1, 0, 1], "data": [1.0, -0.0, -0.0, 1.0],
+            "indptr": [0, 2, 4], "indices": [0, 1, 0, 1],
+            "data": {"dtype": "<f8", "shape": [4],
+                     "base64": _b64_doubles(1.0, -0.0, -0.0, 1.0)},
         }
-        assert doc["B0"] == {"indptr": [0, 1, 2], "indices": [0, 1], "data": [2.0, 3.0]}
-        assert doc["terms"] == [{"indptr": [0, 0, 0], "indices": [], "data": []}]
+        assert doc["B0"] == {
+            "indptr": [0, 1, 2], "indices": [0, 1],
+            "data": {"dtype": "<f8", "shape": [2], "base64": _b64_doubles(2.0, 3.0)},
+        }
+        assert doc["terms"] == [{
+            "indptr": [0, 0, 0], "indices": [],
+            "data": {"dtype": "<f8", "shape": [0], "base64": ""},
+        }]
+
+    def test_basis_floats_are_packed_and_decode_to_the_same_bytes(self):
+        fam = model_diffusion_1d(8, 0.2, 2.0, 2)
+        cb = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5))
+        doc = through_json(collocated_to_dict(cb))
+        assert doc["version"] == FORMAT_VERSION == 4 and "points" not in doc
+        arrays = {
+            "ref_vectors": cb.ref_vectors, "ref_values": cb.ref_values,
+            "vector_coefs": cb._coefs[0], "value_coefs": cb._coefs[1],
+        }
+        for key, array in arrays.items():
+            assert doc[key] == packed(array), key
+            assert unpacked(doc[key]).tobytes() == array.tobytes(), key
+        # integer arrays and the header stay JSON
+        for m, B in zip([doc["family"]["mass"], doc["family"]["B0"], *doc["family"]["terms"]],
+                        matrices(fam), strict=True):
+            assert all(type(i) is int for i in m["indptr"] + m["indices"])
+            assert unpacked(m["data"]).tobytes() == B[(B != 0.0) | np.signbit(B)].tobytes()
+        assert doc["A"] == cb.A.to_json_list() and doc["J"] == [1, 2]
+        assert doc["family"]["kappa"] == list(fam.kappa.kappa)
+
+    def test_loaded_arrays_are_writable_aligned_and_contiguous(self, tmp_path):
+        fam = model_diffusion_1d(8, 0.2, 2.0, 2)
+        path = tmp_path / "basis.json"
+        save_collocated(collocate(fam, [1], anisotropic_set([2.0, 3.0], 1.0)), path)
+        cb = load_collocated(path)
+        for a in [cb.ref_vectors, cb.ref_values, *cb._coefs, *matrices(cb.family)]:
+            assert a.dtype == np.float64
+            assert a.flags.writeable and a.flags.aligned and a.flags.c_contiguous
 
     def test_dense_and_csr_blocks_give_the_same_family(self):
         fam = model_diffusion_1d(8, 0.2, 2.0, 2)
@@ -96,6 +182,26 @@ def families(draw):
     return synthetic_family(spd(), terms, spd(), DecaySequence((0.1,) * len(terms)))
 
 
+# 8-byte little-endian chunks: the special values, any finite or non-finite
+# float, and any bit pattern at all (NaNs with payloads among them)
+_CHUNKS = st.one_of(
+    st.sampled_from(_ANY + [math.inf, -math.inf, math.nan, 1.7976931348623157e308]),
+    st.floats(width=64),
+).map(lambda x: struct.pack("<d", x)) | st.binary(min_size=8, max_size=8)
+
+
+@st.composite
+def float_arrays(draw):
+    shape = draw(st.lists(st.integers(0, 4), max_size=3))
+    if draw(st.booleans()):
+        shape = [0, *shape]  # no rows
+    raw = b"".join(draw(st.lists(_CHUNKS, min_size=math.prod(shape),
+                                 max_size=math.prod(shape))))
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    # a transposed view is not C-contiguous
+    return a.T if draw(st.booleans()) else a
+
+
 class TestRoundTrip:
     @settings(max_examples=60)
     @given(families())
@@ -104,6 +210,59 @@ class TestRoundTrip:
         for a, b in zip(matrices(fam), matrices(back), strict=True):
             assert a.tobytes() == b.tobytes()
         assert family_hash(back) == family_hash(fam)
+
+    @settings(max_examples=200)
+    @given(float_arrays())
+    def test_packed_arrays_come_back_bit_for_bit(self, a):
+        obj = json.loads(json.dumps(_pack_floats(a), separators=(",", ":")))
+        assert obj == packed(a)
+        back = _unpack_floats(obj, "array")
+        assert back.shape == a.shape and back.dtype == np.float64
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.writeable and back.flags.aligned and back.flags.c_contiguous
+
+
+def assert_family_is_the_builder(loaded):
+    """Every fixture holds model_diffusion_1d(8, 0.2, 2.0, 2)."""
+    built = model_diffusion_1d(8, 0.2, 2.0, 2)
+    for a, b in zip(matrices(loaded), matrices(built), strict=True):
+        assert np.array_equal(a, b)
+    assert loaded.kappa == built.kappa
+    assert family_hash(loaded) == family_hash(built)
+
+
+def assert_tampered_block_detected(path, edit):
+    """The stored hash is that of the stored block; an edit of the block is
+    refused before the block is parsed."""
+    doc = json.loads(path.read_text())
+    assert doc["family_hash"] == collocation._family_digest(doc["family"])
+    edit(doc["family"])
+    with pytest.raises(ConfigError, match="family hash mismatch"):
+        collocated_from_dict(doc)
+
+
+def assert_resave_evaluates_bit_identically(path, tmp_path):
+    """A file of an older version and its version-4 resave give the same bits;
+    the resave holds the packed coefficient tables, not nodal bases."""
+    old = load_collocated(path)
+    resaved = tmp_path / "basis.json"
+    save_collocated(old, resaved)
+    doc = json.loads(resaved.read_text())
+    assert doc["version"] == FORMAT_VERSION == 4 and "points" not in doc
+    assert set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
+    assert doc["vector_coefs"] == packed(old._coefs[0])
+    new = load_collocated(resaved)
+    assert new.point_data == {}
+    assert new.diagnostics["n_points"] == (len(old.point_data) or old.diagnostics["n_points"])
+    Y = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 2))
+    assert np.array_equal(evaluate_many(old, Y), evaluate_many(new, Y))
+    for y in Y:
+        assert np.array_equal(evaluate(old, y), evaluate(new, y))
+        assert np.array_equal(evaluate_cluster_values(old, y), evaluate_cluster_values(new, y))
+
+
+def _double_first_csr_value(block):
+    block["B0"]["data"][0] *= 2.0
 
 
 class TestVersion1Files:
@@ -118,23 +277,17 @@ class TestVersion1Files:
         ids=["family", "basis"],
     )
     def test_family_equals_the_builder(self, load):
-        loaded = load()
-        built = model_diffusion_1d(8, 0.2, 2.0, 2)
-        for a, b in zip(matrices(loaded), matrices(built), strict=True):
-            assert np.array_equal(a, b)
-        assert loaded.kappa == built.kappa
-        assert family_hash(loaded) == family_hash(built)
+        assert_family_is_the_builder(load())
 
     def test_tampered_dense_block_detected(self):
-        doc = json.loads(BASIS_V1.read_text())
-        doc["family"]["B0"][0][0] *= 2.0
-        with pytest.raises(ConfigError, match="family hash mismatch"):
-            collocated_from_dict(doc)
+        def edit(block):
+            block["B0"][0][0] *= 2.0
+        assert_tampered_block_detected(BASIS_V1, edit)
 
-    def test_version_3_resave_evaluates_bit_identically(self, tmp_path):
+    def test_version_4_resave_evaluates_bit_identically(self, tmp_path):
         assert_resave_evaluates_bit_identically(BASIS_V1, tmp_path)
 
-    @pytest.mark.parametrize("version", [0, 4, "2", 1.0, True, None])
+    @pytest.mark.parametrize("version", [0, 5, "2", 1.0, True, None])
     def test_other_versions_rejected(self, version):
         doc = json.loads(BASIS_V1.read_text())
         doc["version"] = version
@@ -146,16 +299,50 @@ class TestVersion2Files:
     def test_fixture_is_version_2(self):
         doc = json.loads(BASIS_V2.read_text())
         assert doc["version"] == 2 and set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
+        assert isinstance(doc["family"]["B0"]["data"], list)
         assert len(doc["points"]) == doc["diagnostics"]["n_points"] == 7
         assert "vector_coefs" not in doc
 
-    def test_version_3_resave_evaluates_bit_identically(self, tmp_path):
+    def test_family_equals_the_builder(self):
+        assert_family_is_the_builder(load_collocated(BASIS_V2).family)
+
+    def test_tampered_csr_block_detected(self):
+        assert_tampered_block_detected(BASIS_V2, _double_first_csr_value)
+
+    def test_version_4_resave_evaluates_bit_identically(self, tmp_path):
         assert_resave_evaluates_bit_identically(BASIS_V2, tmp_path)
 
 
 class TestVersion3Files:
+    def test_fixture_is_version_3(self):
+        doc = json.loads(BASIS_V3.read_text())
+        assert doc["version"] == 3 and "points" not in doc
+        assert isinstance(doc["family"]["B0"]["data"], list)
+        for key in ("ref_vectors", "ref_values", "vector_coefs", "value_coefs"):
+            assert isinstance(doc[key], list), key
+        # one decimal row per index of A, 7 x 2 basis coefficients in each
+        assert [len(row) for row in doc["vector_coefs"]] == [14] * len(doc["A"]) == [14] * 4
+        assert doc["diagnostics"]["n_points"] == 7
+
+    def test_family_equals_the_builder(self):
+        assert_family_is_the_builder(load_collocated(BASIS_V3).family)
+
+    def test_tampered_csr_block_detected(self):
+        assert_tampered_block_detected(BASIS_V3, _double_first_csr_value)
+
+    def test_tables_load_as_stored(self):
+        doc = json.loads(BASIS_V3.read_text())
+        cb = load_collocated(BASIS_V3)
+        assert cb.point_data == {}
+        for key, table in zip(collocation.COEF_KEYS, cb._coefs):
+            assert np.array_equal(table, np.array(doc[key])), key
+
+    def test_version_4_resave_evaluates_bit_identically(self, tmp_path):
+        assert_resave_evaluates_bit_identically(BASIS_V3, tmp_path)
+
     def test_load_makes_no_combination_terms(self, tmp_path, monkeypatch):
-        # the tables' rows are the indices of A, so a load needs no terms
+        # the tables' rows are the indices of A, so a load needs no terms,
+        # neither of a version-3 file nor of a version-4 one
         fam = model_diffusion_1d(8, 0.2, 2.0, 2)
         saved = collocate(fam, [1, 2], anisotropic_set([2.0, 3.0], 1.5))
         path = tmp_path / "basis.json"
@@ -166,6 +353,7 @@ class TestVersion3Files:
 
         monkeypatch.setattr(sparse_grid, "combination_terms", no_terms)
         monkeypatch.setattr(collocation, "combination_terms", no_terms)
+        assert load_collocated(BASIS_V3).point_data == {}
         loaded = load_collocated(path)
         Y = np.random.default_rng(6).uniform(-1.0, 1.0, size=(8, 2))
         assert np.array_equal(evaluate_many(saved, Y), evaluate_many(loaded, Y))
@@ -175,29 +363,42 @@ class TestVersion3Files:
             assert np.array_equal(*values)
 
 
-def assert_resave_evaluates_bit_identically(path, tmp_path):
-    """A file of an older version and its version-3 resave give the same bits;
-    the resave holds the coefficient tables in place of the nodal bases."""
-    old = load_collocated(path)
-    resaved = tmp_path / "basis.json"
-    save_collocated(old, resaved)
-    doc = json.loads(resaved.read_text())
-    assert doc["version"] == FORMAT_VERSION == 3 and "points" not in doc
-    assert set(doc["family"]["B0"]) == {"indptr", "indices", "data"}
-    new = load_collocated(resaved)
-    assert len(old.point_data) == new.diagnostics["n_points"] and new.point_data == {}
-    Y = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 2))
-    assert np.array_equal(evaluate_many(old, Y), evaluate_many(new, Y))
-    for y in Y:
-        assert np.array_equal(evaluate(old, y), evaluate(new, y))
-        assert np.array_equal(evaluate_cluster_values(old, y), evaluate_cluster_values(new, y))
-
-
 def _set(key, index, value):
     def edit(m):
         m[key][index] = value
     return edit
 
+
+def _at(key, edit):
+    return lambda container: edit(container[key])
+
+
+# Edits of one packed array, with what the message says: each is a
+# FamilyValidationError that names the field the array is stored under
+PACK_EDITS = {
+    # a lax decoder would skip the stray character and find every byte
+    "bad-base64": (
+        lambda p: p.update(base64=p["base64"][:4] + "*" + p["base64"][4:]),
+        "not valid base64",
+    ),
+    "byte-count": (
+        lambda p: p.update(shape=[p["shape"][0] + 1, *p["shape"][1:]]),
+        "bytes, but float64 shape",
+    ),
+    "dtype": (lambda p: p.update(dtype="<f4"), "has dtype '<f4', expected '<f8'"),
+    "negative-shape": (
+        lambda p: p.update(shape=[-p["shape"][0], *p["shape"][1:]]),
+        "not a list of nonnegative integers",
+    ),
+    "payload-not-string": (
+        lambda p: p.update(base64=[p["base64"]]), "base64 payload that is not a string",
+    ),
+    "key-missing": (lambda p: p.pop("dtype"), "needs exactly the keys dtype, shape, base64"),
+    "shape-not-integer": (
+        lambda p: p.update(shape=[float(p["shape"][0]), *p["shape"][1:]]),
+        "not a list of nonnegative integers",
+    ),
+}
 
 # Edits of one CSR matrix of model_diffusion_1d(6, ...): dim 5, tridiagonal,
 # indptr [0, 2, 5, 8, 11, 13]; row 1 holds columns 0, 1, 2 at indices[2:5].
@@ -207,18 +408,22 @@ MALFORMED = {
     "indptr-not-from-zero": _set("indptr", 0, 1),
     "indptr-decreasing": _set("indptr", 2, 1),
     # its int64 differences wrap to 2**63 - 1, 2**63 - 1, 8, 0, 0
-    "indptr-wrapping": lambda m: m.update(
-        indptr=[0, 2**63 - 1, -2, 6, 6, 6], indices=m["indices"][:6], data=m["data"][:6]
+    "indptr-wrapping": lambda m: (
+        m.update(indptr=[0, 2**63 - 1, -2, 6, 6, 6], indices=m["indices"][:6]),
+        repack(m, "data", lambda d: d[:6]),
     ),
     "indptr-end-past-indices": lambda m: m["indices"].pop(),
-    "indptr-end-past-data": lambda m: m["data"].append(1.0),
+    "indptr-end-past-data": lambda m: repack(m, "data", lambda d: np.append(d, 1.0)),
     "column-negative": _set("indices", 0, -1),
     "column-at-dim": _set("indices", -1, 5),
     "columns-unsorted": lambda m: m.update(indices=m["indices"][:2] + [1, 0] + m["indices"][4:]),
     "columns-duplicate": _set("indices", 3, 0),
     "column-not-integer": _set("indices", 0, 0.5),
     "indices-nested": lambda m: m.update(indices=[m["indices"]]),
-    "data-not-numbers": _set("data", 0, "x"),
+    # decimal lists, as versions 2 and 3 store data, are still read
+    "data-not-numbers": lambda m: m.update(data=["x", *unpacked(m["data"])[1:].tolist()]),
+    "data-two-dimensional": lambda m: repack(m, "data", lambda d: d.reshape(1, -1)),
+    **{f"data-{case}": _at("data", edit) for case, (edit, _) in PACK_EDITS.items()},
     "key-missing": lambda m: m.pop("data"),
     "key-extra": lambda m: m.update(shape=[5, 5]),
 }
@@ -229,6 +434,7 @@ def _malformed_doc(matrix, case):
     target = doc["terms"][2] if matrix == "terms[2]" else doc[matrix]
     assert target["indptr"] == [0, 2, 5, 8, 11, 13]
     assert target["indices"][2:5] == [0, 1, 2]
+    assert target["data"]["shape"] == [13]
     MALFORMED[case](target)
     return doc
 
@@ -238,17 +444,27 @@ class TestMalformedCsr:
     @pytest.mark.parametrize("matrix", ["B0", "mass", "terms[2]"])
     def test_names_the_matrix(self, matrix, case, tmp_path):
         doc = _malformed_doc(matrix, case)
-        with pytest.raises(FamilyValidationError, match=re.escape(matrix)):
+        name = re.escape(f"{matrix}: data" if case.startswith("data-") else matrix)
+        pack_case = case.removeprefix("data-")
+        if case.startswith("data-") and pack_case in PACK_EDITS:
+            name += ".*" + re.escape(PACK_EDITS[pack_case][1])
+        with pytest.raises(FamilyValidationError, match=name):
             family_from_dict(doc)
         path = tmp_path / "family.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(FamilyValidationError, match=re.escape(matrix)):
+        with pytest.raises(FamilyValidationError, match=name):
             load_family(path)
 
     def test_huge_dim_fails_before_allocating(self):
         doc = family_to_dict(model_diffusion_1d(6, 0.2, 2.0, 3))
         doc["dim"] = 10**12
         with pytest.raises(FamilyValidationError, match="B0: indptr has length 6"):
+            family_from_dict(doc)
+
+    def test_huge_shape_fails_before_allocating(self):
+        doc = family_to_dict(model_diffusion_1d(6, 0.2, 2.0, 3))
+        doc["B0"]["data"]["shape"] = [10**12, 10**12]
+        with pytest.raises(FamilyValidationError, match="B0: data has 104 bytes"):
             family_from_dict(doc)
 
     def test_negative_dim_rejected(self):
@@ -271,13 +487,31 @@ def _ragged(rec):
     rec["vectors"][0] = rec["vectors"][0][:1]
 
 
-def _drop_last_column(key):
-    return lambda doc: doc.update({key: [row[:-1] for row in doc[key]]})
+def _in_family(matrix, value):
+    """Put ``value`` into a matrix of the family block and store the block's
+    new digest, so that the load gets past the hash check."""
+    def edit(doc):
+        block = doc["family"]["terms"][0] if matrix == "term 0" else doc["family"][matrix]
+        if isinstance(block["data"], list):
+            block["data"][0] = value
+        else:
+            repack(block, "data", _assign(0, value))
+        rehash(doc)
+    return edit
+
+
+def _in_list(key, index, value):
+    def edit(doc):
+        rows = doc[key]
+        for i in index[:-1]:
+            rows = rows[i]
+        rows[index[-1]] = value
+    return edit
 
 
 # edits of a basis document: (edit, error, field it must name, whether the
-# message names the last point as well); the cases in NODAL_EDITS edit the
-# points of the version-2 fixture, the others a version-3 document
+# message names the last point as well); the cases in FIXTURE edit the
+# version-2 or version-3 fixture, the others a version-4 document
 BASIS_EDITS = {
     "transposed-basis": (
         _at_last_point(_transpose), FamilyValidationError, "vectors", True,
@@ -287,13 +521,17 @@ BASIS_EDITS = {
         _at_last_point(lambda rec: rec.update(cluster_values=rec["cluster_values"][:1])),
         FamilyValidationError, "cluster_values", True,
     ),
+    "nan-basis": (
+        _at_last_point(lambda rec: rec["vectors"][0].__setitem__(0, math.nan)),
+        FamilyValidationError, "vectors", True,
+    ),
     "one-column-ref-vectors": (
-        lambda doc: doc.update(ref_vectors=[row[:1] for row in doc["ref_vectors"]]),
-        FamilyValidationError, "ref_vectors", False,
+        lambda doc: repack(doc, "ref_vectors", lambda a: a[:, :1]),
+        FamilyValidationError, "ref_vectors has shape (19, 1), expected (19, 2)", False,
     ),
     "short-ref-values": (
-        lambda doc: doc.update(ref_values=doc["ref_values"][:1]),
-        FamilyValidationError, "ref_values", False,
+        lambda doc: repack(doc, "ref_values", lambda a: a[:1]),
+        FamilyValidationError, "ref_values has shape (1,), expected (2,)", False,
     ),
     "cluster-beyond-dimension": (
         lambda doc: doc.update(J=[1, 40]), FamilyValidationError, "J:", False,
@@ -325,11 +563,12 @@ BASIS_EDITS = {
         lambda doc: doc.pop("value_coefs"), ConfigError, "'value_coefs'", False,
     ),
     "short-vector-coefs": (
-        lambda doc: doc["vector_coefs"].pop(), FamilyValidationError,
-        "vector_coefs has shape", False,
+        lambda doc: repack(doc, "vector_coefs", lambda a: a[:-1]), FamilyValidationError,
+        "vector_coefs has shape (1, 38), expected (2, 38)", False,
     ),
     "narrow-value-coefs": (
-        _drop_last_column("value_coefs"), FamilyValidationError, "value_coefs has shape", False,
+        lambda doc: repack(doc, "value_coefs", lambda a: a[:, :-1]), FamilyValidationError,
+        "value_coefs has shape (2, 1), expected (2, 2)", False,
     ),
     "ragged-vector-coefs": (
         lambda doc: doc["vector_coefs"][0].pop(), FamilyValidationError,
@@ -341,11 +580,61 @@ BASIS_EDITS = {
         lambda doc: doc["A"].pop(), FamilyValidationError,
         "vector_coefs has shape (2, 38), expected (1, 38)", False,
     ),
+    # packed floats carry any bit pattern, and a version-3 file may hold the
+    # JSON literals NaN and Infinity
+    "nan-vector-coefs": (
+        lambda doc: repack(doc, "vector_coefs", _assign((1, 3), math.nan)),
+        FamilyValidationError, "vector_coefs has a non-finite entry", False,
+    ),
+    "inf-value-coefs": (
+        lambda doc: repack(doc, "value_coefs", _assign((0, 1), -math.inf)),
+        FamilyValidationError, "value_coefs has a non-finite entry", False,
+    ),
+    "nan-ref-vectors": (
+        lambda doc: repack(doc, "ref_vectors", _assign((4, 0), math.nan)),
+        FamilyValidationError, "ref_vectors has a non-finite entry", False,
+    ),
+    "inf-ref-values": (
+        lambda doc: repack(doc, "ref_values", _assign(1, math.inf)),
+        FamilyValidationError, "ref_values has a non-finite entry", False,
+    ),
+    "nan-in-family": (
+        _in_family("B0", math.nan), FamilyValidationError, "B0 has a non-finite entry", False,
+    ),
+    "nan-vector-coefs-v3": (
+        _in_list("vector_coefs", (2, 5), math.nan), FamilyValidationError,
+        "vector_coefs has a non-finite entry", False,
+    ),
+    "infinity-ref-values-v3": (
+        _in_list("ref_values", (0,), math.inf), FamilyValidationError,
+        "ref_values has a non-finite entry", False,
+    ),
+    "nan-value-coefs-v3": (
+        _in_list("value_coefs", (0, 0), math.nan), FamilyValidationError,
+        "value_coefs has a non-finite entry", False,
+    ),
+    "infinity-in-family-v3": (
+        _in_family("term 0", math.inf), FamilyValidationError,
+        "term 0 has a non-finite entry", False,
+    ),
+    "nan-in-family-v3": (
+        _in_family("mass", math.nan), FamilyValidationError,
+        "mass has a non-finite entry", False,
+    ),
 }
-NODAL_EDITS = frozenset({
-    "transposed-basis", "ragged-basis", "short-cluster-values", "missing-points",
-    "no-points", "point-stored-twice",
-})
+FIXTURE = {
+    **dict.fromkeys(
+        ["transposed-basis", "ragged-basis", "short-cluster-values", "nan-basis",
+         "missing-points", "no-points", "point-stored-twice"],
+        BASIS_V2,
+    ),
+    **dict.fromkeys(
+        ["ragged-vector-coefs", "nan-vector-coefs-v3", "infinity-ref-values-v3",
+         "nan-value-coefs-v3", "infinity-in-family-v3", "nan-in-family-v3"],
+        BASIS_V3,
+    ),
+}
+PACKED_FIELDS = ["ref_vectors", "ref_values", "vector_coefs", "value_coefs"]
 
 
 class TestMalformedBasis:
@@ -358,14 +647,24 @@ class TestMalformedBasis:
     @pytest.mark.parametrize("case", sorted(BASIS_EDITS))
     def test_names_the_field(self, basis, case):
         edit, error, field, at_point = BASIS_EDITS[case]
-        if case in NODAL_EDITS:
-            doc = json.loads(BASIS_V2.read_text())
+        if case in FIXTURE:
+            doc = json.loads(FIXTURE[case].read_text())
         else:
-            doc = json.loads(json.dumps(collocated_to_dict(basis)))
+            doc = through_json(collocated_to_dict(basis))
         if at_point:
             field += f" at point {tuple(doc['points'][-1]['y'])}"
         edit(doc)
         with pytest.raises(error, match=re.escape(field)):
+            collocated_from_dict(through_json(doc))
+
+    @pytest.mark.parametrize("case", sorted(PACK_EDITS))
+    @pytest.mark.parametrize("field", PACKED_FIELDS)
+    def test_malformed_pack_names_the_field(self, basis, field, case):
+        doc = through_json(collocated_to_dict(basis))
+        edit, message = PACK_EDITS[case]
+        edit(doc[field])
+        with pytest.raises(FamilyValidationError,
+                           match=re.escape(f"{field} is malformed") + ".*" + re.escape(message)):
             collocated_from_dict(doc)
 
     @pytest.mark.parametrize("field", ["vectors", "cluster_values", "ref_vectors", "ref_values"])
@@ -385,4 +684,33 @@ class TestMalformedBasis:
         else:
             changes = {field: getattr(basis, field)[..., :1]}
         with pytest.raises(FamilyValidationError, match=re.escape(field)):
+            dataclasses.replace(basis, **changes)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["vectors", "cluster_values", "ref_vectors", "ref_values", "vector_coefs", "value_coefs"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_replace_checks_finiteness(self, basis, field, value):
+        pt = max(basis.point_data)
+        sol = basis.point_data[pt]
+        if field == "vectors":
+            vectors = sol.basis.vectors.copy()
+            vectors[3, 1] = value
+            bad = dataclasses.replace(sol, basis=dataclasses.replace(sol.basis, vectors=vectors))
+        elif field == "cluster_values":
+            bad = dataclasses.replace(sol, cluster_values=np.array([sol.cluster_values[0], value]))
+        if field in ("vectors", "cluster_values"):
+            changes = {"point_data": {**basis.point_data, pt: bad}}
+            field += f" at point {pt}"
+        elif field in collocation.COEF_KEYS:
+            # a basis with no point data keeps the tables it is given
+            tables = [table.copy() for table in basis._coefs]
+            tables[collocation.COEF_KEYS.index(field)][-1, 0] = value
+            changes = {"point_data": {}, "_coefs": tuple(tables)}
+        else:
+            array = getattr(basis, field).copy()
+            array.flat[-1] = value
+            changes = {field: array}
+        with pytest.raises(FamilyValidationError, match=re.escape(f"{field} has a non-finite")):
             dataclasses.replace(basis, **changes)

@@ -403,6 +403,12 @@ class TestCombinationInterpolate:
         with pytest.raises(ConfigError, match=message):
             CombinationOperator(A).coefficients(sorted(data), np.ones((len(data), 2)))
 
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_empty_data_is_a_config_error(self, M):
+        A = multi_index_set([ORIGIN, mi(1)][: M + 1])
+        with pytest.raises(ConfigError, match="data are empty"):
+            combination_interpolate(combination_terms(A), M, {}, [0.0])
+
     def test_terms_of_a_set_that_is_not_downward_closed_rejected(self):
         # {(2,0), (0,1)}: the terms' coefficients sum to 0, so they are no
         # interpolant; the indices below their gammas give a grid with data
