@@ -415,6 +415,13 @@ def _floats(value) -> np.ndarray:
     return _unpack_floats(value, "the value")
 
 
+def _cluster(J) -> ClusterSelection:
+    """The cluster of a JSON list of indices; tuple() would split a string."""
+    if not isinstance(J, list):
+        raise TypeError(f"{J!r} is not a list")
+    return ClusterSelection(tuple(J))
+
+
 def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     """The basis a document written by ``collocated_to_dict`` holds.
 
@@ -448,7 +455,7 @@ def collocated_from_dict(doc: dict) -> CollocatedEigenbasis:
     family = family_from_dict(doc["family"])
     header = dict(
         family=family,
-        cluster=_field(doc, "J", lambda J: ClusterSelection(tuple(J))),
+        cluster=_field(doc, "J", _cluster),
         A=_field(doc, "A", MultiIndexSet.from_json_list),
         ref_vectors=_field(doc, "ref_vectors", _floats),
         ref_values=_field(doc, "ref_values", _floats),

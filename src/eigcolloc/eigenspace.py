@@ -36,6 +36,9 @@ class ClusterSelection:
     J: tuple[int, ...]
 
     def __post_init__(self):
+        # integers only: int() would truncate 1.5 and take true for 1
+        if any(isinstance(j, bool) or not isinstance(j, numbers.Integral) for j in self.J):
+            raise FamilyValidationError(f"cluster indices must be integers, got {self.J!r}")
         J = tuple(int(j) for j in self.J)
         object.__setattr__(self, "J", J)
         if not J:
@@ -128,12 +131,13 @@ def isolation_parameter(delta0: float, kappa_sum: float) -> float:
     """
     if not 0.0 <= kappa_sum < 1.0:
         raise DecayViolationError("kappa_sum must lie in [0, 1)")
+    # compared so that a NaN delta0 fails: it certifies nothing
     if kappa_sum == 0.0:
-        if delta0 <= 0.0:
+        if not delta0 > 0.0:
             raise IsolationPreconditionError("relative gap delta0 must be positive")
         return float(delta0)
     threshold = 2.0 / (1.0 / kappa_sum - 1.0)
-    if delta0 <= threshold:
+    if not delta0 > threshold:
         raise IsolationPreconditionError(
             f"delta0={delta0:.6g} must exceed {threshold:.6g} for kappa_sum={kappa_sum:.6g}"
         )

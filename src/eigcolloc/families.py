@@ -12,6 +12,7 @@ import binascii
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,12 @@ def _check_symmetric(A: np.ndarray, name: str) -> None:
         raise FamilyValidationError(f"{name} has a non-finite entry")
     if np.abs(A - A.T).max() > _SYMMETRY_RTOL * (scale or 1.0):
         raise FamilyValidationError(f"{name} is not symmetric")
+
+
+def _check_dim(dim) -> None:
+    # integers only: int() would truncate 2.5 and take true for 1
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise FamilyValidationError(f"dim must be a positive integer, got {dim!r}")
 
 
 def _check_spd(A: np.ndarray, name: str) -> None:
@@ -97,6 +104,7 @@ class AffineOperatorFamily:
     kappa: DecaySequence
 
     def __post_init__(self):
+        _check_dim(self.dim)
         n = int(self.dim)
         object.__setattr__(self, "dim", n)
         B0 = np.ascontiguousarray(self.B0, dtype=float)
@@ -547,14 +555,13 @@ def family_from_dict(doc: dict) -> AffineOperatorFamily:
     older documents hold, is ignored.
     """
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         raw_terms = list(doc.get("terms", []))
         kappa = tuple(float(k) for k in doc.get("kappa", []))
         mass, B0 = doc["mass"], doc["B0"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FamilyValidationError(f"malformed family document: {exc}") from exc
-    if dim < 0:
-        raise FamilyValidationError(f"dim must be nonnegative, got {dim}")
+    _check_dim(dim)
     return AffineOperatorFamily(
         dim=dim,
         B0=_matrix_from_doc(B0, dim, "B0"),

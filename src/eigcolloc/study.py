@@ -14,7 +14,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -42,8 +42,14 @@ _MODEL_PARAMS = {
                     "n_terms": 0, "p_exponent": 1.0},
     "diffusion2d": {"n_per_side": 16, "decay_scale": 0.0, "decay_rate": 2.0,
                     "n_terms": 0, "p_exponent": 1.0},
-    "synthetic-file": {"family_file": None},
+    "synthetic-file": {"family_file": ""},
     "builtin-crossing": {},
+}
+# the weights keys each mode reads, with their defaults; resolve_weights has
+# one branch per mode
+_WEIGHTS = {
+    "tau": {"mode": "tau", "epsilon": 0.5, "delta": None},
+    "explicit": {"mode": "explicit", "rho": ()},
 }
 MODELS = tuple(_MODEL_PARAMS)
 
@@ -76,9 +82,10 @@ def compute_tau_weights(kappa: DecaySequence, delta: float, epsilon: float) -> l
 # ---------------------------------------------------------------------------
 
 def _convert(value, kind: type, name: str):
-    """``kind(value)``, but a bool is no number and a fractional number no int."""
+    """``kind(value)``, but a bool is no number, a fractional number no int
+    and only a str a str."""
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fractional):
+    if not (isinstance(value, bool) or fractional or kind is str and type(value) is not str):
         try:
             return kind(value)
         except (TypeError, ValueError):
@@ -86,12 +93,44 @@ def _convert(value, kind: type, name: str):
     raise ConfigError(f"malformed config value: {name} = {value!r} is not {kind.__name__}")
 
 
-@dataclass(frozen=True)
+def _read_list(value, kind: type, name: str) -> tuple:
+    """A JSON list (or a tuple) of ``kind``, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"malformed config value: {name} = {value!r} is not a list")
+    return tuple(_convert(v, kind, name) for v in value)
+
+
+def _read(value, default, name: str):
+    """``value`` converted to the kind of ``default``: its type, a list of
+    floats for a tuple, a float or None for None."""
+    if isinstance(default, tuple):
+        return _read_list(value, float, name)
+    if default is None:
+        return None if value is None else _convert(value, float, name)
+    return _convert(value, type(default), name)
+
+
+def _read_table(values, defaults: dict, name: str, owner: str) -> dict:
+    """The keys of ``values``, each read by ``_read`` against its default."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"malformed config value: {name} = {values!r} is not an object")
+    unread = set(values) - set(defaults)
+    if unread:
+        raise ConfigError(f"unknown {name} keys for {owner}: {sorted(unread)}")
+    return {key: _read(value, defaults[key], f"{name}.{key}") for key, value in values.items()}
+
+
+@dataclass(frozen=True, kw_only=True)
 class StudyConfig:
-    """Validated study description; see ``from_dict`` for the JSON layout."""
+    """Validated study description, read from the JSON layout of the README.
+
+    Every field is converted and checked here, however the config was made:
+    lists become tuples, numbers the types of their defaults, and ``weights``
+    holds its mode and every key that mode reads that has a default.
+    """
 
     model: str
-    model_params: dict
+    model_params: dict = field(default_factory=dict)
     cluster: tuple[int, ...]
     budgets: tuple[float, ...]
     metric: str = "vector-l2"
@@ -99,25 +138,32 @@ class StudyConfig:
     seed: int = 0
     target: str = "canonical"
     delta_requested: float | None = None
-    weights_mode: str = "tau"
-    epsilon: float = 0.5
-    weights_delta: float | None = None
-    rho_explicit: tuple[float, ...] = ()
+    weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        defaults = _MODEL_PARAMS[self.model]
-        unread = set(self.model_params) - set(defaults)
-        if unread:
-            raise ConfigError(f"unknown model_params keys for {self.model}: {sorted(unread)}")
-        # each number is converted to the type of its default: int or float
-        params = {
-            key: value if defaults[key] is None
-            else _convert(value, type(defaults[key]), f"model_params.{key}")
-            for key, value in self.model_params.items()
-        }
-        object.__setattr__(self, "model_params", params)
+        weights = self.weights
+        mode = weights.get("mode", "tau") if isinstance(weights, dict) else "tau"
+        if mode not in tuple(_WEIGHTS):  # a tuple: a mode may be unhashable
+            raise ConfigError(f"unknown weights mode {mode!r}")
+        converted = dict(
+            model_params=_read_table(
+                self.model_params, _MODEL_PARAMS[self.model], "model_params", self.model
+            ),
+            cluster=_read_list(self.cluster, int, "cluster"),
+            budgets=_read_list(self.budgets, float, "budgets"),
+            n_mc=_convert(self.n_mc, int, "n_mc"),
+            seed=_convert(self.seed, int, "seed"),
+            delta_requested=_read(self.delta_requested, None, "delta_requested"),
+            # the mode and the keys it reads that have a default are filled in
+            weights={
+                **{key: d for key, d in _WEIGHTS[mode].items() if d is not None},
+                **_read_table(weights, _WEIGHTS[mode], "weights", f"mode {mode!r}"),
+            },
+        )
+        for name, value in converted.items():
+            object.__setattr__(self, name, value)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if self.target not in TARGETS:
@@ -129,77 +175,24 @@ class StudyConfig:
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
         _check_sampling(self.n_mc, self.seed, "n_mc")
-        if self.weights_mode not in ("tau", "explicit"):
-            raise ConfigError(f"unknown weights mode {self.weights_mode!r}")
         _as_cluster(self.cluster)  # validates index layout
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
-        known = {
-            "model", "model_params", "cluster", "budgets", "metric", "n_mc",
-            "seed", "target", "delta_requested", "weights",
-        }
-        try:
-            unknown = set(doc) - known
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            weights = doc.get("weights", {"mode": "tau"})
-            mode = weights.get("mode", "tau")
-            # a key its mode does not read would be dropped from the echo in
-            # study.json; __post_init__ names an unknown mode
-            read = {"tau": ("epsilon", "delta"), "explicit": ("rho",)}
-            unknown = set(weights) - {"mode", *read.get(mode, ("epsilon", "delta", "rho"))}
-            if unknown:
-                raise ConfigError(f"unknown weights keys for mode {mode!r}: {sorted(unknown)}")
-            fields = dict(
-                model=doc["model"],
-                model_params=dict(doc.get("model_params", {})),
-                cluster=tuple(_convert(j, int, "cluster") for j in doc["cluster"]),
-                budgets=tuple(_convert(b, float, "budgets") for b in doc["budgets"]),
-                metric=doc.get("metric", "vector-l2"),
-                n_mc=_convert(doc.get("n_mc", 200), int, "n_mc"),
-                seed=_convert(doc.get("seed", 0), int, "seed"),
-                target=doc.get("target", "canonical"),
-                delta_requested=(
-                    None if doc.get("delta_requested") is None
-                    else _convert(doc["delta_requested"], float, "delta_requested")
-                ),
-                weights_mode=mode,
-                epsilon=_convert(weights.get("epsilon", 0.5), float, "weights.epsilon"),
-                weights_delta=(
-                    None if weights.get("delta") is None
-                    else _convert(weights["delta"], float, "weights.delta")
-                ),
-                rho_explicit=tuple(
-                    _convert(r, float, "weights.rho") for r in weights.get("rho", ())
-                ),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-        return cls(**fields)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"malformed config: {doc!r} is not an object")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+                raise ConfigError(f"missing config key: {f.name!r}")
+        return cls(**doc)
 
     def to_dict(self) -> dict:
-        weights: dict = {"mode": self.weights_mode}
-        if self.weights_mode == "tau":
-            weights["epsilon"] = self.epsilon
-            if self.weights_delta is not None:
-                weights["delta"] = self.weights_delta
-        else:
-            weights["rho"] = list(self.rho_explicit)
-        return {
-            "model": self.model,
-            "model_params": dict(self.model_params),
-            "cluster": list(self.cluster),
-            "budgets": list(self.budgets),
-            "metric": self.metric,
-            "n_mc": self.n_mc,
-            "seed": self.seed,
-            "target": self.target,
-            "delta_requested": self.delta_requested,
-            "weights": weights,
-        }
+        """The fields as JSON reads them back (tuples as lists): the config
+        echo of study.json."""
+        return json.loads(json.dumps({f.name: getattr(self, f.name) for f in fields(self)}))
 
 
 def load_config(path) -> StudyConfig:
@@ -226,17 +219,17 @@ def build_family(config: StudyConfig) -> AffineOperatorFamily:
 
 def resolve_weights(config: StudyConfig, family: AffineOperatorFamily) -> list[float]:
     """Anisotropy radii for the index sets, from tau formula or explicit list."""
-    if config.weights_mode == "explicit":
-        rho = list(config.rho_explicit)
+    weights = config.weights
+    if weights["mode"] == "explicit":
+        rho = list(weights["rho"])
         if len(rho) > family.n_terms:
             raise ConfigError(
                 f"{len(rho)} explicit weights for a {family.n_terms}-term family"
             )
         return rho
-    delta = config.weights_delta
-    if delta is None:
+    if weights.get("delta") is None:
         raise ConfigError("weights mode 'tau' needs weights.delta")
-    return compute_tau_weights(family.kappa, delta, config.epsilon)
+    return compute_tau_weights(family.kappa, weights["delta"], weights["epsilon"])
 
 
 # ---------------------------------------------------------------------------

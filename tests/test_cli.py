@@ -351,6 +351,10 @@ class TestErrorPaths:
         ("budgets", [float("nan")]),
         ("budgets", [float("inf")]),
         ("budgets", [-1.0, 0.5]),
+        # a list is a JSON list: a string is not split into its characters
+        ("budgets", "05"),
+        ("cluster", "12"),
+        ("weights", {"mode": "explicit", "rho": "23"}),
     ],
 )
 class TestMalformedConfigValue:

@@ -34,6 +34,7 @@ class TestClusterSelection:
     def test_valid(self):
         c = ClusterSelection((2, 3, 5))
         assert c.S == 3 and c.lo == 2 and c.hi == 5
+        assert ClusterSelection(tuple(np.array([2, 3]))).J == (2, 3)
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(FamilyValidationError):
@@ -44,6 +45,12 @@ class TestClusterSelection:
             ClusterSelection(())
         with pytest.raises(FamilyValidationError):
             ClusterSelection((0, 1))
+
+    @pytest.mark.parametrize("J", [(1.5, 2.7), (True, 2), ("1", "2")])
+    def test_rejects_indices_that_are_not_integers(self, J):
+        # int() would truncate 1.5 and take true for 1
+        with pytest.raises(FamilyValidationError, match="must be integers"):
+            ClusterSelection(J)
 
 
 class TestWeylEnvelope:
@@ -94,6 +101,11 @@ class TestIsolationParameter:
     def test_invalid_kappa(self):
         with pytest.raises(DecayViolationError):
             isolation_parameter(1.0, 1.0)
+
+    @pytest.mark.parametrize("kappa_sum", [0.0, 0.1])
+    def test_nan_gap_is_not_certified(self, kappa_sum):
+        with pytest.raises(IsolationPreconditionError):
+            isolation_parameter(math.nan, kappa_sum)
 
 
 class TestExteriorGap:

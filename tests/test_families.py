@@ -91,6 +91,14 @@ class TestFamilyValidation:
                 kappa=DecaySequence(()),
             )
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_dim_is_a_positive_integer(self, dim):
+        # int() would truncate 2.5 and take true for 1; dim 0 has no matrix to check
+        with pytest.raises(FamilyValidationError, match="dim must be a positive integer"):
+            AffineOperatorFamily(
+                dim=dim, B0=np.eye(1), B_terms=(), mass=np.eye(1), kappa=DecaySequence(()),
+            )
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("matrix", ["B0", "term 1", "mass"])
     def test_non_finite_entry_rejected(self, matrix, value):

@@ -500,6 +500,14 @@ def _in_family(matrix, value):
     return edit
 
 
+def _in_family_doc(edit):
+    """Apply ``edit`` to the family block and store the block's new digest."""
+    def apply(doc):
+        edit(doc["family"])
+        rehash(doc)
+    return apply
+
+
 def _in_list(key, index, value):
     def edit(doc):
         rows = doc[key]
@@ -536,6 +544,28 @@ BASIS_EDITS = {
     "cluster-beyond-dimension": (
         lambda doc: doc.update(J=[1, 40]), FamilyValidationError, "J:", False,
     ),
+    # J is a JSON list of integers: a string is not split, a fractional
+    # index not truncated and true not read as 1
+    "cluster-string": (
+        lambda doc: doc.update(J="12"), FamilyValidationError,
+        "J is malformed: '12' is not a list", False,
+    ),
+    "fractional-cluster": (
+        lambda doc: doc.update(J=[1.5, 2]), FamilyValidationError,
+        "J is malformed: cluster indices must be integers, got (1.5, 2)", False,
+    ),
+    "bool-cluster": (
+        lambda doc: doc.update(J=[True, 2]), FamilyValidationError,
+        "J is malformed: cluster indices must be integers, got (True, 2)", False,
+    ),
+    # the family's dim is a positive integer, checked before any matrix
+    **{
+        f"{case}-dim": (
+            _in_family_doc(lambda block, dim=dim: block.update(dim=dim)), FamilyValidationError,
+            f"dim must be a positive integer, got {dim!r}", False,
+        )
+        for case, dim in (("zero", 0), ("fractional", 2.5), ("bool", True))
+    },
     "missing-points": (lambda doc: doc.pop("points"), ConfigError, "'points'", False),
     # no nodal basis to make the tables from, and no table either
     "no-points": (

@@ -90,9 +90,7 @@ class TestStudyConfig:
         assert cfg.n_mc == 200
         assert cfg.seed == 0
         assert cfg.target == "canonical"
-        assert cfg.weights_mode == "tau"
-        assert cfg.epsilon == 0.5
-        assert cfg.weights_delta is None
+        assert cfg.weights == {"mode": "tau", "epsilon": 0.5}
 
     def test_rejects_unknown_keys(self):
         doc = self.minimal()
@@ -176,7 +174,7 @@ class TestStudyConfig:
         doc["metric"] = "subspace-angle"
         doc["n_mc"] = 50
         cfg = StudyConfig.from_dict(doc)
-        assert cfg.rho_explicit == (1.5, 2.5)
+        assert cfg.weights == {"mode": "explicit", "rho": (1.5, 2.5)}
         assert StudyConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_load_config_reads_json(self, tmp_path):
