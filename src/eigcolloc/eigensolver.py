@@ -6,6 +6,8 @@ deterministic sign convention so that repeated solves are bit-reproducible.
 ``ReducedFamily`` makes and memoises every point solve of an affine family;
 it reduces the family once, so that a solve costs an affine sum and one LAPACK
 call, and it lifts the eigenvectors of many points by one triangular solve.
+A tridiagonal family is solved in band storage instead, by ``dsbgvx`` and, for
+large dimensions, inverse iteration for the eigenvectors.
 The solves of a batch run on one OpenBLAS thread each, one thread per CPU.
 """
 from __future__ import annotations
@@ -238,10 +240,13 @@ def _point_environment(family) -> dict:
     """The OpenBLAS copies found, with their thread counts, the count a point
     solve of ``family`` runs with (None if unknown), the threads that share a
     chunk's point solves, and the route of those solves with the bandwidth
-    of the pencil."""
+    of the pencil and the kernel of their eigenvectors."""
     kd = ReducedFamily(family).bandwidth
     banded = kd is not None
-    if not banded:
+    if banded:
+        vectors = _vector_kernel(family.dim)
+    else:
+        vectors = "dsyevr"
         kd = max(_bandwidth(A, family.dim) for A in (family.mass, family.B0, *family.B_terms))
     copies = _openblas_copies()
     found = [{"file": name, "threads": get()} for name, _, get in copies]
@@ -250,7 +255,9 @@ def _point_environment(family) -> dict:
     return {
         "openblas": found, "point_solve_threads": point,
         "point_solve_workers": _nproc(),
-        "point_solver": {"route": "banded" if banded else "dense", "bandwidth": kd},
+        "point_solver": {
+            "route": "banded" if banded else "dense", "bandwidth": kd, "vectors": vectors,
+        },
     }
 
 
@@ -266,9 +273,25 @@ def _long_point(y, n_terms: int) -> ParameterDimensionError:
 # below it each point off the origin is one banded LAPACK dsbgvx call
 # (CHANGES.md has the kd x n table of the two routes that sets it)
 BAND_CROSSOVER = 2
+# the dimension from which a banded point solve calls dsbgvx for its
+# eigenvalues only and finds each eigenvector by inverse iteration on the
+# tridiagonal pencil; below it dsbgvx returns its own eigenvectors.  From
+# here on the inverse iteration was the faster for every k from 1 to 4
+# (CHANGES.md has the n x k table of the two kernels that sets it)
+INVERSE_ITERATION_FROM = 150
 # dsbgvx's absolute eigenvalue tolerance: twice the underflow threshold, at
 # which the bisection computes the eigenvalues most accurately
 _ABSTOL = 2 * np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+# inverse iteration as LAPACK dstein runs it: at most this many steps per
+# eigenvector, of which the last two follow the first grown iterate
+_STEPS, _EXTRA_STEPS = 5, 2
+
+
+def _vector_kernel(n: int) -> str:
+    """The kernel of the eigenvectors of a banded point solve at dimension n:
+    ``dsbgvx``'s own, or ``inverse-iteration`` after its values."""
+    return "inverse-iteration" if n >= INVERSE_ITERATION_FROM else "dsbgvx"
 
 
 def _bandwidth(A: np.ndarray, limit: int) -> int | None:
@@ -306,7 +329,12 @@ class ReducedFamily:
     - banded, when every matrix has fewer than ``BAND_CROSSOVER``
       subdiagonals: B0, the B_m and M are stacked once in LAPACK's band
       storage, and a point costs one product ``[1, y] @ T`` and one
-      ``dsbgvx`` call, whose eigenvectors come out M-orthonormal;
+      ``dsbgvx`` call.  Below dimension ``INVERSE_ITERATION_FROM`` that call
+      returns the eigenvectors; from there on it returns the eigenvalues
+      alone, bit for bit the same, and builds no n x n transform, and each
+      eigenvector comes from inverse iteration on the tridiagonal pencil
+      (``_inverse_iteration``).  Either kernel's eigenvectors are
+      M-orthonormal;
     - dense, otherwise: M = L L' is factored, every affine term reduced once,
       A_m = inv(L) B_m inv(L)', and a point costs its affine sum ``at(y)``
       and one ``dsyevr`` call.  The eigenvectors of a chunk are lifted by one
@@ -378,31 +406,57 @@ class ReducedFamily:
     @cached_property
     def _sbgvx(self) -> tuple:
         # the banded route: B0 and the B_m in band storage, one row each, the
-        # band of M, and dsbgvx's constant arguments: their addresses, the
-        # sizes of the float and the int arrays of a workspace, and the
-        # arguments, which keep the addresses valid; read-only, so every
-        # thread shares them
+        # band of M; for the inverse iteration M's tridiagonal as dlagtf
+        # reads a matrix (its diagonal, then its subdiagonal padded with a
+        # zero, twice), with the addresses of the first two rows, M's 1-norm
+        # and Gershgorin lower bound, and the first right-hand side of every
+        # iteration, a fixed pseudo-random vector of largest entry 1, as
+        # dstein's is; then the constant arguments of the LAPACK calls: their
+        # addresses, the sizes of the float and the int arrays of each
+        # kernel's workspace, and the arguments, which keep the addresses
+        # valid; read-only, so every thread shares them
         fam, kd = self.family, self.bandwidth
         n = fam.dim
         T = np.stack([_band(A, kd) for A in (fam.B0, *fam.B_terms)])
+        mass = _band(fam.mass, kd)
+        tri = np.zeros((3, n))
+        tri[:kd + 1] = mass.reshape(n, kd + 1).T
+        tri[2] = tri[1]
+        off = np.abs(tri[1])
+        off[1:] += np.abs(tri[1, :-1])  # the off-diagonal mass of each row
+        start = np.random.default_rng(1).uniform(-1.0, 1.0, n)
+        start /= np.abs(start).max()
+        stein = (
+            tri, _address(tri[0]), _address(tri[1]), float((np.abs(tri[0]) + off).max()),
+            float((tri[0] - off).min()), start,
+        )
         args = (
-            ctypes.c_char(b"V"), ctypes.c_char(b"I"), ctypes.c_char(b"L"), ctypes.c_int(n),
-            ctypes.c_int(kd), ctypes.c_int(kd + 1), ctypes.c_double(0.0), ctypes.c_double(1.0),
-            ctypes.c_int(1), ctypes.c_double(_ABSTOL),
+            ctypes.c_char(b"V"), ctypes.c_char(b"N"), ctypes.c_char(b"I"), ctypes.c_char(b"L"),
+            ctypes.c_int(n), ctypes.c_int(kd), ctypes.c_int(kd + 1), ctypes.c_double(0.0),
+            ctypes.c_double(1.0), ctypes.c_int(1), ctypes.c_double(_ABSTOL), ctypes.c_int(-1),
         )
         nb = n * (kd + 1)
-        sizes = (nb, nb, n * n, n, 7 * n), (5 * n, n)  # AB, BB, Q, w, work; iwork, ifail
-        return T, _band(fam.mass, kd), tuple(map(ctypes.addressof, args)), sizes, args
+        sizes = {
+            # AB, BB, Q, w, work; iwork, ifail
+            "dsbgvx": ((nb, nb, n * n, n, 7 * n), (5 * n, n)),
+            # no Q; K(y)'s tridiagonal as M's, the shifted one K - w_j M, the
+            # second superdiagonal of its factor, two iterates and tol; the
+            # pivots, iwork, ifail
+            "inverse-iteration": (
+                (nb, nb, 1, n, 7 * n, (3, n), (3, n), n, n, n, 1), (n, 5 * n, n),
+            ),
+        }
+        return T, mass, stein, tuple(map(ctypes.addressof, args)), sizes, args
 
     def _workspace(self, name: str, sizes: tuple) -> tuple:
-        # the calling thread's outputs and workspace of the LAPACK routine
-        # ``name``, made at its first call and kept for the next: the float
-        # and the int arrays of the given sizes, the ints iu, m and info, and
-        # the address of each
+        # the calling thread's outputs and workspace of the LAPACK routine or
+        # the kernel ``name``, made at its first call and kept for the next:
+        # the float and the int arrays of the given sizes, zero at first, the
+        # ints iu, m and info, and the address of each
         ws = getattr(self._local, name, None)
         if ws is None:
             floats, ints = sizes
-            arrays = [np.empty(s) for s in floats] + [np.empty(s, np.intc) for s in ints]
+            arrays = [np.zeros(s) for s in floats] + [np.zeros(s, np.intc) for s in ints]
             scalars = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
             ws = arrays, scalars, (*map(_address, arrays), *map(ctypes.addressof, scalars))
             setattr(self._local, name, ws)
@@ -417,28 +471,120 @@ class ReducedFamily:
         their eigenvectors: M-orthonormal on the banded route, those of
         ``at(y)`` on the dense route, which ``solve_many`` lifts.
 
-        The one per-point kernel of both routes; it runs on any thread.
+        The one per-point kernel of both routes; it runs on any thread.  A
+        banded solve is one ``dsbgvx`` call, which returns the eigenvectors
+        below ``INVERSE_ITERATION_FROM`` (``_vector_kernel``); from there on
+        it returns the eigenvalues alone, the same bits, and the eigenvectors
+        come from ``_inverse_iteration``.
         """
         if self.bandwidth is None:
             return self._eigh(self.at(y), k)
-        T, mass, addresses, sizes, _ = self._sbgvx
-        jobz, range_, uplo, n, kd, ldab, vl, vu, il, abstol = addresses
-        (ab, bb, _, w, _, _, _), (iu, _, info), ws = self._workspace("dsbgvx", sizes)
-        ab_at, bb_at, q, w_at, work, iwork, ifail, iu_at, m, info_at = ws
+        T, mass, _, addresses, sizes, _ = self._sbgvx
+        vectors, values, range_, uplo, n, kd, ldab, vl, vu, il, abstol, _ = addresses
+        kernel = _vector_kernel(self.family.dim)
+        arrays, (iu, _, info), ws = self._workspace(kernel, sizes[kernel])
+        ab, bb, _, w = arrays[:4]
+        (ab_at, bb_at, q, w_at, work), (iwork, ifail, iu_at, m, info_at) = ws[:5], ws[-5:]
         c = np.zeros(len(T))
         c[0] = 1.0
         c[1:1 + len(y)] = y
         np.dot(c, T, out=ab)
+        stein = kernel == "inverse-iteration"
+        if stein:  # dsbgvx overwrites the band of K(y); with kd = 0 the
+            # off-diagonal rows of its tridiagonal stay zero
+            band, K = ab.reshape(self.family.dim, -1).T, arrays[5]
+            K[:len(band)] = band
+            K[2] = K[1]
         bb[:] = mass
         iu.value = k
         z = np.empty((self.family.dim, k), order="F")
         _lapack("dsbgvx", 25)(
-            jobz, range_, uplo, n, kd, kd, ab_at, ldab, bb_at, ldab, q, n, vl, vu, il, iu_at,
-            abstol, m, w_at, _address(z.T), n, work, iwork, ifail, info_at,  # z.T: C order
+            values if stein else vectors, range_, uplo, n, kd, kd, ab_at, ldab, bb_at, ldab, q,
+            n, vl, vu, il, iu_at, abstol, m, w_at, _address(z.T), n,  # z.T: C order
+            work, iwork, ifail, info_at,
         )
         if info.value:
             raise SolverError(f"banded eigensolver failed: dsbgvx returned info={info.value}")
+        if stein:
+            self._inverse_iteration(w[:k], z, arrays, ws)
         return w[:k].copy(), z
+
+    def _inverse_iteration(self, w: np.ndarray, z: np.ndarray, arrays: list, ws: tuple):
+        """The M-orthonormal eigenvectors of the tridiagonal pencil (K, M) at
+        its ascending eigenvalues w, into the columns of z; K is K(y)'s
+        tridiagonal in the workspace ``arrays``.
+
+        LAPACK dstein's inverse iteration (Parlett, *The Symmetric Eigenvalue
+        Problem*, ch. 4), on the pencil.  Each shifted matrix K - w_j M is
+        factored once (``dlagtf``), and each step solves it (``dlagts``) for
+        the right-hand side M x, scaled so that the growth of the solution
+        measures the accuracy of the shift; the first right-hand side is a
+        fixed pseudo-random vector, and equal shifts are moved 10 eps |w_j|
+        apart.  Within a group of close eigenvalues each iterate is
+        orthogonalised against the group's earlier vectors by modified
+        Gram-Schmidt in the M inner product.  A vector takes two steps after
+        its first grown iterate, at most five in all, and is normalised in the
+        M-norm.
+        """
+        (tri, m_diag, m_off, m_norm, m_low, start), addresses = self._sbgvx[2:4]
+        _, trans, _, _, n, _, _, zero, one, nrhs, _, job = addresses
+        K, P, _, x0, x1, tol = arrays[5:11]
+        diag_at, d2_at, x0_at, x1_at, tol_at, pivots = ws[6:12]
+        super_at, sub_at, info_at = diag_at + P[0].nbytes, diag_at + 2 * P[0].nbytes, ws[-1]
+        dim, k = P.shape[1], len(w)
+        dlagtf, dlagts, dlagtm = _lapack("dlagtf", 9), _lapack("dlagts", 10), _lapack("dlagtm", 12)
+        # K's 1-norm; eigenvalues closer than a thousandth of the pencil's
+        # spectral radius, bounded above through M's Gershgorin bound, share
+        # a group (dstein's ortol)
+        a = np.abs(K[:2])
+        a[0] += a[1]
+        a[0, 1:] += a[1, :-1]
+        k_norm = float(a[0].max())
+        ortol = 1e-3 * k_norm / m_low if m_low > 0.0 else math.inf
+        grown_norm = math.sqrt(0.1 / dim)  # dstein's dtpcrt
+        Mz = np.empty((dim, k), order="F")  # M z_i of the vectors made
+        Mz_at = _address(Mz.T)
+        z_cols, Mz_cols = list(z.T), list(Mz.T)
+        first = 0  # the first vector of the current group
+        for j in range(k):
+            shift = float(w[j])
+            if j:
+                apart = 10.0 * _EPS * abs(shift)
+                if shift - previous < apart:
+                    shift = previous + apart
+                if shift - previous > ortol:
+                    first = j
+            np.multiply(tri, shift, out=P)
+            np.subtract(K, P, out=P)
+            tol[0] = 0.0
+            dlagtf(n, diag_at, zero, super_at, sub_at, tol_at, d2_at, pivots, info_at)
+            size = dim * (k_norm + abs(shift) * m_norm) * max(_EPS, abs(P[0, -1]))
+            b, b_at = x0, x0_at
+            np.multiply(start, size, out=b)
+            grown = 0
+            for _ in range(_STEPS):
+                dlagts(job, n, diag_at, super_at, sub_at, d2_at, pivots, b_at, tol_at, info_at)
+                for i in range(first, j):
+                    b -= (b @ Mz_cols[i]) * z_cols[i]
+                x, x_at = b, b_at
+                b, b_at = (x1, x1_at) if x is x0 else (x0, x0_at)
+                if grown or np.abs(x).max() >= grown_norm:
+                    grown += 1
+                    if grown > _EXTRA_STEPS:
+                        break
+                dlagtm(trans, n, nrhs, one, m_off, m_diag, m_off, x_at, n, zero, b_at, n)
+                b *= size / np.abs(b).max()
+            else:
+                raise SolverError(
+                    "banded eigensolver failed: inverse iteration did not converge "
+                    f"for eigenvalue {j + 1}"
+                )
+            Mx, Mx_at = Mz_cols[j], Mz_at + j * x.nbytes
+            dlagtm(trans, n, nrhs, one, m_off, m_diag, m_off, x_at, n, zero, Mx_at, n)
+            scale = 1.0 / math.sqrt(x @ Mx)
+            np.multiply(x, scale, out=z_cols[j])
+            Mx *= scale
+            previous = shift
 
     def _eigh(self, A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest eigenvalues and orthonormal eigenvectors of A.

@@ -141,6 +141,8 @@ def isolation_parameter(delta0: float, kappa_sum: float) -> float:
         raise IsolationPreconditionError(
             f"delta0={delta0:.6g} must exceed {threshold:.6g} for kappa_sum={kappa_sum:.6g}"
         )
+    if delta0 == math.inf:  # the formula would give inf - inf = nan
+        return math.inf
     return (delta0 - (delta0 + 2.0) * kappa_sum) / (1.0 + kappa_sum)
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,11 +308,55 @@ class TestBandedRoute:
     @settings(max_examples=150)
     @given(banded_point_cluster())
     def test_matches_dense_solve(self, case):
-        fam, y, J = case
+        # on dsbgvx's own eigenvectors, as the crossover leaves these sizes,
+        # and on inverse iteration, with the crossover moved to 0; the two
+        # kernels give the same eigenvalues, bit for bit
+        own = self.check_against_dense(*case)
+        with mock.patch.object(eigensolver, "INVERSE_ITERATION_FROM", 0):
+            stein = self.check_against_dense(*case)
+        assert np.array_equal(own.values, stein.values)
+
+    @pytest.mark.parametrize(
+        "fam, y",
+        [
+            # the cluster's eigenvalues lie about 1e-12 apart
+            (designed_crossing_family(), 1e-12),
+            # a diagonal pencil whose eigenvalue 2 is double at every y: the
+            # two shifts are equal
+            (synthetic_family(np.diag([1.0, 2.0, 2.0, 4.0]), [np.diag([0.1, 0.0, 0.0, 0.1])],
+                              np.eye(4), DecaySequence((0.2,))), 0.5),
+        ],
+        ids=["crossing", "double"],
+    )
+    def test_inverse_iteration_keeps_a_cluster_orthonormal(self, fam, y):
+        # the cluster [2, 3] comes out M-orthonormal only through the
+        # Gram-Schmidt step within its group
+        with mock.patch.object(eigensolver, "INVERSE_ITERATION_FROM", 0):
+            self.check_against_dense(fam, np.array([y]), [2, 3])
+
+    def test_inverse_iteration_that_does_not_converge_names_the_point(self):
+        # with no step allowed no iterate grows: the solve fails, in place
+        fam = model_diffusion_1d(10, 0.3, 2.0, 2)
+        with mock.patch.object(eigensolver, "INVERSE_ITERATION_FROM", 0), \
+                mock.patch.object(eigensolver, "_STEPS", 0):
+            with pytest.raises(SolverError, match=r"inverse iteration did not converge for "
+                               r"eigenvalue 1 at point \(0\.5,\)"):
+                ReducedFamily(fam).solve((0.5,), 2)
+
+    def test_inverse_iteration_above_the_crossover(self):
+        fam = model_diffusion_1d(460, 0.3, 2.0, 4)
+        assert fam.dim == 459 and eigensolver._vector_kernel(459) == "inverse-iteration"
+        y = np.random.default_rng(459).uniform(-1.0, 1.0, fam.n_terms)
+        self.check_against_dense(fam, y, [1, 2, 3])
+
+    @staticmethod
+    def check_against_dense(fam, y, J):
         k = J[-1] + 1
         solver = ReducedFamily(fam)
         got = solver.solve(y, k)
         assert solver.bandwidth is not None and "terms" not in vars(solver)
+        # the point ran on the kernel of the crossover in force
+        assert list(vars(solver._local)) == [eigensolver._vector_kernel(fam.dim)]
         dense = solve_gevp(assemble_at(fam, y), fam.mass, k=k)
         assert np.all(np.abs(got.values - dense.values) <= 1e-10 * np.abs(dense.values))
         cols = [j - 1 for j in J]
@@ -325,18 +370,20 @@ class TestBandedRoute:
             apart = np.abs(np.delete(every, j) - every[j]).min() > 1e-6 * abs(every[j])
             if apart and top[-1, j] - top[-2, j] > 1e-6 * top[-1, j]:
                 assert U[:, j] @ fam.mass @ dense.vectors[:, j] > 0
+        return got
 
     @pytest.mark.parametrize(
-        "family, route, bandwidth",
+        "family, route, bandwidth, vectors",
         [
-            (model_diffusion_1d(40, 0.3, 2.0, 3), "banded", 1),
-            (designed_crossing_family(), "banded", 1),
-            (model_diffusion_2d(6, 0.1, 2.0, 3), "dense", 6),
-            (spd_family(9, 2, 3), "dense", 8),
+            (model_diffusion_1d(40, 0.3, 2.0, 3), "banded", 1, "dsbgvx"),
+            (designed_crossing_family(), "banded", 1, "dsbgvx"),
+            (model_diffusion_2d(6, 0.1, 2.0, 3), "dense", 6, "dsyevr"),
+            (spd_family(9, 2, 3), "dense", 8, "dsyevr"),
+            (model_diffusion_1d(200, 0.3, 2.0, 3), "banded", 1, "inverse-iteration"),
         ],
-        ids=["diffusion1d", "crossing", "diffusion2d", "spd"],
+        ids=["diffusion1d", "crossing", "diffusion2d", "spd", "diffusion1d-199"],
     )
-    def test_the_family_chooses_the_route(self, family, route, bandwidth):
+    def test_the_family_chooses_the_route(self, family, route, bandwidth, vectors):
         solver = ReducedFamily(family)
         solver.solve((), 2)
         assert "bandwidth" not in vars(solver)  # chosen at the first point off the origin
@@ -345,8 +392,10 @@ class TestBandedRoute:
         # the banded route builds no reduced terms; the dense route does
         assert ("terms" in vars(solver)) == (route == "dense")
         assert eigensolver._point_environment(family)["point_solver"] == {
-            "route": route, "bandwidth": bandwidth,
+            "route": route, "bandwidth": bandwidth, "vectors": vectors,
         }
+        # the point solve ran on the kernel the environment names
+        assert list(vars(solver._local)) == [vectors]
 
     def test_a_wide_mass_matrix_ends_the_test(self, monkeypatch):
         # the bandwidth test looks at no more matrices once one is too wide
@@ -498,9 +547,12 @@ class TestSolveMany:
 
     @pytest.mark.parametrize("workers", sorted({eigensolver._nproc(), 3}))
     def test_banded_threads_give_the_bits_of_one_worker(self, monkeypatch, workers):
-        fam = banded_family(40, 1, 3, 14)
-        assert ReducedFamily(fam).bandwidth == 1
-        self.check_threads_against_one_worker(monkeypatch, fam, workers)
+        # dsbgvx's own eigenvectors, then inverse iteration above the crossover
+        for n, kernel in [(40, "dsbgvx"), (eigensolver.INVERSE_ITERATION_FROM + 20,
+                                           "inverse-iteration")]:
+            fam = banded_family(n, 1, 3, 14)
+            assert ReducedFamily(fam).bandwidth == 1 and eigensolver._vector_kernel(n) == kernel
+            self.check_threads_against_one_worker(monkeypatch, fam, workers)
 
     @staticmethod
     def check_threads_against_one_worker(monkeypatch, fam, workers):

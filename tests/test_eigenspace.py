@@ -107,6 +107,20 @@ class TestIsolationParameter:
         with pytest.raises(IsolationPreconditionError):
             isolation_parameter(math.nan, kappa_sum)
 
+    @pytest.mark.parametrize("kappa_sum", [0.0, 0.1, 0.5])
+    def test_infinite_gap_stays_infinite(self, kappa_sum):
+        assert isolation_parameter(math.inf, kappa_sum) == math.inf
+        with pytest.raises(IsolationPreconditionError):
+            isolation_parameter(-math.inf, kappa_sum)
+
+    @pytest.mark.parametrize(
+        "delta0, kappa_sum", [(1.0, 0.1), (0.25, 0.1), (3.7, 0.3), (1e300, 0.5)]
+    )
+    def test_finite_gap_keeps_the_formula_bits(self, delta0, kappa_sum):
+        # the tau-weights, and so the index sets, are built from these bits
+        want = (delta0 - (delta0 + 2.0) * kappa_sum) / (1.0 + kappa_sum)
+        assert isolation_parameter(delta0, kappa_sum) == want
+
 
 class TestExteriorGap:
     VALUES = [1.0, 2.0, 5.0, 5.5]

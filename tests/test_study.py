@@ -524,8 +524,9 @@ class TestConvergenceStudy:
         # on one thread per CPU
         assert env["point_solve_threads"] == (1 if env["openblas"] else None)
         assert env["point_solve_workers"] == env["nproc"]
-        # the P1 pencil is tridiagonal: its points are banded solves
-        assert env["point_solver"] == {"route": "banded", "bandwidth": 1}
+        # the P1 pencil is tridiagonal: its points are banded solves, and at
+        # n = 19 dsbgvx returns their eigenvectors
+        assert env["point_solver"] == {"route": "banded", "bandwidth": 1, "vectors": "dsbgvx"}
         assert len(summary["diagnostics"]) == 2
         for diag in summary["diagnostics"]:
             assert diag["mc_failures"] == 0
@@ -675,7 +676,9 @@ class TestCrossingDemo:
         summary = json.loads((tmp_path / "crossing.json").read_text(encoding="utf-8"))
         assert summary["final_error_ratio_raw_over_canonical"] == result.final_ratio
         assert summary["environment"] == study._environment(designed_crossing_family())
-        assert summary["environment"]["point_solver"] == {"route": "banded", "bandwidth": 1}
+        assert summary["environment"]["point_solver"] == {
+            "route": "banded", "bandwidth": 1, "vectors": "dsbgvx",
+        }
 
     def test_error_columns_equal_single_target_studies(self):
         # one sweep serves both entry points: each demo column is, bit for
