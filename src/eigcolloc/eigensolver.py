@@ -1,11 +1,13 @@
 """Dense symmetric-definite generalized eigensolver and M-orthonormalization.
 
 Solves K u = mu M u with symmetric K and SPD M by Cholesky reduction to an
-ordinary symmetric problem.  Returned eigenvectors are M-orthonormal with a
-deterministic sign convention so that repeated solves are bit-reproducible.
+ordinary symmetric problem (LAPACK ``dsygst``, on the symmetric part of K).
+Returned eigenvectors are M-orthonormal with a deterministic sign convention
+so that repeated solves are bit-reproducible.
 ``ReducedFamily`` makes and memoises every point solve of an affine family;
-it reduces the family once, so that a solve costs an affine sum and one LAPACK
-call, and it lifts the eigenvectors of many points by one triangular solve.
+it reduces the family's terms once, into one stacked array, so that a solve
+costs one product of the point's weights and that stack and one LAPACK call,
+and it lifts the eigenvectors of many points by one triangular solve.
 A tridiagonal family is solved in band storage instead, by ``dsbgvx`` and, for
 large dimensions, inverse iteration for the eigenvectors.
 The solves of a batch run on one OpenBLAS thread each, one thread per CPU.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -26,7 +29,7 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 
 from .errors import ParameterDimensionError, RankDeficiencyError, SolverError
-from .families import affine_sum
+from .families import _parameter_point
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,36 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _reduce(L: np.ndarray, K: np.ndarray) -> np.ndarray:
-    # the ordinary symmetric matrix inv(L) K inv(L)' of the pencil (K, L L')
-    KL = scipy.linalg.solve_triangular(L, K, lower=True)
-    A = scipy.linalg.solve_triangular(L, KL.T, lower=True)
-    return 0.5 * (A + A.T)
+# rows of a reduced matrix whose lower triangle is mirrored into the upper one
+# at a time: the copy goes through a temporary of at most this many rows
+_MIRROR_ROWS = 64
+_STRICT_UPPER = ~np.tri(_MIRROR_ROWS, dtype=bool)
+
+
+def _reduce(L: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ordinary symmetric matrix inv(L) S inv(L)' of the pencil (S, L L'),
+    where S = (K + K')/2 is the symmetric part of K, into the C-order array
+    ``out`` (a new one if None); L is lower triangular, in C order.
+
+    One LAPACK ``dsygst`` call (itype 1) reduces one triangle in place.
+    Read in Fortran order the C-order buffers hold S and the factor U = L'
+    of uplo "U", so L is passed as it is.  The triangle it wrote, the lower
+    one in C order, is then mirrored into the upper one: the result is
+    exactly symmetric.  Allocates nothing n x n when ``out`` is given.
+    """
+    A = np.add(K, K.T, out=out)
+    A *= 0.5
+    n = len(A)
+    args = ctypes.c_int(1), ctypes.c_char(b"U"), ctypes.c_int(n), ctypes.c_int()
+    itype, uplo, dim, info = map(ctypes.addressof, args)
+    # dsygst's info is nonzero only for an illegal argument
+    _lapack("dsygst", 8)(itype, uplo, dim, _address(A), dim, _address(L), dim, info)
+    for i in range(0, n, _MIRROR_ROWS):
+        j = min(i + _MIRROR_ROWS, n)
+        D = A[i:j, i:j]
+        np.copyto(D, D.T, where=_STRICT_UPPER[:j - i, :j - i])
+        A[i:j, j:] = A[j:, i:j].T
+    return A
 
 
 def _cholesky(M: np.ndarray) -> np.ndarray:
@@ -67,17 +95,18 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
 def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
     """Solve the pencil (K, M) for the k smallest eigenpairs (all if k is None).
 
-    K must be symmetric, M symmetric positive definite.  Eigenvalues come back
-    ascending; eigenvectors satisfy U' M U = I to machine precision.  With
-    ``M=None`` K is taken as an already reduced standard symmetric problem
-    (M = I): no factorisation, no back-transform; lifted by
-    ``ReducedFamily._lift`` it is the reference the reduced point solves are
-    tested against.
+    K must be symmetric, M symmetric positive definite; only the symmetric
+    part (K + K')/2 of K enters.  Eigenvalues come back ascending;
+    eigenvectors satisfy U' M U = I to machine precision.  With ``M=None``
+    K is taken as an already reduced standard symmetric problem (M = I): no
+    factorisation, no back-transform; lifted by ``ReducedFamily._lift`` it
+    is the reference the reduced point solves are tested against.
 
     Raises
     ------
     SolverError
-        If M is not positive definite or the dense solve fails to converge.
+        If K or M is empty or has a non-finite entry, k is not an integer,
+        M is not positive definite or the dense solve fails to converge.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -85,6 +114,14 @@ def solve_gevp(K, M=None, k: int | None = None) -> SpectralDecomposition:
         M = np.asarray(M, dtype=float)
     if K.shape != (n, n) or (M is not None and M.shape != (n, n)):
         raise SolverError("K and M must be square matrices of equal size")
+    if n == 0:
+        raise SolverError("K and M must not be empty")
+    for name, A in (("K", K), ("M", M)):
+        if A is not None and not np.isfinite(A).all():
+            raise SolverError(f"{name} has a non-finite entry")
+    # integers only: eigh's subset would read 2.5 as 2 and True as 1
+    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+        raise SolverError(f"k must be an integer, got {k!r}")
     if k is not None and not 1 <= k <= n:
         raise SolverError(f"requested {k} eigenpairs from a {n}-dim pencil")
     if M is None:
@@ -261,6 +298,15 @@ def _point_environment(family) -> dict:
     }
 
 
+def _weights(y, n_terms: int) -> np.ndarray:
+    """[1, y, 0, ...]: the weights of the stacked terms B0, B_1, ...,
+    B_n_terms at the point y, which has at most n_terms components."""
+    c = np.zeros(1 + n_terms)
+    c[0] = 1.0
+    c[1:1 + len(y)] = y
+    return c
+
+
 def _long_point(y, n_terms: int) -> ParameterDimensionError:
     """The error for a parameter point y with more components than n_terms."""
     return ParameterDimensionError(
@@ -335,12 +381,15 @@ class ReducedFamily:
       eigenvector comes from inverse iteration on the tridiagonal pencil
       (``_inverse_iteration``).  Either kernel's eigenvectors are
       M-orthonormal;
-    - dense, otherwise: M = L L' is factored, every affine term reduced once,
-      A_m = inv(L) B_m inv(L)', and a point costs its affine sum ``at(y)``
-      and one ``dsyevr`` call.  The eigenvectors of a chunk are lifted by one
-      triangular solve (``_lift``); at the origin that is bit for bit the
-      dense solve.  The reduced terms take as much memory as
-      the family.
+    - dense, otherwise: M = L L' is factored and every affine term reduced
+      once by ``_reduce`` (one ``dsygst`` call on its symmetric part),
+      A_m = inv(L) B_m inv(L)', into one stacked array ``terms``, whose
+      layers are reduced on ``_nproc()`` threads at once.  A point costs one
+      product of its weights [1, y] and the stack, ``at(y)``, into its
+      thread's workspace, and one ``dsyevr`` call.  The eigenvectors of a
+      chunk are lifted by one triangular solve (``_lift``); at the origin
+      that is bit for bit the dense solve.  The reduced terms take as much
+      memory as the family.
 
     Either way the eigenvectors of a chunk are sign-fixed together.  Solves
     are keyed by the point padded with zeros and k; with ``carry=False`` only
@@ -382,9 +431,18 @@ class ReducedFamily:
         return _cholesky(self.family.mass).T
 
     @cached_property
-    def terms(self) -> tuple[np.ndarray, ...]:
-        L = self.LT.T
-        return tuple(_reduce(L, B) for B in (self.family.B0, *self.family.B_terms))
+    def terms(self) -> np.ndarray:
+        """The reduced terms A_0, A_1, ... of B0, B_1, ..., stacked: one
+        (1 + m) x n x n array, made on the calling thread; each layer is
+        reduced in place by ``_reduce``, the layers in ``_nproc()`` slices
+        at once, on one OpenBLAS thread each."""
+        fam = self.family
+        B = (fam.B0, *fam.B_terms)
+        T = np.empty((len(B), fam.dim, fam.dim))
+        with _serial_blas():
+            L = self.LT.T
+            _in_slices(lambda i: _reduce(L, B[i], out=T[i]), range(len(B)), _nproc())
+        return T
 
     @cached_property
     def _syevr(self) -> tuple:
@@ -400,7 +458,8 @@ class ReducedFamily:
             ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_int(1),
             ctypes.c_int(int(lwork)), ctypes.c_int(liwork),
         )
-        sizes = (n, int(lwork)), (liwork, 2 * n)  # w, work; iwork, isuppz
+        # w, work, the reduced matrix of the point; iwork, isuppz
+        sizes = (n, int(lwork), (n, n)), (liwork, 2 * n)
         return tuple(map(ctypes.addressof, args)), sizes, args
 
     @cached_property
@@ -463,8 +522,11 @@ class ReducedFamily:
         return ws
 
     def at(self, y) -> np.ndarray:
-        """inv(L) B(y) inv(L)'; missing trailing components of y count as zero."""
-        return affine_sum(self.terms[0], self.terms[1:], y)
+        """inv(L) B(y) inv(L)', one product of the weights [1, y] and the
+        stacked terms; missing trailing components of y count as zero."""
+        n_terms, n = self.family.n_terms, self.family.dim
+        c = _weights(_parameter_point(y, n_terms), n_terms)
+        return np.dot(c, self.terms.reshape(len(c), -1)).reshape(n, n)
 
     def _solve_point(self, y, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest eigenvalues at y, a finite point off the origin, and
@@ -477,17 +539,15 @@ class ReducedFamily:
         it returns the eigenvalues alone, the same bits, and the eigenvectors
         come from ``_inverse_iteration``.
         """
+        c = _weights(y, self.family.n_terms)
         if self.bandwidth is None:
-            return self._eigh(self.at(y), k)
+            return self._eigh(c, k)
         T, mass, _, addresses, sizes, _ = self._sbgvx
         vectors, values, range_, uplo, n, kd, ldab, vl, vu, il, abstol, _ = addresses
         kernel = _vector_kernel(self.family.dim)
         arrays, (iu, _, info), ws = self._workspace(kernel, sizes[kernel])
         ab, bb, _, w = arrays[:4]
         (ab_at, bb_at, q, w_at, work), (iwork, ifail, iu_at, m, info_at) = ws[:5], ws[-5:]
-        c = np.zeros(len(T))
-        c[0] = 1.0
-        c[1:1 + len(y)] = y
         np.dot(c, T, out=ab)
         stein = kernel == "inverse-iteration"
         if stein:  # dsbgvx overwrites the band of K(y); with kd = 0 the
@@ -586,23 +646,22 @@ class ReducedFamily:
             Mx *= scale
             previous = shift
 
-    def _eigh(self, A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest eigenvalues and orthonormal eigenvectors of A.
+    def _eigh(self, c: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest eigenvalues and orthonormal eigenvectors of the
+        reduced matrix with the weights c of the stacked terms, ``at(y)``.
 
-        A must be exactly symmetric, as ``at(y)`` is; ``dsyevr`` overwrites it.
+        The matrix is one product into the calling thread's workspace, which
+        ``dsyevr`` then overwrites; it is exactly symmetric, as every term is.
         """
         addresses, sizes, _ = self._syevr
         jobz, range_, uplo, n, zero, vu, il, lwork, liwork = addresses
-        (w, _, _, _), (iu, _, info), ws = self._workspace("dsyevr", sizes)
-        w_at, work, iwork, isuppz, iu_at, m, info_at = ws
+        (w, _, A, _, _), (iu, _, info), ws = self._workspace("dsyevr", sizes)
+        w_at, work, A_at, iwork, isuppz, iu_at, m, info_at = ws
         iu.value = k
-        dim = self.family.dim
-        A = np.require(A, np.float64, ("C", "W"))  # its own transpose: no copy
-        if A.shape != (dim, dim):
-            raise ValueError(f"expected a {dim} x {dim} matrix, got shape {A.shape}")
-        z = np.empty((dim, k), order="F")
+        np.dot(c, self.terms.reshape(len(c), -1), out=A.reshape(-1))
+        z = np.empty((self.family.dim, k), order="F")
         _lapack("dsyevr", 21)(
-            jobz, range_, uplo, n, _address(A), n, zero, vu, il, iu_at, zero, m, w_at,
+            jobz, range_, uplo, n, A_at, n, zero, vu, il, iu_at, zero, m, w_at,
             _address(z.T), n, isuppz, work, lwork, iwork, liwork, info_at,  # z.T: C order
         )
         if info.value:

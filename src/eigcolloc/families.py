@@ -147,29 +147,33 @@ def assemble_at(family: AffineOperatorFamily, y) -> np.ndarray:
     """Assemble B0 + sum_m y_m B_m at a parameter point.
 
     ``y`` may be shorter than the number of terms; missing trailing components
-    are treated as zero.  Longer than the family raises
-    :class:`ParameterDimensionError`.
+    are treated as zero, and zero terms are skipped.  Longer than the family
+    raises :class:`ParameterDimensionError`.
     """
-    return affine_sum(family.B0, family.B_terms, y)
-
-
-def affine_sum(B0: np.ndarray, B_terms, y) -> np.ndarray:
-    """B0 + sum_m y_m B_m with zero terms skipped; ``assemble_at`` on bare arrays."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.ndim != 1:
-        raise ParameterDimensionError("parameter point must be one-dimensional")
-    if len(y) > len(B_terms):
-        raise ParameterDimensionError(
-            f"parameter point has {len(y)} components, family has {len(B_terms)} terms"
-        )
-    out = B0.copy()
+    y = _parameter_point(y, family.n_terms)
+    out = family.B0.copy()
     term = None  # one buffer for every y_m B_m
-    for ym, B in zip(y, B_terms):
+    for ym, B in zip(y, family.B_terms):
         if ym != 0.0:
             if term is None:
                 term = np.empty_like(out)
             out += np.multiply(ym, B, out=term)
     return out
+
+
+def _parameter_point(y, n_terms: int) -> np.ndarray:
+    """y as a float vector of at most ``n_terms`` components.
+
+    Raises :class:`ParameterDimensionError` for any other shape.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.ndim != 1:
+        raise ParameterDimensionError("parameter point must be one-dimensional")
+    if len(y) > n_terms:
+        raise ParameterDimensionError(
+            f"parameter point has {len(y)} components, family has {n_terms} terms"
+        )
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import eigcolloc
@@ -124,6 +125,74 @@ class TestSolveGevp:
         with pytest.raises(SolverError):
             solve_gevp(np.ones((3, 2)), None)
 
+    @pytest.mark.parametrize("M", [np.zeros((0, 0)), None], ids=["pencil", "standard"])
+    def test_empty_input_rejected(self, M):
+        with pytest.raises(SolverError, match="^K and M must not be empty$"):
+            solve_gevp(np.zeros((0, 0)), M)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["K", "M"])
+    def test_non_finite_input_is_named(self, name, bad):
+        # refused before the factorisation, which dsygst would not check
+        K, M = np.diag([1.0, 3.0, 4.0]), np.eye(3)
+        (K if name == "K" else M)[0, 0] = bad
+        with pytest.raises(SolverError, match=f"^{name} has a non-finite entry$"):
+            solve_gevp(K, M, k=2)
+        if name == "K":
+            with pytest.raises(SolverError, match="^K has a non-finite entry$"):
+                solve_gevp(K, None, k=2)
+
+    @pytest.mark.parametrize(
+        "k", [2.5, 2.0, True, False, "2", np.float64(2.0)],
+        ids=["2.5", "2.0", "True", "False", "str", "float64"],
+    )
+    def test_k_must_be_an_integer(self, k):
+        K, M = random_pencil(5, 10)
+        with pytest.raises(SolverError, match=re.escape(f"k must be an integer, got {k!r}")):
+            solve_gevp(K, M, k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.intp(2)])
+    def test_numpy_integer_k_is_accepted(self, k):
+        K, M = random_pencil(5, 10)
+        d = solve_gevp(K, M, k=k)
+        assert np.array_equal(d.values, solve_gevp(K, M, k=2).values)
+
+    def test_only_the_symmetric_part_of_K_enters(self):
+        # K's upper triangle doubled and its lower one dropped has the
+        # symmetric part K, exactly
+        K, M = random_pencil(12, 11)
+        a = solve_gevp(K, M, k=4)
+        b = solve_gevp(2.0 * np.triu(K, 1) + np.diag(np.diag(K)), M, k=4)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+
+
+def two_solve_reduction(L, K):
+    """inv(L) S inv(L)' with S the symmetric part of K by two dense
+    triangular solves: the textbook formula, the oracle of ``_reduce``."""
+    KL = scipy.linalg.solve_triangular(L, K, lower=True)
+    A = scipy.linalg.solve_triangular(L, KL.T, lower=True)
+    return 0.5 * (A + A.T)
+
+
+class TestReduce:
+    # dims cross the row blocks of the mirror (64) and dsygst's own blocks;
+    # K is not symmetric, so only its symmetric part must enter.  The
+    # tolerance against the two-solve formula is fixed in advance: 1e-12 of
+    # the largest entry (M = Q Q' + n I has condition number about 5)
+    @settings(max_examples=60)
+    @given(st.integers(1, 140), st.integers(0, 2**32 - 1))
+    def test_exactly_symmetric_and_agrees_with_two_triangular_solves(self, n, seed):
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((n, n))
+        _, M = random_pencil(n, seed)
+        L = np.linalg.cholesky(M)
+        A = eigensolver._reduce(L, K)
+        assert A.flags.c_contiguous and A.shape == (n, n)
+        assert np.array_equal(A, A.T)
+        want = two_solve_reduction(L, K)
+        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+
 
 def spd_family(n, n_terms, seed):
     """Family whose pencil eigenvalues at every y lie within 0.15 of 1 + d_i,
@@ -211,6 +280,25 @@ class TestReducedFamily:
         reduced = ReducedFamily(fam)
         assert np.array_equal(reduced.at([0.5]), reduced.at([0.5, 0.0, 0.0]))
         assert np.array_equal(reduced.at([]), reduced.terms[0])
+
+    def test_terms_are_one_stack_of_symmetric_reductions(self):
+        fam = spd_family(70, 3, 13)
+        reduced = ReducedFamily(fam)
+        T = reduced.terms
+        assert T.shape == (4, 70, 70) and T.flags.c_contiguous
+        L = reduced.LT.T
+        for A, B in zip(T, (fam.B0, *fam.B_terms)):
+            assert np.array_equal(A, eigensolver._reduce(L, B))
+        A = reduced.at([0.3, -0.2, 0.7])
+        assert np.array_equal(A, A.T)
+
+    def test_terms_do_not_depend_on_the_workers(self, monkeypatch):
+        fam = spd_family(90, 5, 14)
+        made = []
+        for workers in (1, 2):
+            monkeypatch.setattr(eigensolver, "_nproc", lambda: workers)
+            made.append(ReducedFamily(fam).terms)
+        assert np.array_equal(made[0], made[1])
 
     def test_long_point_rejected(self):
         reduced = ReducedFamily(spd_family(5, 2, 2))
@@ -654,11 +742,22 @@ class TestSerialBlas:
 
         monkeypatch.setattr(ReducedFamily, "_solve_point", recording(ReducedFamily._solve_point))
         monkeypatch.setattr(eigensolver, "solve_gevp", recording(solve_gevp))
-        monkeypatch.setattr(eigensolver, "_reduce", recording(eigensolver._reduce))
+        reducers = set()  # the threads that reduced a matrix
+        real_reduce = eigensolver._reduce
+
+        def reduce(*args, **kwargs):
+            reducers.add(threading.get_ident())
+            return real_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "_reduce", recording(reduce))
+        # two workers, so that the reductions of the terms run on the calling
+        # thread and a pool thread: each is recorded where it runs
+        monkeypatch.setattr(eigensolver, "_nproc", lambda: 2)
         # the origin's dense solve and its reduction, the reduction of B0 and
         # the 2 terms, and 2 point solves
         solved(ReducedFamily(fam).solve_many([(), (0.1, 0.2), (0.3,)], 2))
         assert seen == [[1] * len(two_threads)] * 7
+        assert len(reducers) == 2
         assert blas_counts() == two_threads
         env = eigensolver._point_environment(fam)
         assert (env["point_solve_threads"], env["point_solve_workers"]) == (1, eigensolver._nproc())
